@@ -287,15 +287,23 @@ def to_bfn1(f: BooleanFunction) -> bytes:
 
 
 def from_bfn1(data: bytes) -> BooleanFunction:
-    """Parse the BFN1 wire format back into a BooleanFunction."""
+    """Parse the BFN1 wire format back into a BooleanFunction.
+
+    Only the canonical encoding is accepted: no bytes after the last
+    packed byte, and zero padding bits when N < 8.
+    """
     if len(data) < 8 or data[:4] != BFN1_MAGIC:
         raise ValueError("bad magic: not a BFN1 payload")
     (n,) = struct.unpack("<I", data[4:8])
     n = _check_n(n)
     size = 1 << n
     nbytes = (size + 7) // 8
-    body = data[8:8 + nbytes]
-    if len(body) != nbytes:
+    if len(data) < 8 + nbytes:
         raise ValueError("truncated BFN1 payload")
-    bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8), bitorder="little")
+    if len(data) > 8 + nbytes:
+        raise ValueError("trailing bytes after BFN1 payload")
+    if size < 8 and data[8] >> size:
+        raise ValueError("non-zero padding bits in BFN1 payload")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=8),
+                         bitorder="little")
     return BooleanFunction(n, (1 - 2 * bits[:size]).astype(np.int8))

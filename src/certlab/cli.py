@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from . import boolfn, devices, entropy, fouriersample, llqsv, protocol, rejection
 from . import sqforrelation as sqf
-from .rng import derive64, make_rng
+from .rng import MASK64, derive64, make_rng
 from .stats import Z99
 
 _CHUNK = 8192  # trials per fan-out chunk; fixed so results ignore --threads
@@ -84,12 +84,15 @@ def _payload(args, command: str, results: dict) -> dict:
     }
 
 
-def _write_text(out_path, text: str):
+def _write_text(out_path, *parts: str):
+    """Write `parts` in order to `out_path` (stdout if unset), unjoined."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            for part in parts:
+                fh.write(part)
     else:
-        sys.stdout.write(text)
+        for part in parts:
+            sys.stdout.write(part)
 
 
 def _emit(args, command: str, results: dict, rows=None, header=None) -> None:
@@ -211,19 +214,19 @@ def cmd_pgpb(args) -> int:
           header=["p_b", "p_light4", "p_g", "ci99_p_b", "ci99_p_light4",
                   "ci99_p_g", "trials", "seed"])
     if args.check:
+        # a finite-n sample is held to the exact finite-N law, not the
+        # Gaussian limit in `reference`
         tol = args.tol if args.tol is not None else 0.02
-        checks = []
+        exact = fouriersample.exact_band_rates(args.n, args.sampler)
         if args.sampler == "honest":
-            for key, got, ref in (("p_b", est.p_b, ref_b),
-                                  ("p_light4", est.p_light4, ref_l4),
-                                  ("p_g", est.p_g, ref_g)):
-                checks.append((key, abs(got - ref) <= tol,
-                               f"|{got:.5f} - {ref:.5f}| <= {tol}"))
+            named = zip(("p_b", "p_light4", "p_g"),
+                        (est.p_b, est.p_light4, est.p_g), exact)
         else:
-            ref_u = math.erf(1.0 / math.sqrt(2.0))
-            checks.append(("p_b_uniform", abs(est.p_b - ref_u) <= tol,
-                           f"|{est.p_b:.5f} - {ref_u:.5f}| <= {tol}"))
-        return _check_result(checks)
+            named = [("p_b_uniform", est.p_b, exact[0])]
+        return _check_result([
+            (key, abs(got - ref) <= tol, f"|{got:.5f} - {ref:.5f}| <= {tol}")
+            for key, got, ref in named
+        ])
     return 0
 
 
@@ -344,6 +347,9 @@ def cmd_perturb(args) -> int:
         print("perturb: --n must be even (sqrt(N)/2 integral)",
               file=sys.stderr)
         return 2
+    if args.z is not None and not 0 <= args.z < 1 << args.n:
+        print(f"perturb: --z must be in 0..{(1 << args.n) - 1}", file=sys.stderr)
+        return 2
     rng = make_rng(args.seed, _TAG_PERTURB)
     f = boolfn.random_function(args.n, rng)
     spec = boolfn.wht(f)
@@ -455,6 +461,31 @@ def cmd_llqsv(args) -> int:
     return 0
 
 
+# Stands in for `challenges` in the payload handed to json.dumps.  JSON
+# writes it as "\u0000challenges\u0000", which no flag value can contain.
+_CHALLENGES = "\0challenges\0"
+
+# One challenge record as json.dumps(indent=2, sort_keys=True) lays it out
+# at payload["results"]["challenges"][i].
+_CHALLENGE_ROW = '      {\n        "key": %d,\n        "p": %s,\n        "s": %d\n      }'
+
+
+def _challenges_json(transcript) -> str:
+    """The `challenges` array, byte-identical to what json.dumps writes for
+    one {"key", "p", "s"} dict per challenge at the payload's depth.
+
+    Keys reach Python through tolist(), so a uint64 never passes int64.
+    p = w^2/N^2 takes few distinct values; each is formatted once with
+    float.__repr__, which is json's float format (numpy's is not).
+    """
+    values, index = np.unique(transcript.probs, return_inverse=True)
+    p_text = [float.__repr__(v) for v in values.tolist()]
+    rows = zip(transcript.challenge_keys.tolist(),
+               [p_text[i] for i in index.tolist()],
+               transcript.samples.tolist())
+    return "[\n" + ",\n".join(map(_CHALLENGE_ROW.__mod__, rows)) + "\n    ]"
+
+
 def cmd_protocol(args) -> int:
     device = devices.parse_device(args.device)
     config = protocol.ProtocolConfig(
@@ -465,7 +496,13 @@ def cmd_protocol(args) -> int:
     transcript = protocol.run_protocol(config, device, claimed)
     results = protocol.transcript_to_dict(transcript)
     results["device"] = device.label
-    _emit(args, "protocol", results)
+    results["challenges"] = _CHALLENGES
+    text = json.dumps(_payload(args, "protocol", results),
+                      indent=2, sort_keys=True) + "\n"
+    parts = text.split(json.dumps(_CHALLENGES))
+    if len(parts) != 2:
+        raise RuntimeError("the challenges placeholder must occur exactly once")
+    _write_text(args.out, parts[0], _challenges_json(transcript), parts[1])
     if args.check:
         checks = [
             ("score-recompute",
@@ -515,19 +552,19 @@ def _battery(seed: int, report: CheckReport) -> None:
     # -- heaviness statistics
     est = fouriersample.estimate_pg_pb(
         10, fouriersample.honest_sampler, 20000, make_rng(seed, 101))
-    ref_b, ref_l4, ref_g = fouriersample.gaussian_reference()
+    ref_b, ref_l4, ref_g = fouriersample.exact_band_rates(10)
     report.add("pgpb-honest-windows",
                abs(est.p_b - ref_b) <= 0.03
                and abs(est.p_light4 - ref_l4) <= 0.03
                and abs(est.p_g - ref_g) <= 0.03,
                f"p_b={est.p_b:.4f} p_light4={est.p_light4:.4f} "
-               f"p_g={est.p_g:.4f} vs ref ({ref_b:.4f}, {ref_l4:.4f}, "
+               f"p_g={est.p_g:.4f} vs exact n=10 ({ref_b:.4f}, {ref_l4:.4f}, "
                f"{ref_g:.4f})")
     estu = fouriersample.estimate_pg_pb(
         10, fouriersample.uniform_sampler, 10000, make_rng(seed, 102))
-    ref_u = math.erf(1.0 / math.sqrt(2.0))
+    ref_u = fouriersample.exact_band_rates(10, "uniform")[0]
     report.add("pgpb-uniform-sampler", abs(estu.p_b - ref_u) <= 0.03,
-               f"p_b={estu.p_b:.4f} vs normal mass {ref_u:.4f}")
+               f"p_b={estu.p_b:.4f} vs exact n=10 mass {ref_u:.4f}")
 
     g = make_rng(seed, 103)
     f8 = boolfn.random_function(8, g)
@@ -697,8 +734,36 @@ def cmd_check_all(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _int_in(low: int, high: int | None = None, base: int = 10):
+    """argparse type: an int (parsed as int(text, base) does) in low..high."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text, base)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bounds = f"in {low}..{high}" if high is not None else f"at least {low}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    return convert
+
+
+_N = _int_in(1, boolfn.MAX_N)
+_COUNT = _int_in(1)
+_SEED = _int_in(0, MASK64, base=0)  # decimal or 0x-prefixed, 64 bits
+
+
 def _add_common(p, seed_default=0):
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=seed_default,
+    p.add_argument("--seed", type=_SEED, default=seed_default,
                    help="64-bit master seed (default %(default)s)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--check", action="store_true",
@@ -708,7 +773,7 @@ def _add_common(p, seed_default=0):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="certlab",
         description="Fourier sampling, heaviness statistics, and the "
                     "certified-randomness protocol toolkit.",
@@ -718,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("wht", help="transform one function and dump its spectrum")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_N, default=None)
     p.add_argument("--in", dest="infile", default=None,
                    help="read the function from a BFN1 file")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -726,18 +791,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_wht)
 
     p = sub.add_parser("pgpb", help="heaviness statistics of a sampler")
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--n", type=_N, default=12)
+    p.add_argument("--trials", type=_COUNT, default=100000)
     p.add_argument("--sampler", choices=("honest", "uniform"),
                    default="honest")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_COUNT, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
     p.set_defaults(func=cmd_pgpb)
 
     p = sub.add_parser("hog", help="heavy-output score on one random function")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--n", type=_N, default=8)
+    p.add_argument("--samples", type=_COUNT, default=100000)
     p.add_argument("--sampler", choices=("honest", "uniform"),
                    default="honest")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -745,31 +810,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hog)
 
     p = sub.add_parser("sqforr", help="mean phi over correlated pairs")
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=_N, default=8)
     p.add_argument("--c", type=float, default=20.0)
-    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--trials", type=_COUNT, default=100000)
     p.add_argument("--estimator", choices=("plain", "conditional"),
                    default="conditional")
     p.add_argument("--uniform-pairs", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_COUNT, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
     p.set_defaults(func=cmd_sqforr)
 
     p = sub.add_parser("rhog", help="N-scaled rejection placement score")
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=_N, default=8)
     p.add_argument("--c", type=float, default=20.0)
-    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--trials", type=_COUNT, default=100000)
     p.add_argument("--uniform-pairs", action="store_true")
     p.add_argument("--uniform-sampler", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_COUNT, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
     p.set_defaults(func=cmd_rhog)
 
     p = sub.add_parser("perturb",
                        help="flip sqrt(N)/2 agreement points and compare spectra")
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=_N, default=8)
     p.add_argument("--z", type=int, default=None,
                    help="coefficient index (default: the argmax)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -780,23 +845,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replay a device through shared seed streams")
     p.add_argument("--device", default="biased:0.98",
                    help="honest | uniform | argmax | biased:<p>")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_N, default=4)
     p.add_argument("--budget", type=int, default=10000)
-    p.add_argument("--seeds", type=int, default=100)
+    p.add_argument("--seeds", type=_COUNT, default=100)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
     p.set_defaults(func=cmd_derandomize)
 
     p = sub.add_parser("llqsv", help="generate a long-list instance (LLQ1)")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--t", type=int, default=10000)
+    p.add_argument("--n", type=_N, default=8)
+    p.add_argument("--t", type=_COUNT, default=10000)
     p.add_argument("--case", choices=llqsv.CASES, default="fourier")
     _add_common(p)
     p.set_defaults(func=cmd_llqsv)
 
     p = sub.add_parser("protocol", help="run the full protocol once")
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--t", type=int, default=4096)
+    p.add_argument("--n", type=_N, default=6)
+    p.add_argument("--t", type=_COUNT, default=4096)
     p.add_argument("--b", type=float, default=1.5)
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--device", default="honest",
@@ -808,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-all", help="fast cross-module battery")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.set_defaults(func=cmd_check_all)
 
     return ap

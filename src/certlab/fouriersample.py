@@ -17,6 +17,7 @@ n grows, obtained by quadrature of the half-integer chi-square density.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +201,35 @@ def gaussian_reference() -> tuple[float, float, float]:
 
     p_b, _ = integrate.quad(density, -1.0, 1.0, epsabs=1e-12, epsrel=1e-12)
     p_light4, _ = integrate.quad(density, -2.0, 2.0, epsabs=1e-12, epsrel=1e-12)
+    return p_b, p_light4, p_light4 - p_b
+
+
+def exact_band_rates(n: int, sampler: str = "honest") -> tuple[float, float, float]:
+    """Exact (p_B, p_light4, p_G) at N = 2^n for the "honest" or "uniform" sampler.
+
+    Every fhat(z) of a uniform random function has the law of W/N, where
+    W = N - 2K and K ~ Binomial(N, 1/2).  A uniform index sees that law
+    as is, so p_B = P(W^2 <= N).  The honest sampler picks z with weight
+    fhat(z)^2, and summing over z gives
+    p_B = sum_{w^2 <= N} (w^2/N) C(N, (N+w)/2) / 2^N.  p_light4 is the
+    same sum over w^2 <= 4N.  The binomial masses are floats
+    (scipy.stats.binom), so this is fast up to MAX_N.  The honest triple
+    tends to gaussian_reference() as n grows.
+    """
+    if sampler not in ("honest", "uniform"):
+        raise ValueError(f"unknown sampler {sampler!r}")
+    # imported here, not at the top: scipy.stats adds ~0.3 s to every start
+    from scipy.stats import binom
+
+    size = 1 << n
+    r = math.isqrt(4 * size)  # |w| <= r exactly when w^2 <= 4N
+    k = np.arange((size - r + 1) // 2, (size + r) // 2 + 1)
+    w2 = (size - 2 * k) ** 2
+    mass = binom.pmf(k, size, 0.5)
+    if sampler == "honest":
+        mass = mass * w2 / size
+    p_b = float(mass[w2 <= size].sum())
+    p_light4 = float(mass.sum())
     return p_b, p_light4, p_light4 - p_b
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import (
+    MAX_N,
     BooleanFunction,
     character_values,
     coefficient_at,
@@ -342,19 +343,26 @@ def to_llq1(llist: LongList) -> bytes:
 
 
 def from_llq1(data: bytes, case_label: str = "unknown") -> LongList:
-    """Parse the LLQ1 wire format; the label must be supplied out of band."""
+    """Parse the LLQ1 wire format; the label must be supplied out of band.
+
+    Only the canonical encoding is accepted: n = 0 exactly when T = 0,
+    every record has the header's n and an index s below N, and the length
+    is exactly what the header implies.
+    """
     if len(data) < 12 or data[:4] != LLQ1_MAGIC:
         raise ValueError("bad magic: not an LLQ1 payload")
     n, T = struct.unpack("<II", data[4:12])
+    if (n == 0) != (T == 0) or n > MAX_N:
+        raise ValueError(f"bad LLQ1 header: n = {n}, T = {T}")
+    size = 1 << n
+    body = 8 + (size + 7) // 8 if T else 0  # BFN1 record length for this n
+    if len(data) != 12 + T * (body + 4):
+        raise ValueError("LLQ1 length does not match its header")
     entries = []
-    pos = 12
-    if T:
-        body = 8 + ((1 << n) + 7) // 8  # BFN1 record length for this n
-        for _ in range(T):
-            f = from_bfn1(data[pos:pos + body])
-            (s,) = struct.unpack("<I", data[pos + body:pos + body + 4])
-            entries.append((f, int(s)))
-            pos += body + 4
-    if pos != len(data):
-        raise ValueError("trailing bytes after LLQ1 payload")
+    for pos in range(12, len(data), body + 4):
+        f = from_bfn1(data[pos:pos + body])
+        (s,) = struct.unpack("<I", data[pos + body:pos + body + 4])
+        if f.n != n or s >= size:
+            raise ValueError(f"LLQ1 record at byte {pos} does not fit n = {n}")
+        entries.append((f, s))
     return LongList(entries, case_label)

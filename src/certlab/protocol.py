@@ -305,7 +305,11 @@ def _extract_bits(
 
 
 def transcript_to_dict(transcript: ProtocolTranscript) -> dict:
-    """JSON-ready view of a transcript (schema documented in the README)."""
+    """JSON-ready view of every transcript field except `challenges`.
+
+    The per-challenge records (schema in the README) stay in the
+    transcript's three arrays; the CLI writes them straight from there.
+    """
     c = transcript.config
     return {
         "config": {
@@ -317,18 +321,6 @@ def transcript_to_dict(transcript: ProtocolTranscript) -> dict:
             "extractor_output_bits": c.extractor_output_bits,
             "seed": c.seed,
         },
-        "challenges": [
-            {
-                "key": int(k),
-                "s": int(s),
-                "p": float(p),
-            }
-            for k, s, p in zip(
-                transcript.challenge_keys,
-                transcript.samples,
-                transcript.probs,
-            )
-        ],
         "S": transcript.S,
         "score_threshold": score_threshold(c),
         "score_pass": transcript.score_pass,

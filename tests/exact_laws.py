@@ -6,7 +6,7 @@ code with the implementation they check.
 
 * `band_rates(n)`: the honest sampler's (p_B, p_light4, p_G) on a uniform
   random function at N = 2^n.  `gaussian_reference()` is only their
-  large-n limit.
+  large-n limit.  `uniform_band_rates(n)`: the same for a uniform index.
 * `balance_tail(n)`: the probability that a Binomial(N, 1/2) ones count
   leaves the (1 +- N^(-1/3)) N/2 band.  The 5/N^2 allowance holds for it
   only from n = 16 on.
@@ -33,6 +33,22 @@ def band_rates(n: int) -> tuple[Fraction, Fraction, Fraction]:
     """Exact (p_B, p_light4, p_G) of the honest sampler at N = 2^n."""
     p_b = _band_mass(n, 1)
     p_light4 = _band_mass(n, 4)
+    return p_b, p_light4, p_light4 - p_b
+
+
+def uniform_band_rates(n: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact (p_B, p_light4, p_G) of an index drawn uniformly, ignoring f.
+
+    fhat(z) at a fixed z has the law of W/N, so each band mass is a plain
+    binomial sum: P(W^2 <= aN) = sum_{w^2 <= aN} C(N, (N+w)/2) / 2^N.
+    """
+    size = 1 << n
+
+    def mass(a):
+        inside = sum(c for _, c in _central_binomials(size, math.isqrt(a * size)))
+        return Fraction(inside, 1 << size)
+
+    p_b, p_light4 = mass(1), mass(4)
     return p_b, p_light4, p_light4 - p_b
 
 

@@ -267,6 +267,38 @@ def test_bfn1_roundtrip(n, bits):
     assert from_bfn1(to_bfn1(f)) == f
 
 
+@given(st.integers(min_value=1, max_value=5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_bfn1_accepts_only_canonical_bytes(n, data):
+    # a parse either fails with ValueError or re-encodes to the same bytes
+    bits = data.draw(st.integers(0, (1 << (1 << n)) - 1))
+    values = np.array([-1 if (bits >> x) & 1 else 1 for x in range(1 << n)],
+                      dtype=np.int8)
+    blob = to_bfn1(BooleanFunction(n, values))
+    assert to_bfn1(from_bfn1(blob)) == blob
+    pos = data.draw(st.integers(0, len(blob) - 1))
+    kind = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+    if kind == "delete":
+        bad = blob[:pos] + blob[pos + 1:]
+    else:
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]))
+        bad = blob[:pos] + bytes([byte]) + blob[pos + (kind == "replace"):]
+    try:
+        g = from_bfn1(bad)
+    except ValueError:
+        return
+    assert to_bfn1(g) == bad
+
+
+def test_bfn1_rejects_padding_and_trailing_bytes():
+    blob = to_bfn1(BooleanFunction(2, np.array([1, -1, 1, 1], dtype=np.int8)))
+    assert blob[8] == 0b0010
+    with pytest.raises(ValueError, match="padding"):
+        from_bfn1(blob[:8] + bytes([blob[8] | 0x80]))
+    with pytest.raises(ValueError, match="trailing"):
+        from_bfn1(blob + b"\x00")
+
+
 def test_bfn1_layout():
     f = BooleanFunction(3, np.array([1, -1, 1, 1, -1, 1, 1, 1], dtype=np.int8))
     blob = to_bfn1(f)

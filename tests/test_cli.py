@@ -1,7 +1,8 @@
 """Command-line behavior: exit codes, determinism, formats.
 
 All invocations go through cli.main in-process; exit code 0 is success,
-1 a failed --check, 2 an argparse usage error.
+1 a failed --check or bad input (device string, file), 2 a one-line
+argparse usage error (unknown flag, out-of-range count or n).
 """
 
 import json
@@ -33,6 +34,39 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run()
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["derandomize", "--seeds", "0"],
+    ["pgpb", "--threads", "-3"],
+    ["llqsv", "--t", "0", "--check"],
+    ["wht", "--n", "0"],
+    ["wht", "--n", "25"],
+    ["pgpb", "--trials", "0"],
+    ["pgpb", "--trials", "ten"],
+    ["hog", "--samples", "0"],
+    ["sqforr", "--threads", "0"],
+    ["protocol", "--t", "0"],
+    ["hog", "--seed", "-1"],
+    ["hog", "--seed", "0x10000000000000000"],
+], ids=" ".join)
+def test_out_of_range_flag_is_one_line_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out", "/dev/null")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"error: argument {argv[1]}:" in err
+
+
+def test_bad_bfn1_file_reports_error(tmp_path, capsys):
+    from certlab.boolfn import random_function, to_bfn1
+    from certlab.rng import make_rng
+
+    bad = tmp_path / "f.bfn1"
+    bad.write_bytes(to_bfn1(random_function(4, make_rng(1))) + b"\x00")
+    assert run("wht", "--in", str(bad), "--out", "/dev/null") == 1
+    assert "certlab:" in capsys.readouterr().err
 
 
 def test_wht_json_payload(tmp_path, capsys):
@@ -99,6 +133,14 @@ def test_csv_format(tmp_path):
     assert len(lines) == 3 + 4
 
 
+@pytest.mark.parametrize("sampler", ["honest", "uniform"])
+def test_pgpb_check_holds_exact_law(sampler):
+    # at n=8 the exact rates sit ~0.03 from the Gaussian limit, beyond the
+    # 0.02 tolerance, so a correct sampler passes only against the exact law
+    assert run("pgpb", "--n", "8", "--trials", "20000", "--sampler", sampler,
+               "--check", "--out", "/dev/null") == 0
+
+
 def test_hog_check(tmp_path):
     assert run("hog", "--n", "8", "--samples", "20000", "--seed", "4",
                "--check", "--tol", "0.01", "--out", "/dev/null") == 0
@@ -116,6 +158,11 @@ def test_perturb_check_and_payload(tmp_path):
 
 def test_perturb_odd_n_is_usage_error():
     assert run("perturb", "--n", "5", "--out", "/dev/null") == 2
+
+
+def test_perturb_z_out_of_range_is_usage_error(capsys):
+    assert run("perturb", "--n", "4", "--z", "16", "--out", "/dev/null") == 2
+    assert capsys.readouterr().err == "perturb: --z must be in 0..15\n"
 
 
 def test_derandomize_check(tmp_path):

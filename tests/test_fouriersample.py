@@ -3,7 +3,8 @@
 Oracles: the Gaussian band masses are chi-square CDF identities
 (integral of u^2 exp(-u^2/2)/sqrt(2pi) over [-a, a] equals
 chi2.cdf(a^2, df=3)), the exact finite-N band law (`exact_laws.py`) is
-checked against enumeration of every function at n=1..3, and the
+checked against enumeration of every function at n=1..3 (and
+certlab's float form `exact_band_rates` against it), and the
 sampler itself is checked by a goodness-of-fit test against the exact
 squared-coefficient law.
 """
@@ -22,6 +23,7 @@ from certlab.fouriersample import (
     EmptySamples,
     PgPbEstimate,
     estimate_pg_pb,
+    exact_band_rates,
     fourier_sample,
     fourier_sample_many,
     gaussian_reference,
@@ -33,7 +35,7 @@ from certlab.fouriersample import (
     uniform_sampler,
 )
 from certlab.rng import make_rng
-from exact_laws import band_rates
+from exact_laws import band_rates, uniform_band_rates
 
 # chi-square identities for the band masses of a standard normal weighted
 # by u^2 (frozen; recomputed in test_gaussian_reference_identities)
@@ -55,9 +57,10 @@ def test_gaussian_reference_identities():
 def test_band_law_matches_enumeration():
     # every sign table at n=1..3, spectrum by the O(N^2) definition, and the
     # squared-coefficient mass on each band summed exactly
+    # (the uniform sampler weights every index by 1/N instead)
     for n in (1, 2, 3):
         size = 1 << n
-        light = light4 = Fraction(0)
+        light = light4 = u_light = u_light4 = Fraction(0)
         for signs in itertools.product([1, -1], repeat=size):
             for z in range(size):
                 w = sum(s * (-1) ** bin(x & z).count("1")
@@ -65,9 +68,13 @@ def test_band_law_matches_enumeration():
                 mass = Fraction(w * w, size * size)
                 light += mass if w * w <= size else 0
                 light4 += mass if w * w <= 4 * size else 0
+                u_light += Fraction(1, size) if w * w <= size else 0
+                u_light4 += Fraction(1, size) if w * w <= 4 * size else 0
         tables = 2 ** size
         assert band_rates(n) == (light / tables, light4 / tables,
                                  (light4 - light) / tables)
+        assert uniform_band_rates(n) == (u_light / tables, u_light4 / tables,
+                                         (u_light4 - u_light) / tables)
     assert band_rates(3)[:2] == (Fraction(7, 32), Fraction(21, 32))
 
 
@@ -82,6 +89,20 @@ def test_band_law_converges_to_gaussian_reference():
     for gaps in (gaps_b, gaps_l4):
         assert all(0 < b < a for a, b in zip(gaps, gaps[1:]))
         assert all(0.45 <= b / a <= 0.55 for a, b in zip(gaps, gaps[1:]))
+
+
+def test_exact_band_rates_match_oracle():
+    # the float binomial form in certlab against the integer sums
+    for n in range(1, 15):
+        for sampler, oracle in (("honest", band_rates),
+                                ("uniform", uniform_band_rates)):
+            got = exact_band_rates(n, sampler)
+            assert got == pytest.approx([float(x) for x in oracle(n)],
+                                        rel=0, abs=1e-12)
+    # fast at MAX_N, and already close to the Gaussian limit there
+    assert exact_band_rates(24) == pytest.approx(gaussian_reference(), abs=1e-3)
+    with pytest.raises(ValueError):
+        exact_band_rates(8, "argmax")
 
 
 def test_fourier_sample_goodness_of_fit():

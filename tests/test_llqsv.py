@@ -113,6 +113,39 @@ def test_llq1_roundtrip(n, t):
     )
 
 
+@given(st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=4),
+       st.sampled_from(CASES), st.data())
+@settings(max_examples=300, deadline=None)
+def test_llq1_accepts_only_canonical_bytes(n, t, case, data):
+    # a parse either fails with ValueError or re-encodes to the same bytes
+    blob = to_llq1(llqsv_instance(n, t, case, make_rng(83, n * 31 + t)))
+    assert to_llq1(from_llq1(blob)) == blob
+    pos = data.draw(st.integers(0, len(blob) - 1))
+    kind = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+    if kind == "delete":
+        bad = blob[:pos] + blob[pos + 1:]
+    else:
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]))
+        bad = blob[:pos] + bytes([byte]) + blob[pos + (kind == "replace"):]
+    try:
+        back = from_llq1(bad)
+    except ValueError:
+        return
+    assert to_llq1(back) == bad
+
+
+def test_llq1_rejects_noncanonical_headers_and_records():
+    blob = to_llq1(llqsv_instance(2, 1, "uniform", make_rng(83, 0)))
+    n_is_1 = blob[:4] + bytes([1]) + blob[5:]           # record still says n=2
+    big_s = blob[:-4] + (4).to_bytes(4, "little")        # s = N
+    empty_with_n = LLQ1_MAGIC + bytes([2, 0, 0, 0, 0, 0, 0, 0])
+    huge_t = blob[:8] + (1 << 31).to_bytes(4, "little") + blob[12:]
+    for bad in (n_is_1, big_s, empty_with_n, huge_t):
+        with pytest.raises(ValueError):
+            from_llq1(bad)
+
+
 def test_llq1_header_layout():
     inst = llqsv_instance(3, 2, "uniform", make_rng(82, 0))
     blob = to_llq1(inst)

@@ -102,9 +102,11 @@ def test_transcript_probs_match_spectra():
 
 def test_run_protocol_is_deterministic():
     cfg = small_config()
-    a = transcript_to_dict(run_protocol(cfg, biased(0.5), "argmax"))
-    b = transcript_to_dict(run_protocol(cfg, biased(0.5), "argmax"))
-    assert a == b
+    ta = run_protocol(cfg, biased(0.5), "argmax")
+    tb = run_protocol(cfg, biased(0.5), "argmax")
+    assert transcript_to_dict(ta) == transcript_to_dict(tb)
+    for field in ("challenge_keys", "samples", "probs"):
+        assert np.array_equal(getattr(ta, field), getattr(tb, field))
 
 
 # ---------------------------------------------------------------- collisions
@@ -244,4 +246,5 @@ def test_transcript_to_dict_is_json_ready():
     text = json.dumps(d, sort_keys=True)
     assert "score_pass" in d and "extracted_bits" in d
     assert json.loads(text)["config"]["T"] == 32
-    assert len(d["challenges"]) == 32
+    # the per-challenge records stay in the arrays; the CLI writes them
+    assert "challenges" not in d
