@@ -14,6 +14,7 @@ inclusive upper boundaries: |fhat| = 1/sqrt(N) is still Light and
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -107,43 +108,113 @@ class FourierSpectrum:
         return 1 << self.n
 
 
-def wht_inplace(buf: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard butterfly, in place on a length-2^k buffer.
+# OpenBLAS, numpy's BLAS, runs a GEMM whose M*N*K is at most 65536 * 4 on
+# the calling thread and hands larger ones to its worker threads.  The
+# integer kernel below keeps every GEMM it issues at or under this size, so a
+# transform never wakes those threads (they would spin beside the --threads
+# workers and slow them).
+_GEMM_MAX = 1 << 18
+_FACTOR_BITS = 5  # Hadamard factors are at most 2^5 x 2^5
+# Rows are transformed in blocks of about this many elements, through two
+# work buffers allocated once per call: the blocks stay in cache, and large
+# calls do not fault in fresh pages for every intermediate.
+_BLOCK = 1 << 16
 
-    After one pass buf[z] = sum_x buf_in[x] (-1)^{z.x}; applying the pass
-    twice multiplies the original buffer by its length.  Works for integer
-    or float buffers; the caller owns the scratch space.
+
+@functools.cache
+def _hadamard(bits: int, dtype) -> np.ndarray:
+    """Read-only Sylvester matrix H_{2^bits}: entry (i, j) is (-1)^{i.j}.
+
+    Cached per (bits, dtype); the cache is safe to share between threads
+    (a race at worst builds the same matrix twice).
     """
-    size = buf.shape[-1]
-    if size & (size - 1) or size == 0:
-        raise ValueError("buffer length must be a power of two")
-    h = 1
-    while h < size:
-        for start in range(0, size, 2 * h):
-            a = buf[..., start:start + h].copy()
-            b = buf[..., start + h:start + 2 * h]
-            buf[..., start:start + h] = a + b
-            buf[..., start + h:start + 2 * h] = a - b
-        h *= 2
-    return buf
+    i = np.arange(1 << bits)
+    parity = (np.bitwise_count(i[:, None] & i[None, :]) & 1).astype(np.int8)
+    h = (1 - 2 * parity).astype(dtype)
+    h.setflags(write=False)
+    return h
+
+
+def _factor_bits(n: int) -> list[int]:
+    """Split n into the fewest parts of at most _FACTOR_BITS, sizes within one."""
+    k = -(-n // _FACTOR_BITS)
+    return [n // k + (i < n % k) for i in range(k)]
+
+
+def _kron_transform(a: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Unnormalized transform of the rows of a float (B, N) array by GEMM.
+
+    H_N = H_{d_1} (x) ... (x) H_{d_k} (Sylvester), so with the row viewed as
+    a (d_1, ..., d_k) tensor the transform applies H_{d_j} along axis j.
+    Every axis but the last is mixed by a stacked left multiply H_d @ x on
+    (d, c) column blocks; the last, contiguous axis by x @ H_d on blocks of
+    c rows.  c is chosen so that each GEMM has M*N*K <= _GEMM_MAX.  The
+    factors ping-pong between `a` and `spare` (same shape, both clobbered);
+    the one returned holds the result.
+    """
+    bits = _factor_bits(a.shape[1].bit_length() - 1)
+    inner = a.shape[1]
+    for b in bits[:-1]:
+        d = 1 << b
+        inner >>= b
+        c = min(inner, _GEMM_MAX >> (2 * b))
+        src = a.reshape(-1, d, inner // c, c).transpose(0, 2, 1, 3)
+        dst = spare.reshape(-1, d, inner // c, c).transpose(0, 2, 1, 3)
+        np.matmul(_hadamard(b, a.dtype), src, out=dst)
+        a, spare = spare, a
+    b = bits[-1]
+    h = _hadamard(b, a.dtype)
+    src = a.reshape(-1, 1 << b)
+    dst = spare.reshape(-1, 1 << b)
+    c = _GEMM_MAX >> (2 * b)
+    full = src.shape[0] - src.shape[0] % c
+    if full:
+        np.matmul(src[:full].reshape(-1, c, 1 << b), h,
+                  out=dst[:full].reshape(-1, c, 1 << b))
+    if full < src.shape[0]:
+        np.matmul(src[full:], h, out=dst[full:])
+    return spare
 
 
 def wht_rows(rows: np.ndarray) -> np.ndarray:
-    """Unnormalized transform of each row of a (B, N) array, vectorized.
+    """Unnormalized transform of each row of a (B, N) array.
 
-    Reshape-based butterfly: no Python loop over rows, O(N log N) work per
-    row.  Returns a new array with the rows' dtype widened enough to hold
-    the +-N range (int16 is sufficient up to n = 14, else int64/float64).
+    Row z of the result is sum_x rows[x] (-1)^{z.x}; applying it twice
+    multiplies a row by N.  A 1-d input is one row.
+
+    Integer rows go through a Kronecker-factored BLAS product
+    (`_kron_transform`) and come back as exact integers.  With m = max |x|,
+    every partial sum of that product, in any summation order, is an
+    integer of magnitude at most m*N.  So the product runs in float32 when
+    m*N <= 2^24 (every +-1 row, as N <= 2^24) and in float64 when
+    m*N <= 2^53 (a scaled spectrum fed back, where partial sums reach about
+    N^1.5); larger rows are refused.  The result is int16 when m*N < 2^15
+    (+-1 rows up to n = 14) and int64 otherwise.
+
+    Float rows go through a reshape butterfly in float64, whose fixed
+    summation order the float-input callers' output bytes depend on.
     """
     rows = np.atleast_2d(rows)
     nrows, size = rows.shape
     if size & (size - 1) or size == 0:
         raise ValueError("row length must be a power of two")
     if np.issubdtype(rows.dtype, np.integer):
-        dtype = np.int16 if size <= (1 << 14) else np.int64
-    else:
-        dtype = np.float64
-    a = rows.astype(dtype)
+        bound = size * max(1, int(rows.max(initial=0)), -int(rows.min(initial=0)))
+        if bound > 1 << 53:
+            raise ValueError("integer rows too large for an exact transform "
+                             "(max |x| * N > 2^53)")
+        out = np.empty((nrows, size),
+                       dtype=np.int16 if bound < 1 << 15 else np.int64)
+        step = max(1, _BLOCK // size)
+        a = np.empty((min(step, nrows), size),
+                     dtype=np.float32 if bound <= 1 << 24 else np.float64)
+        spare = np.empty_like(a)
+        for i in range(0, nrows, step):
+            m = min(step, nrows - i)
+            a[:m] = rows[i:i + m]
+            out[i:i + m] = _kron_transform(a[:m], spare[:m])
+        return out
+    a = rows.astype(np.float64)
     h = 1
     while h < size:
         a = a.reshape(nrows, -1, 2, h)
@@ -156,16 +227,13 @@ def wht_rows(rows: np.ndarray) -> np.ndarray:
 
 def wht(f: BooleanFunction) -> FourierSpectrum:
     """Fourier spectrum of f: coeffs[z] = (1/N) sum_x f(x) (-1)^{z.x}."""
-    size = f.size
-    buf = f.values.astype(np.int64)
-    wht_inplace(buf)
-    return FourierSpectrum(f.n, buf / size, buf)
+    w = wht_rows(f.values)[0]
+    return FourierSpectrum(f.n, w / f.size, w)
 
 
 def spectrum_to_function(spec: FourierSpectrum) -> BooleanFunction:
     """Invert a spectrum back to its sign table via the integer transform."""
-    buf = spec.scaled.astype(np.int64).copy()
-    wht_inplace(buf)
+    buf = wht_rows(spec.scaled)[0].astype(np.int64)
     vals = buf // spec.size
     if not np.all(np.abs(vals) == 1) or not np.all(buf == vals * spec.size):
         raise ValueError("spectrum is not the transform of a sign table")
@@ -227,9 +295,11 @@ def p_set(
     fhat(z) = 0 the majority sign is undefined and the caller must pass
     sign=+1 or sign=-1 explicitly.
     """
+    chi = character_values(f.n, z)
     if spec is None:
-        spec = wht(f)
-    w = int(spec.scaled[z])
+        w = int(np.dot(f.values.astype(np.int64), chi))
+    else:
+        w = int(spec.scaled[z])
     if w > 0:
         s = 1
     elif w < 0:
@@ -240,7 +310,6 @@ def p_set(
                 f"fhat({z}) = 0; pass sign=+1 or sign=-1 to break the tie"
             )
         s = sign
-    chi = character_values(f.n, z)
     return np.nonzero(f.values == s * chi)[0]
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .boolfn import FourierSpectrum
 from .entropy import OutcomeDistribution
-from .fouriersample import fourier_sample_many
+from .fouriersample import fourier_rows, fourier_sample_many
 
 KINDS = ("honest", "uniform", "argmax", "biased")
 
@@ -40,15 +40,6 @@ def argmax_rows(scaled_rows: np.ndarray) -> np.ndarray:
     """Row-wise first argmax of the squared scaled coefficients."""
     w = scaled_rows.astype(np.int64)
     return np.argmax(w * w, axis=1).astype(np.int64)
-
-
-def _fourier_rows(scaled_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One Fourier sample per row of scaled spectra (inverse CDF, exact)."""
-    w = scaled_rows.astype(np.int64)
-    cs = np.cumsum(w * w, axis=1)
-    totals = cs[:, -1].astype(np.float64)
-    u = rng.random(w.shape[0])
-    return (cs < (u * totals)[:, None]).sum(axis=1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -112,9 +103,9 @@ class DeviceModel:
         if self.kind == "argmax":
             return argmax_rows(scaled_rows)
         if self.kind == "honest":
-            return _fourier_rows(scaled_rows, rng)
+            return fourier_rows(scaled_rows, rng.random(rows))
         picks = rng.random(rows) < self.p
-        out = _fourier_rows(scaled_rows, rng)
+        out = fourier_rows(scaled_rows, rng.random(rows))
         out[picks] = argmax_rows(scaled_rows)[picks]
         return out
 

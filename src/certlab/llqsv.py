@@ -31,7 +31,7 @@ from .boolfn import (
     to_bfn1,
     wht_rows,
 )
-from .devices import _fourier_rows
+from .fouriersample import fourier_rows
 from .sqforrelation import BudgetExceeded, DENSE_LIST_LIMIT
 from .stats import wilson_halfwidth
 
@@ -181,8 +181,7 @@ def stream_llqsv(n: int, T: int, case: str, rng: np.random.Generator):
         b = min(_BATCH, T - done)
         tables = random_functions_batch(n, b, rng)
         if case == "fourier":
-            W = wht_rows(tables)
-            s = _fourier_rows(W, rng)
+            s = fourier_rows(wht_rows(tables), rng.random(b))
         else:
             s = rng.integers(0, size, size=b, dtype=np.int64)
         for i in range(b):

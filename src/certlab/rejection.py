@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import BooleanFunction, wht_rows
+from .fouriersample import fourier_rows
 from .sqforrelation import DistParams, sample_gprime_rows, _round_rows
 from .stats import mean_ci99
 
@@ -123,10 +124,7 @@ def rhog_values(
         if uniform_sampler:
             x = rng.integers(0, size, size=b)
         else:
-            W = wht_rows(f_rows).astype(np.int64)
-            cs = np.cumsum(W * W, axis=1)
-            u = rng.random(b)
-            x = (cs < (u * float(size) * size)[:, None]).sum(axis=1)
+            x = fourier_rows(wht_rows(f_rows), rng.random(b))
         ones = np.count_nonzero(g_rows == 1, axis=1)
         a = ones / size
         with np.errstate(divide="ignore", invalid="ignore"):

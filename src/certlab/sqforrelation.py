@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolfn import BooleanFunction, wht_inplace, wht_rows
+from .boolfn import BooleanFunction, wht_rows
 from .rng import gaussians
 from .stats import MeanCI, mean_ci99, wilson_halfwidth
 
@@ -106,9 +106,7 @@ def orthonormal_transform(v: np.ndarray) -> np.ndarray:
     Self-inverse to roundoff: applying twice returns the input.
     """
     v = np.asarray(v, dtype=np.float64)
-    out = v.copy()
-    wht_inplace(out)
-    return out / math.sqrt(v.shape[-1])
+    return wht_rows(v).reshape(v.shape) / math.sqrt(v.shape[-1])
 
 
 def orthonormal_entry(n: int, i: int, j: int) -> float:
@@ -168,8 +166,7 @@ def sample_D(params: DistParams, rng: np.random.Generator) -> BooleanPair:
 
 def phi(pair: BooleanPair) -> float:
     """sum_z fhat(z)^2 g(z), computed exactly on scaled integers."""
-    W = pair.f.values.astype(np.int64)
-    wht_inplace(W)
+    W = wht_rows(pair.f.values)[0].astype(np.int64)
     size = W.shape[0]
     num = int(np.dot(W * W, pair.g.values.astype(np.int64)))
     return num / float(size * size)

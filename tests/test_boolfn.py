@@ -6,6 +6,7 @@ fhat(z) = mean over x of f(x) * (-1)^(popcount(x & z)).  Everything else
 against that and against exact integer identities.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -34,10 +35,10 @@ from certlab.boolfn import (
     spectrum_to_function,
     to_bfn1,
     wht,
-    wht_inplace,
     wht_rows,
 )
 from certlab.rng import make_rng
+from certlab.sqforrelation import orthonormal_transform
 
 
 # ---------------------------------------------------------------- oracle
@@ -53,6 +54,34 @@ def naive_coefficients(values: np.ndarray) -> np.ndarray:
             acc += int(values[x]) * sign
         out[z] = acc / size
     return out
+
+
+def hadamard_oracle(n: int) -> np.ndarray:
+    """Dense (N, N) int64 matrix (-1)^{popcount(z & x)}, parity by XOR folding."""
+    size = 1 << n
+    idx = np.arange(size, dtype=np.int64)
+    p = idx[:, None] & idx[None, :]
+    for shift in (16, 8, 4, 2, 1):
+        p ^= p >> shift
+    return 1 - 2 * (p & 1)
+
+
+def loop_butterfly(buf: np.ndarray) -> np.ndarray:
+    """Radix-2 butterfly with a Python loop over blocks, in place on the last axis.
+
+    The reference for the float path: same pairing and order of additions
+    as the reshape butterfly in wht_rows, so results must match bit for bit.
+    """
+    size = buf.shape[-1]
+    h = 1
+    while h < size:
+        for start in range(0, size, 2 * h):
+            a = buf[..., start:start + h].copy()
+            b = buf[..., start + h:start + 2 * h]
+            buf[..., start:start + h] = a + b
+            buf[..., start + h:start + 2 * h] = a - b
+        h *= 2
+    return buf
 
 
 def sign_table(n: int, bits: int) -> np.ndarray:
@@ -121,10 +150,92 @@ def test_wht_rows_agrees_with_per_row_transform():
         assert np.array_equal(batch[i], wht(f).scaled)
 
 
-def test_wht_inplace_is_unnormalized():
-    buf = np.array([1, 1, 1, -1], dtype=np.int64)
-    wht_inplace(buf)
-    assert buf.tolist() == [2, 2, 2, -2]
+def test_wht_rows_is_unnormalized():
+    assert wht_rows(np.array([1, 1, 1, -1], dtype=np.int64)).tolist() == [[2, 2, 2, -2]]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_wht_rows_matches_dense_oracle(n):
+    # int8 and int64 +-1 rows; 5 rows, so the row blocks of the last factor
+    # leave a remainder at every n
+    rows = random_functions_batch(n, 5, make_rng(20, n))
+    expected = rows.astype(np.int64) @ hadamard_oracle(n)
+    for dtype in (np.int8, np.int64):
+        out = wht_rows(rows.astype(dtype))
+        assert out.dtype == np.int16
+        assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("n", range(15, MAX_N + 1))
+def test_wht_rows_large_n_identities(n):
+    size = 1 << n
+    rng = make_rng(21, n)
+    z = int(rng.integers(0, size))
+    point = wht_rows(character_values(n, z))[0]
+    assert point.dtype == np.int64
+    assert point[z] == size and np.count_nonzero(point) == 1
+    f = random_function(n, rng)
+    w = wht_rows(f.values)[0]
+    assert int(np.dot(w, w)) == size * size
+    for z in rng.integers(0, size, size=8):
+        assert int(w[z]) == coefficient_at(f, int(z)) * size
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_double_transform_at_large_n(n):
+    f = random_function(n, make_rng(22, n))
+    assert spectrum_to_function(wht(f)) == f
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_wht_rows_exact_past_float32_range(n):
+    # max |x| * N just above 2^24: output 0 is 2^24 + 1, which float32 rounds
+    edge = np.full((1, 1 << n), 1 << (24 - n), dtype=np.int64)
+    edge[0, 0] += 1
+    # and far above it, up to the 2^53 limit of float64
+    wide = make_rng(25, n).integers(-(1 << 42), 1 << 42, size=(3, 1 << n))
+    for rows in (edge, wide):
+        out = wht_rows(rows)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, rows @ hadamard_oracle(n))
+
+
+def test_wht_rows_refuses_rows_past_exact_range():
+    edge = np.array([[1 << 52, 1]], dtype=np.int64)  # max |x| * N = 2^53
+    assert wht_rows(edge).tolist() == [[(1 << 52) + 1, (1 << 52) - 1]]
+    with pytest.raises(ValueError):
+        wht_rows(np.array([[1 << 53, 0]], dtype=np.int64))
+
+
+def test_integer_kernel_gemms_stay_under_blas_thread_threshold(monkeypatch):
+    # OpenBLAS runs a GEMM with M*N*K <= 2^18 on the calling thread and
+    # wakes its worker threads above that; no product may pass it
+    sizes = []
+    real = np.matmul
+
+    def spy(a, b, **kwargs):
+        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    for n in range(1, 21):
+        wht_rows(random_functions_batch(n, 777 if n <= 12 else 1, make_rng(23, n)))
+    f = random_function(16, make_rng(23, 0))
+    assert spectrum_to_function(wht(f)) == f  # the float64 product
+    assert sizes and max(sizes) <= 1 << 18
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_float_path_matches_loop_butterfly(n):
+    x = make_rng(24, n).standard_normal((3, 1 << n))
+    assert np.array_equal(wht_rows(x), loop_butterfly(x.copy()))
+    v = x[0]
+    once = orthonormal_transform(v)
+    assert np.array_equal(once, loop_butterfly(v.copy()) / math.sqrt(1 << n))
+    assert np.allclose(orthonormal_transform(once), v, rtol=0, atol=1e-12)
+    if n % 2 == 0:  # sqrt(N) is a power of two: integer input comes back exactly
+        k = np.round(x[1] * 8)
+        assert np.array_equal(orthonormal_transform(orthonormal_transform(k)), k)
 
 
 def test_scaled_coefficients_share_parity_of_size():
@@ -171,10 +282,12 @@ def test_p_set_size_identity(n, bits, z_raw):
     if spec.scaled[z] == 0:
         members = p_set(f, z, spec, sign=1)
         assert members.size == f.size // 2
+        assert np.array_equal(p_set(f, z, sign=1), members)  # no spec: O(N) read
     else:
         members = p_set(f, z, spec)
         # |P_f| = N (1 + |fhat|) / 2 exactly
         assert 2 * members.size == f.size + abs(int(spec.scaled[z]))
+        assert np.array_equal(p_set(f, z), members)  # no spec: O(N) read
 
 
 def test_p_set_members_agree_with_signed_character():

@@ -6,9 +6,13 @@ argparse usage error (unknown flag, out-of-range count or n).
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import certlab
 from certlab.cli import main
 from certlab.llqsv import from_llq1
 
@@ -22,6 +26,18 @@ def test_version_flag_exits_zero(capsys):
         run("--version")
     assert exc.value.code == 0
     assert "certlab" in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_integrate_and_stats_unloaded():
+    # both are imported inside the functions that need them: loading them
+    # at import time costs every CLI start most of a second
+    src = os.path.dirname(os.path.dirname(certlab.__file__))
+    code = ("import sys, certlab.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_unknown_flag_is_usage_error(capsys):
