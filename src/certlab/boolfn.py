@@ -278,11 +278,6 @@ def character_values(n: int, z: int) -> np.ndarray:
     return (1 - 2 * parity).astype(np.int8)
 
 
-def multiply_by_character(f: BooleanFunction, s: int) -> BooleanFunction:
-    """Pointwise product f * chi_s (shifts the spectrum by XOR with s)."""
-    return BooleanFunction(f.n, f.values * character_values(f.n, s))
-
-
 def p_set(
     f: BooleanFunction,
     z: int,
@@ -317,6 +312,26 @@ def coefficient_at(f: BooleanFunction, z: int) -> float:
     """Single coefficient fhat(z) by direct O(N) summation (exact)."""
     total = int(np.dot(f.values.astype(np.int64), character_values(f.n, z)))
     return total / f.size
+
+
+def scaled_at(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Scaled coefficients W_i(z_i) = N * fhat_i(z_i), one per row, as int64.
+
+    Direct O(N) summation per row, like coefficient_at, in blocks of about
+    _BLOCK elements.  f(x) chi_z(x) is +1 exactly where "f(x) = -1" and
+    "z.x is odd" are both true or both false, so W = 2 * #those x - N.
+    """
+    rows = np.atleast_2d(rows)
+    z = np.asarray(z, dtype=np.int64)
+    size = rows.shape[1]
+    x = np.arange(size, dtype=np.int64)
+    out = np.empty(len(z), dtype=np.int64)
+    step = max(1, _BLOCK // size)
+    for i in range(0, len(z), step):
+        odd = np.bitwise_count(z[i:i + step, None] & x) & 1
+        agree = np.count_nonzero(odd == (rows[i:i + step] < 0), axis=1)
+        out[i:i + step] = 2 * agree - size
+    return out
 
 
 def fourth_moment(spec: FourierSpectrum) -> float:

@@ -427,6 +427,18 @@ def cmd_derandomize(args) -> int:
     return 0
 
 
+def _sampled_power(inst) -> float:
+    """mean_i fhat_i(s_i)^2 over a long list (0.0 when it is empty)."""
+    if not len(inst):
+        return 0.0
+    c = boolfn.scaled_at(inst.tables, inst.s) / inst.tables.shape[1]
+    return float(np.mean(c * c))
+
+
+def _same_entries(a, b) -> bool:
+    return np.array_equal(a.tables, b.tables) and np.array_equal(a.s, b.s)
+
+
 def cmd_llqsv(args) -> int:
     rng = make_rng(args.seed, _TAG_LLQSV)
     inst = llqsv.llqsv_instance(args.n, args.t, args.case, rng)
@@ -437,21 +449,13 @@ def cmd_llqsv(args) -> int:
     else:
         sys.stdout.buffer.write(blob)
     size = 1 << args.n
-    mean_stat = (
-        float(np.mean([boolfn.coefficient_at(f, s) ** 2
-                       for f, s in inst.entries])) * size
-        if inst.entries else 0.0
-    )
+    mean_stat = _sampled_power(inst) * size
     print(f"llqsv: wrote {len(inst)} entries (case={args.case}), "
           f"N*mean fhat(s)^2 = {mean_stat:.4f}", file=sys.stderr)
     if args.check:
         tol = args.tol if args.tol is not None else 0.5
         back = llqsv.from_llq1(blob, case_label=args.case)
-        round_ok = (
-            len(back) == len(inst)
-            and all(bf == f and bs == s
-                    for (f, s), (bf, bs) in zip(inst.entries, back.entries))
-        )
+        round_ok = _same_entries(back, inst)
         expected = (3.0 * size - 2.0) / size if args.case == "fourier" else 1.0
         return _check_result([
             ("roundtrip", round_ok, f"{len(back)} entries survive LLQ1"),
@@ -662,14 +666,10 @@ def _battery(seed: int, report: CheckReport) -> None:
 
     # -- long lists
     inst = llqsv.llqsv_instance(6, 2000, "fourier", make_rng(seed, 117))
-    blob = llqsv.to_llq1(inst)
-    back = llqsv.from_llq1(blob, "fourier")
-    ok_rt = len(back) == len(inst) and all(
-        bf == f_ and bs == s_
-        for (f_, s_), (bf, bs) in zip(inst.entries, back.entries))
-    report.add("llq1-roundtrip", ok_rt, f"{len(back)} entries round-trip")
-    stat = float(np.mean([boolfn.coefficient_at(f_, s_) ** 2
-                          for f_, s_ in inst.entries])) * 64
+    back = llqsv.from_llq1(llqsv.to_llq1(inst), "fourier")
+    report.add("llq1-roundtrip", _same_entries(back, inst),
+               f"{len(back)} entries round-trip")
+    stat = _sampled_power(inst) * 64
     expected = (3 * 64 - 2) / 64
     report.add("llqsv-fourier-stat", abs(stat - expected) <= 0.5,
                f"N*mean fhat(s)^2 = {stat:.3f} vs {expected:.3f}")

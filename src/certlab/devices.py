@@ -26,10 +26,6 @@ from .fouriersample import fourier_rows, fourier_sample_many
 KINDS = ("honest", "uniform", "argmax", "biased")
 
 
-class DeviceFailure(RuntimeError):
-    """Raised when a device cannot answer a challenge."""
-
-
 def argmax_index(spec: FourierSpectrum) -> int:
     """Lexicographically-first z maximizing |fhat(z)| (exact, on integers)."""
     w = spec.scaled.astype(np.int64)

@@ -22,22 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import (
+    BFN1_MAGIC,
     MAX_N,
     BooleanFunction,
     character_values,
-    coefficient_at,
-    from_bfn1,
     random_functions_batch,
-    to_bfn1,
+    scaled_at,
     wht_rows,
 )
 from .fouriersample import fourier_rows
-from .sqforrelation import BudgetExceeded, DENSE_LIST_LIMIT
 from .stats import wilson_halfwidth
 
 CASES = ("uniform", "fourier")
 LLQ1_MAGIC = b"LLQ1"
 _BATCH = 2048
+DENSE_LIST_LIMIT = 1 << 28  # largest T * N (sign entries) held in memory
 
 
 class BadOffset(ValueError):
@@ -93,39 +92,64 @@ def sample_u_d(N: int, d: int, rng: np.random.Generator) -> BalancedString:
     return BalancedString(N, np.packbits(flat, bitorder="little"), d)
 
 
-def balance_instance(
-    d_vector, N: int, rng: np.random.Generator
-) -> list[BalancedString]:
-    """Independent balanced strings, one per entry of d_vector."""
-    return [sample_u_d(N, int(d), rng) for d in d_vector]
+class BudgetExceeded(ValueError):
+    """Raised when a dense list is beyond the in-memory budget."""
 
 
-@dataclass(frozen=True)
+def _check_budget(n: int, T: int) -> None:
+    if T * (1 << n) > DENSE_LIST_LIMIT:
+        raise BudgetExceeded(
+            f"T * N = {T} * 2^{n} sign entries exceeds the dense budget "
+            f"2^{DENSE_LIST_LIMIT.bit_length() - 1}; use stream_llqsv instead"
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class LongList:
-    """T pairs (f_i, s_i) plus the hidden case label.
+    """T pairs (f_i, s_i) as two read-only arrays plus the hidden case label.
 
-    The label is harness-side bookkeeping only; hand distinguishers a
-    ListOracle, never this object.
+    Row i of `tables` ((T, N) int8, entries +-1) is the sign table of f_i,
+    and s[i] ((T,) int64, 0 <= s < N) is its sample index; both are kept
+    as read-only views of the arrays passed in.  The label is
+    harness-side bookkeeping only; hand distinguishers a ListOracle, never
+    this object.
     """
 
-    entries: list  # of (BooleanFunction, int)
+    tables: np.ndarray
+    s: np.ndarray
     case_label: str
 
     def __post_init__(self):
         if self.case_label not in CASES + ("unknown",):
             raise ValueError(f"unknown case label {self.case_label!r}")
-        ns = {f.n for f, _ in self.entries}
-        if len(ns) > 1:
-            raise ValueError("all functions must share the same n")
+        tables = np.asarray(self.tables)
+        s = np.asarray(self.s)
+        if tables.ndim != 2 or s.shape != tables.shape[:1]:
+            raise ValueError("need a (T, N) table array and a (T,) s array")
+        size = tables.shape[1]
+        if len(s) and (size < 2 or size & (size - 1) or size > 1 << MAX_N):
+            raise ValueError(f"row length {size} is not 2^n with n in 1..{MAX_N}")
+        if len(s) and not np.issubdtype(s.dtype, np.integer):
+            raise ValueError("s must hold integer indices")
+        if not np.all(np.abs(tables) == 1):
+            raise ValueError("table entries must all be +1 or -1")
+        if len(s) and (s.min() < 0 or s.max() >= size):
+            raise ValueError(f"every s must lie in 0..{size - 1}")
+        tables = tables.astype(np.int8, copy=False).view()
+        s = s.astype(np.int64, copy=False).view()
+        tables.setflags(write=False)
+        s.setflags(write=False)
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "s", s)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.s)
 
     @property
     def n(self) -> int:
-        if not self.entries:
+        if not len(self):
             raise ValueError("empty list has no n")
-        return self.entries[0][0].n
+        return self.tables.shape[1].bit_length() - 1
 
 
 class ListOracle:
@@ -136,19 +160,21 @@ class ListOracle:
     """
 
     def __init__(self, llist: LongList):
-        self._entries = llist.entries
+        self._tables = llist.tables
+        self._s = llist.s
         self.reads = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._s)
 
-    def read_f(self, i: int) -> BooleanFunction:
+    def read_f(self, i: int) -> np.ndarray:
+        """Sign table of f_i: a read-only int8 row of length N."""
         self.reads += 1
-        return self._entries[i][0]
+        return self._tables[i]
 
     def read_s(self, i: int) -> int:
         self.reads += 1
-        return self._entries[i][1]
+        return int(self._s[i])
 
 
 def llqsv_instance(
@@ -156,23 +182,27 @@ def llqsv_instance(
 ) -> LongList:
     """Generate a long-list instance of the requested case.
 
-    Dense only: T beyond the in-memory budget raises BudgetExceeded (use
-    stream_llqsv to consume longer lists entry by entry).
+    Dense only: T * N beyond the in-memory budget raises BudgetExceeded
+    before anything is allocated (use stream_llqsv to consume longer lists
+    block by block).
     """
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}")
     if T < 0:
         raise ValueError("T must be nonnegative")
-    if T > DENSE_LIST_LIMIT:
-        raise BudgetExceeded(
-            f"T = {T} exceeds the dense budget {DENSE_LIST_LIMIT}; "
-            "use stream_llqsv instead"
-        )
-    return LongList(list(stream_llqsv(n, T, case, rng)), case)
+    _check_budget(n, T)
+    tables = np.empty((T, 1 << n), dtype=np.int8)
+    s = np.empty(T, dtype=np.int64)
+    done = 0
+    for block, idx in stream_llqsv(n, T, case, rng):
+        tables[done:done + len(idx)] = block
+        s[done:done + len(idx)] = idx
+        done += len(idx)
+    return LongList(tables, s, case)
 
 
 def stream_llqsv(n: int, T: int, case: str, rng: np.random.Generator):
-    """Yield (f_i, s_i) pairs of the requested case without storing them."""
+    """Yield the list as blocks (tables, s) of up to _BATCH rows each."""
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}")
     size = 1 << n
@@ -184,8 +214,7 @@ def stream_llqsv(n: int, T: int, case: str, rng: np.random.Generator):
             s = fourier_rows(wht_rows(tables), rng.random(b))
         else:
             s = rng.integers(0, size, size=b, dtype=np.int64)
-        for i in range(b):
-            yield BooleanFunction(n, tables[i]), int(s[i])
+        yield tables, s
         done += b
 
 
@@ -298,15 +327,12 @@ class ScoreSumDistinguisher:
         T = len(oracle)
         if T == 0:
             return False
-        total = 0.0
-        size = None
-        for i in range(T):
-            f = oracle.read_f(i)
-            s = oracle.read_s(i)
-            if size is None:
-                size = f.size
-            c = coefficient_at(f, s)
-            total += c * c
+        rows = np.stack([oracle.read_f(i) for i in range(T)])
+        s = np.array([oracle.read_s(i) for i in range(T)], dtype=np.int64)
+        W = scaled_at(rows, s)
+        size = rows.shape[1]
+        # sum_i fhat_i(s_i)^2 = sum_i W_i^2 / N^2, an exact integer sum
+        total = float(np.dot(W, W)) / (size * size)
         return total > self.scale * T / size
 
 
@@ -328,25 +354,35 @@ def agreement_weight(f: BooleanFunction, s: int) -> int:
     return int(np.count_nonzero(f.values * chi == 1))
 
 
+def _record_head(n: int) -> np.ndarray:
+    """The 8 bytes that open every LLQ1 record: BFN1 magic and n as u32 LE."""
+    return np.frombuffer(BFN1_MAGIC + struct.pack("<I", n), dtype=np.uint8)
+
+
 def to_llq1(llist: LongList) -> bytes:
     """Serialize: 'LLQ1', n u32 LE, T u32 LE, then per entry the function's
     BFN1 payload followed by s as u32 LE.  The case label is deliberately
     not stored."""
     T = len(llist)
-    n = llist.n if T else 0
-    out = [LLQ1_MAGIC, struct.pack("<II", n, T)]
-    for f, s in llist.entries:
-        out.append(to_bfn1(f))
-        out.append(struct.pack("<I", s))
-    return b"".join(out)
+    if T == 0:
+        return LLQ1_MAGIC + struct.pack("<II", 0, 0)
+    n = llist.n
+    nbytes = ((1 << n) + 7) // 8
+    body = np.empty((T, 12 + nbytes), dtype=np.uint8)
+    body[:, :8] = _record_head(n)
+    body[:, 8:8 + nbytes] = np.packbits(llist.tables < 0, axis=1,
+                                        bitorder="little")
+    body[:, 8 + nbytes:] = llist.s.astype("<u4").view(np.uint8).reshape(T, 4)
+    return LLQ1_MAGIC + struct.pack("<II", n, T) + body.tobytes()
 
 
 def from_llq1(data: bytes, case_label: str = "unknown") -> LongList:
     """Parse the LLQ1 wire format; the label must be supplied out of band.
 
     Only the canonical encoding is accepted: n = 0 exactly when T = 0,
-    every record has the header's n and an index s below N, and the length
-    is exactly what the header implies.
+    the length is exactly what the header implies, and every record has
+    the header's BFN1 magic and n, zero padding bits when N < 8, and an
+    index s below N.  A list past the dense budget raises BudgetExceeded.
     """
     if len(data) < 12 or data[:4] != LLQ1_MAGIC:
         raise ValueError("bad magic: not an LLQ1 payload")
@@ -354,14 +390,19 @@ def from_llq1(data: bytes, case_label: str = "unknown") -> LongList:
     if (n == 0) != (T == 0) or n > MAX_N:
         raise ValueError(f"bad LLQ1 header: n = {n}, T = {T}")
     size = 1 << n
-    body = 8 + (size + 7) // 8 if T else 0  # BFN1 record length for this n
-    if len(data) != 12 + T * (body + 4):
+    nbytes = (size + 7) // 8
+    rec = 12 + nbytes
+    if len(data) != 12 + T * rec:
         raise ValueError("LLQ1 length does not match its header")
-    entries = []
-    for pos in range(12, len(data), body + 4):
-        f = from_bfn1(data[pos:pos + body])
-        (s,) = struct.unpack("<I", data[pos + body:pos + body + 4])
-        if f.n != n or s >= size:
-            raise ValueError(f"LLQ1 record at byte {pos} does not fit n = {n}")
-        entries.append((f, s))
-    return LongList(entries, case_label)
+    _check_budget(n, T)
+    body = np.frombuffer(data, dtype=np.uint8, offset=12).reshape(T, rec)
+    packed = body[:, 8:8 + nbytes]
+    s = body[:, 8 + nbytes:].copy().view("<u4")[:, 0]
+    bad = np.any(body[:, :8] != _record_head(n), axis=1) | (s >= size)
+    if size < 8:
+        bad |= packed[:, 0] >> size != 0
+    if bad.any():
+        pos = 12 + int(np.argmax(bad)) * rec
+        raise ValueError(f"LLQ1 record at byte {pos} does not fit n = {n}")
+    bits = np.unpackbits(packed, axis=1, count=size, bitorder="little")
+    return LongList(1 - 2 * bits.view(np.int8), s, case_label)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .boolfn import BooleanFunction, wht_rows
 from .fouriersample import fourier_rows
-from .sqforrelation import DistParams, sample_gprime_rows, _round_rows
+from .sqforrelation import DistParams, pair_rows
 from .stats import mean_ci99
 
 _BATCH = 4096
@@ -115,12 +115,7 @@ def rhog_values(
     done = 0
     while done < trials:
         b = min(_BATCH, trials - done)
-        if uniform_pairs:
-            bits = rng.integers(0, 2, size=(2 * b, size), dtype=np.int8)
-            f_rows, g_rows = 1 - 2 * bits[:b], 1 - 2 * bits[b:]
-        else:
-            X, Yp = sample_gprime_rows(params, b, rng)
-            f_rows, g_rows = _round_rows(X, Yp, rng)
+        f_rows, g_rows = pair_rows(params, b, rng, uniform_pairs)
         if uniform_sampler:
             x = rng.integers(0, size, size=b)
         else:

@@ -76,11 +76,6 @@ def make_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive64(seed, *tags)))
 
 
-def uniform01(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Uniforms in [0, 1) as float64."""
-    return rng.random(count)
-
-
 def gaussians(rng: np.random.Generator, count: int, sigma: float = 1.0) -> np.ndarray:
     """`count` N(0, sigma^2) draws via Box-Muller on uniform pairs.
 

@@ -27,13 +27,8 @@ from .boolfn import BooleanFunction, wht_rows
 from .rng import gaussians
 from .stats import MeanCI, mean_ci99, wilson_halfwidth
 
-DENSE_LIST_LIMIT = 1 << 20  # largest list materialized in memory
 DEFAULT_C = 20.0
 _BATCH = 4096
-
-
-class BudgetExceeded(ValueError):
-    """Raised when a dense request is beyond the in-memory budget."""
 
 
 @dataclass(frozen=True)
@@ -109,12 +104,6 @@ def orthonormal_transform(v: np.ndarray) -> np.ndarray:
     return wht_rows(v).reshape(v.shape) / math.sqrt(v.shape[-1])
 
 
-def orthonormal_entry(n: int, i: int, j: int) -> float:
-    """Matrix element H_ij = (-1)^{i.j}/sqrt(N)."""
-    sign = -1.0 if bin(i & j).count("1") % 2 else 1.0
-    return sign / math.sqrt(1 << n)
-
-
 def sample_gprime(params: DistParams, rng: np.random.Generator) -> RealPair:
     """One draw of Z = (X, Y^2 - eps) with Y = HX."""
     X, Yp = sample_gprime_rows(params, 1, rng)
@@ -149,19 +138,29 @@ def round_to_boolean(Z: RealPair, rng: np.random.Generator) -> BooleanPair:
     )
 
 
-def _round_rows(X: np.ndarray, Yp: np.ndarray,
-                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized rounding of (count, N) halves to +-1 sign rows."""
+def pair_rows(
+    params: DistParams,
+    count: int,
+    rng: np.random.Generator,
+    uniform_pairs: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`count` pairs (f, g) as two (count, N) int8 arrays of +-1 sign rows.
+
+    Correlated pairs are Gaussian draws (sample_gprime_rows), clamped and
+    rounded coordinate-wise like round_to_boolean, the f half first.  With
+    uniform_pairs=True they are independent uniform sign tables, the f
+    rows drawn before the g rows.
+    """
+    if uniform_pairs:
+        bits = rng.integers(0, 2, size=(2 * count, params.size), dtype=np.int8)
+        rows = 1 - 2 * bits
+        return rows[:count], rows[count:]
+    X, Yp = sample_gprime_rows(params, count, rng)
     tX = trnc(X)
     tY = trnc(Yp)
     f = np.where(rng.random(tX.shape) < (1.0 + tX) / 2.0, 1, -1).astype(np.int8)
     g = np.where(rng.random(tY.shape) < (1.0 + tY) / 2.0, 1, -1).astype(np.int8)
     return f, g
-
-
-def sample_D(params: DistParams, rng: np.random.Generator) -> BooleanPair:
-    """One correlated Boolean pair: Gaussian draw, clamp, round."""
-    return round_to_boolean(sample_gprime(params, rng), rng)
 
 
 def phi(pair: BooleanPair) -> float:
@@ -238,23 +237,17 @@ def phi_values(
         raise ValueError("trials must be nonnegative")
     if estimator not in ("plain", "conditional"):
         raise ValueError("estimator must be 'plain' or 'conditional'")
-    size = params.size
     vals = np.empty(trials)
     done = 0
     while done < trials:
         b = min(_BATCH, trials - done)
-        if uniform_pairs:
-            # uniform signs are already +-1, so conditional == plain here
-            bits = rng.integers(0, 2, size=(2 * b, size), dtype=np.int8)
-            rows = 1 - 2 * bits
-            vals[done:done + b] = _phi_rows(rows[:b], rows[b:])
-        else:
+        if estimator == "conditional" and not uniform_pairs:
             X, Yp = sample_gprime_rows(params, b, rng)
-            if estimator == "conditional":
-                vals[done:done + b] = _phi_conditional_rows(X, Yp)
-            else:
-                f_rows, g_rows = _round_rows(X, Yp, rng)
-                vals[done:done + b] = _phi_rows(f_rows, g_rows)
+            vals[done:done + b] = _phi_conditional_rows(X, Yp)
+        else:
+            # uniform signs are already +-1, so conditional == plain there
+            vals[done:done + b] = _phi_rows(*pair_rows(params, b, rng,
+                                                       uniform_pairs))
         done += b
     return vals
 
@@ -369,36 +362,10 @@ def hamming_balance_rate(
     lo = (1.0 - delta) * size / 2.0
     hi = (1.0 + delta) * size / 2.0
     hits = 0
-    done = 0
-    while done < trials:
-        b = min(_BATCH, trials - done)
-        X, Yp = sample_gprime_rows(params, b, rng)
-        _, g_rows = _round_rows(X, Yp, rng)
+    for _, g_rows in stream_D(params, trials, rng):
         ones = np.count_nonzero(g_rows == 1, axis=1)
         hits += int(np.count_nonzero((ones < lo) | (ones > hi)))
-        done += b
     return hits / trials, wilson_halfwidth(hits, trials)
-
-
-def long_list_D(
-    params: DistParams,
-    T: int,
-    rng: np.random.Generator,
-    uniform_pairs: bool = False,
-) -> list[BooleanPair]:
-    """T independent correlated pairs, materialized as a list.
-
-    Raises BudgetExceeded past the dense limit; use stream_D for longer
-    runs that consume pairs one at a time.
-    """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    if T > DENSE_LIST_LIMIT:
-        raise BudgetExceeded(
-            f"T = {T} exceeds the dense budget {DENSE_LIST_LIMIT}; "
-            "use stream_D instead"
-        )
-    return list(stream_D(params, T, rng, uniform_pairs=uniform_pairs))
 
 
 def stream_D(
@@ -407,20 +374,10 @@ def stream_D(
     rng: np.random.Generator,
     uniform_pairs: bool = False,
 ):
-    """Yield T correlated (or uniform) pairs without holding them all."""
-    n = params.n
-    size = params.size
+    """Yield T correlated (or uniform) pairs as pair_rows blocks of up to
+    _BATCH rows each, without holding them all."""
     done = 0
     while done < T:
         b = min(_BATCH, T - done)
-        if uniform_pairs:
-            bits = rng.integers(0, 2, size=(2 * b, size), dtype=np.int8)
-            f_rows, g_rows = 1 - 2 * bits[:b], 1 - 2 * bits[b:]
-        else:
-            X, Yp = sample_gprime_rows(params, b, rng)
-            f_rows, g_rows = _round_rows(X, Yp, rng)
-        for i in range(b):
-            yield BooleanPair(
-                BooleanFunction(n, f_rows[i]), BooleanFunction(n, g_rows[i])
-            )
+        yield pair_rows(params, b, rng, uniform_pairs)
         done += b

@@ -51,11 +51,3 @@ def wilson_halfwidth(k: int, n: int, z: float = Z99) -> float:
     half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
     return half
 
-
-def wilson_center(k: int, n: int, z: float = Z99) -> float:
-    """Center of the Wilson score interval (shrinks p toward 1/2)."""
-    if n <= 0:
-        raise ValueError("need at least one trial")
-    p = k / n
-    z2 = z * z
-    return (p + z2 / (2.0 * n)) / (1.0 + z2 / n)

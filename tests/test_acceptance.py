@@ -280,7 +280,8 @@ def test_09_long_list_statistics(criterion):
 
     def list_mean(n, case, tag):
         inst = llqsv_instance(n, 20000, case, make_rng(SEED, tag))
-        vals = np.array([coefficient_at(f, s) ** 2 for f, s in inst.entries])
+        vals = np.array([coefficient_at(BooleanFunction(n, row), int(s)) ** 2
+                         for row, s in zip(inst.tables, inst.s)])
         return mean_ci99(vals)
 
     f2 = list_mean(2, "fourier", 15)

@@ -28,7 +28,6 @@ from certlab.boolfn import (
     coefficient_at,
     fourth_moment,
     from_bfn1,
-    multiply_by_character,
     p_set,
     random_function,
     random_functions_batch,
@@ -320,7 +319,7 @@ def test_coefficient_at_matches_spectrum():
 def test_multiply_by_character_shifts_spectrum():
     n = 4
     f = random_function(n, make_rng(8, 0))
-    g = multiply_by_character(f, 5)
+    g = BooleanFunction(n, f.values * character_values(n, 5))
     sf, sg = wht(f), wht(g)
     # multiplying by chi_5 permutes coefficients by XOR with 5
     for z in range(f.size):

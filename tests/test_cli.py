@@ -200,6 +200,15 @@ def test_llqsv_writes_parseable_binary(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_llqsv_past_dense_budget_is_one_line_error(capsys):
+    # T * N = 17 * 2^24 sign entries: refused before any table is built
+    assert run("llqsv", "--n", "24", "--t", "17", "--out", "/dev/null") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("certlab: ")
+    assert "budget" in captured.err and captured.err.count("\n") == 1
+
+
 def test_protocol_transcript_payload(tmp_path):
     out = tmp_path / "tr.json"
     assert run("protocol", "--n", "6", "--t", "512", "--device", "honest",

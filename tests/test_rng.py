@@ -18,7 +18,6 @@ from certlab.rng import (
     mix64,
     mix64_array,
     splitmix64_stream,
-    uniform01,
 )
 
 # reference stream values for splitmix64
@@ -62,13 +61,6 @@ def test_make_rng_streams_are_independent_and_reproducible():
     x1 = r1.integers(0, 1 << 30, size=16)
     assert np.array_equal(x1, r2.integers(0, 1 << 30, size=16))
     assert not np.array_equal(x1, r3.integers(0, 1 << 30, size=16))
-
-
-def test_uniform01_range_and_determinism():
-    u = uniform01(make_rng(11, 0), 10000)
-    assert u.shape == (10000,)
-    assert np.all((u >= 0.0) & (u < 1.0))
-    assert np.array_equal(u, uniform01(make_rng(11, 0), 10000))
 
 
 def test_gaussians_match_requested_moments():

@@ -16,27 +16,30 @@ from certlab.boolfn import BooleanFunction, character_values, random_function, w
 from certlab.rng import make_rng
 from certlab.sqforrelation import (
     BooleanPair,
-    BudgetExceeded,
     DistParams,
     acceptance,
     hamming_balance_rate,
-    long_list_D,
     mean_phi_experiment,
-    orthonormal_entry,
     orthonormal_transform,
+    pair_rows,
     phi,
     phi_conditional,
     phi_experiment_from_values,
     phi_values,
     round_to_boolean,
     row_sum_tail_check,
-    sample_D,
     sample_gprime,
     stream_D,
     trnc,
     truncation_rate,
 )
 from exact_laws import balance_tail
+
+
+def orthonormal_entry(n: int, i: int, j: int) -> float:
+    """Matrix element H_ij = (-1)^{i.j}/sqrt(N) of the orthonormal Hadamard."""
+    sign = -1.0 if bin(i & j).count("1") % 2 else 1.0
+    return sign / math.sqrt(1 << n)
 
 
 def test_epsilon_definition():
@@ -149,11 +152,20 @@ def test_phi_times_size_squared_is_integer():
     assert val == round(val)
 
 
-def test_sample_D_produces_valid_pair():
+def test_pair_rows_round_like_round_to_boolean():
+    # one correlated pair draws the same stream as sample_gprime followed
+    # by round_to_boolean (N uniforms for f, then N for g)
     params = DistParams(5, 2.0)
-    pair = sample_D(params, make_rng(43, 0))
-    assert pair.f.n == 5 and pair.g.n == 5
-    assert np.all(np.abs(pair.f.values) == 1)
+    f, g = pair_rows(params, 1, make_rng(43, 0))
+    rng = make_rng(43, 0)
+    pair = round_to_boolean(sample_gprime(params, rng), rng)
+    assert f.dtype == g.dtype == np.int8 and f.shape == g.shape == (1, 32)
+    assert np.array_equal(f[0], pair.f.values)
+    assert np.array_equal(g[0], pair.g.values)
+    # uniform pairs: the f rows are drawn before the g rows
+    f, g = pair_rows(params, 3, make_rng(43, 1), uniform_pairs=True)
+    bits = make_rng(43, 1).integers(0, 2, size=(6, 32), dtype=np.int8)
+    assert np.array_equal(np.concatenate([f, g]), 1 - 2 * bits)
 
 
 def test_phi_conditional_is_conditional_expectation():
@@ -237,17 +249,12 @@ def test_hamming_balance_rate_reports_fail_fraction():
 
 # ---------------------------------------------------------------- lists
 
-def test_long_list_and_stream_agree_on_length():
+def test_stream_D_yields_pair_rows_blocks():
     params = DistParams(4, 2.0)
-    lst = long_list_D(params, 50, make_rng(49, 0))
-    assert len(lst) == 50
-    streamed = list(stream_D(params, 50, make_rng(49, 0)))
-    assert len(streamed) == 50
-    assert streamed[0].f == lst[0].f
-    assert streamed[-1].g == lst[-1].g
-
-
-def test_long_list_budget_cap():
-    params = DistParams(4, 2.0)
-    with pytest.raises(BudgetExceeded):
-        long_list_D(params, (1 << 20) + 1, make_rng(49, 1))
+    for uniform in (False, True):
+        blocks = list(stream_D(params, 5000, make_rng(49, 0), uniform))
+        assert [len(f) for f, _ in blocks] == [4096, 904]
+        rng = make_rng(49, 0)
+        for (f, g), b in zip(blocks, (4096, 904)):
+            ref_f, ref_g = pair_rows(params, b, rng, uniform)
+            assert np.array_equal(f, ref_f) and np.array_equal(g, ref_g)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from certlab.stats import Z99, MeanCI, mean_ci99, wilson_center, wilson_halfwidth
+from certlab.stats import Z99, MeanCI, mean_ci99, wilson_halfwidth
+
+
+def wilson_center(k: int, n: int, z: float = Z99) -> float:
+    """Center of the Wilson score interval (shrinks p toward 1/2)."""
+    z2 = z * z
+    return (k / n + z2 / (2.0 * n)) / (1.0 + z2 / n)
 
 
 def test_z99_is_the_two_sided_99_percent_quantile():
