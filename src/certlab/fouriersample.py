@@ -26,6 +26,7 @@ from .boolfn import BooleanFunction, FourierSpectrum, random_functions_batch, wh
 from .stats import wilson_halfwidth
 
 _BATCH = 512  # functions generated and transformed per vectorized block
+_SCAN_BLOCK = 64  # row entries summed per block in fourier_rows' search
 
 
 class EmptySamples(ValueError):
@@ -86,11 +87,31 @@ def fourier_rows(scaled_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Inverse CDF on the exact integer grid: row i returns how many of its
     cumulative masses cs[i, j] = sum_{k <= j} W[i, k]^2 lie strictly below
-    u[i] * cs[i, -1].
+    u[i] * cs[i, -1], for integer rows with |W| <= N (scaled spectra of +-1
+    tables).  Rows of at most one block (N <= 64) are scanned whole.  Longer
+    rows are searched without building cs: an integer cs lies below the
+    float64 product x = u * total exactly when it lies below t = ceil(x);
+    W^2 goes into int32 when N <= 2^15 (W^2 <= 2^30) and int64 above; the
+    blocks of 64 whose cumulative mass (summed in int64) lies below t are
+    the blocks wholly before the sample; and the cumulative sum is taken
+    inside the next block only.  The index equals the whole-row scan's on
+    every row, u = 0.0 included.
     """
-    w = scaled_rows.astype(np.int64)
-    cs = np.cumsum(w * w, axis=1)
-    return (cs < (u * cs[:, -1])[:, None]).sum(axis=1).astype(np.int64)
+    rows, size = scaled_rows.shape
+    if size <= _SCAN_BLOCK:
+        w = scaled_rows.astype(np.int64)
+        cs = np.cumsum(w * w, axis=1)
+        return (cs < (u * cs[:, -1])[:, None]).sum(axis=1).astype(np.int64)
+    sq = np.square(scaled_rows, dtype=np.int32 if size <= 1 << 15 else np.int64)
+    blocks = sq.reshape(rows, size // _SCAN_BLOCK, _SCAN_BLOCK)
+    mass = blocks.sum(axis=2, dtype=np.int64)
+    cb = np.cumsum(mass, axis=1)
+    t = np.ceil(u * cb[:, -1]).astype(np.int64)
+    k = (cb < t[:, None]).sum(axis=1)
+    r = np.arange(rows)
+    rest = t - (cb[r, k] - mass[r, k])
+    inside = np.cumsum(blocks[r, k], axis=1, dtype=np.int64)
+    return k * _SCAN_BLOCK + (inside < rest[:, None]).sum(axis=1)
 
 
 def hog_score(spec: FourierSpectrum, samples) -> float:
@@ -141,29 +162,20 @@ def pgpb_counts(n: int, algorithm, functions: int,
 
     Each trial draws a new uniform function, lets the algorithm return one
     index, and classifies the coefficient at that index by exact integer
-    comparison on the scaled spectrum.  `algorithm` is called as
-    algorithm(f, spec, rng) unless it provides a vectorized
-    `sample_batch(scaled_rows, rng)`.
+    comparison on the scaled spectrum.  `algorithm` returns one index per
+    row through `sample_batch(scaled_rows, rng)`, as `honest_sampler` and
+    `uniform_sampler` do.
     """
     if functions < 0:
         raise ValueError("functions must be nonnegative")
     size = 1 << n
-    batch_fn = getattr(algorithm, "sample_batch", None)
     n_light = 0
     n_light4 = 0
     done = 0
     while done < functions:
         b = min(_BATCH, functions - done)
-        tables = random_functions_batch(n, b, rng)
-        scaled = wht_rows(tables)
-        if batch_fn is not None:
-            idx = np.asarray(batch_fn(scaled, rng), dtype=np.int64)
-        else:
-            idx = np.empty(b, dtype=np.int64)
-            for i in range(b):
-                f = BooleanFunction(n, tables[i])
-                spec = FourierSpectrum(n, scaled[i] / size, scaled[i])
-                idx[i] = algorithm(f, spec, rng)
+        scaled = wht_rows(random_functions_batch(n, b, rng))
+        idx = algorithm.sample_batch(scaled, rng)
         w = scaled[np.arange(b), idx].astype(np.int64)
         w2 = w * w
         n_light += int(np.count_nonzero(w2 <= size))

@@ -6,24 +6,35 @@ chi2.cdf(a^2, df=3)), the exact finite-N band law (`exact_laws.py`) is
 checked against enumeration of every function at n=1..3 (and
 certlab's float form `exact_band_rates` against it), and the
 sampler itself is checked by a goodness-of-fit test against the exact
-squared-coefficient law.
+squared-coefficient law.  The blocked search in `fourier_rows` is held
+index for index to the whole-row int64 scan (`scan_reference`).
 """
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from certlab.boolfn import BooleanFunction, fourth_moment, random_function, wht
+from certlab.boolfn import (
+    BooleanFunction,
+    character_values,
+    fourth_moment,
+    random_function,
+    random_functions_batch,
+    wht,
+    wht_rows,
+)
 from certlab.fouriersample import (
     DimensionMismatch,
     EmptySamples,
     PgPbEstimate,
     estimate_pg_pb,
     exact_band_rates,
+    fourier_rows,
     fourier_sample,
     fourier_sample_many,
     gaussian_reference,
@@ -134,6 +145,96 @@ def test_fourier_sample_point_mass():
     spec = wht(f)
     draws = fourier_sample_many(spec, 100, make_rng(23, 0))
     assert np.all(draws == 3)
+
+
+# ------------------------------------------------------ the batched kernel
+
+def scan_reference(scaled_rows, u):
+    """The whole-row scan: how many cs[i, j] lie strictly below u[i] * cs[i, -1]."""
+    w = scaled_rows.astype(np.int64)
+    cs = np.cumsum(w * w, axis=1)
+    return (cs < (u * cs[:, -1])[:, None]).sum(axis=1)
+
+
+def assert_matches_scan(rows, u):
+    got = fourier_rows(rows, u)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, scan_reference(rows, u))
+    return got
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_fourier_rows_matches_whole_row_scan(n):
+    # random rows on both sides of the one-block path (N <= 64), and at
+    # n = 15 / 16 on both sides of the int32 square; u forced to 0.0 and to
+    # the largest float below 1 as well as drawn
+    rng = make_rng(32, n)
+    count = max(8, min(512, (1 << 18) >> n))
+    rows = wht_rows(random_functions_batch(n, count, rng))
+    for u in (rng.random(count), np.zeros(count),
+              np.full(count, np.nextafter(1.0, 0.0))):
+        got = assert_matches_scan(rows, u)
+        assert np.all((0 <= got) & (got < 1 << n))
+
+
+@pytest.mark.parametrize("n", [7, 10, 12])
+def test_fourier_rows_on_block_boundaries(n):
+    # u = cb / N^2 puts u * total exactly on a block's cumulative mass cb
+    # (total = N^2 and cb < 2^53, so the product is exact); the floats just
+    # beside it and the integers cb - 1, cb + 1 over N^2 straddle it
+    size = 1 << n
+    rng = make_rng(33, n)
+    rows = wht_rows(random_functions_batch(n, 64, rng))
+    blocks = np.cumsum(np.square(rows.astype(np.int64)), axis=1)[:, 63::64]
+    pick = blocks[np.arange(64), rng.integers(0, size // 64, size=64)]
+    total = size * size
+    u = pick / total
+    assert np.all(u * total == pick)
+    for v in (u, np.nextafter(u, 0.0), np.nextafter(u, 1.0),
+              (pick - 1) / total, np.minimum(pick + 1, total - 1) / total):
+        assert_matches_scan(rows, v)
+
+
+@pytest.mark.parametrize("n", [6, 7, 12, 16])
+def test_fourier_rows_single_mass_rows(n):
+    # chi_z puts all its mass N^2 on z: every u > 0 returns z, and u = 0.0
+    # returns 0 like the scan (cs < 0 never holds); z in the first and the
+    # last block, at n = 16 with W^2 = 2^32
+    size = 1 << n
+    zs = [0, 1, 63, size - 64, size - 2, size - 1]
+    rows = wht_rows(np.stack([character_values(n, z) for z in zs]))
+    u = np.full(len(zs), 0.3)
+    assert list(assert_matches_scan(rows, u)) == zs
+    assert list(assert_matches_scan(rows, np.zeros(len(zs)))) == [0] * len(zs)
+    assert list(assert_matches_scan(rows, np.full(len(zs), 2.0 ** -60))) == zs
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_fourier_rows_constant_rows_need_wide_squares(n):
+    # |W| = N everywhere: at n = 15 a block of 64 squares (2^36) overflows
+    # int32, and at n = 16 a single square (2^32) does.  cs_j = (j + 1) N^2,
+    # so u > 0 returns ceil(u N) - 1
+    size = 1 << n
+    signs = np.array([1, -1, 1, -1])[:, None]
+    rows = np.broadcast_to(signs * size, (4, size)).astype(np.int64)
+    u = np.array([0.0, 0.3, 0.75, np.nextafter(1.0, 0.0)])
+    got = assert_matches_scan(rows, u)
+    assert list(got) == [0] + [math.ceil(x * size) - 1 for x in u[1:]]
+
+
+def test_fourier_rows_memory_stays_under_one_int64_copy():
+    # the whole-row scan holds three (B, N) int64 arrays (48 MB here); the
+    # blocked search needs one int32 square
+    rng = make_rng(34, 0)
+    rows = wht_rows(random_functions_batch(12, 512, rng))
+    u = rng.random(512)
+    tracemalloc.start()
+    try:
+        fourier_rows(rows, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 4096 * 8
 
 
 def test_hog_score_is_mean_squared_coefficient():
