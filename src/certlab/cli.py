@@ -113,34 +113,34 @@ def _emit(args, command: str, results: dict, rows=None, header=None) -> None:
 
 
 class CheckReport:
-    """Collects named pass/fail lines; exit code 1 if anything failed."""
+    """Writes one `<prefix>PASS|FAIL name: detail` line per check as it is
+    added (to stdout unless `file` is given) and keeps the records; exit
+    code 1 if anything failed."""
 
-    def __init__(self, echo=True):
+    def __init__(self, prefix: str = "", file=None):
         self.lines = []
         self.failed = 0
-        self.echo = echo
+        self.prefix = prefix
+        self.file = file
 
     def add(self, name: str, ok: bool, detail: str):
-        line = f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
         self.lines.append({"name": name, "ok": bool(ok), "detail": detail})
         if not ok:
             self.failed += 1
-        if self.echo:
-            print(line)
+        print(f"{self.prefix}{'PASS' if ok else 'FAIL'} {name}: {detail}",
+              file=self.file)
 
     @property
     def exit_code(self) -> int:
         return 1 if self.failed else 0
 
 
-def _check_result(ok_pairs) -> int:
-    """Report simple --check assertions to stderr; 1 if any failed."""
-    bad = 0
-    for name, ok, detail in ok_pairs:
-        print(f"CHECK {'PASS' if ok else 'FAIL'} {name}: {detail}",
-              file=sys.stderr)
-        bad += 0 if ok else 1
-    return 1 if bad else 0
+def _check_result(checks) -> int:
+    """Report --check assertions to stderr as CHECK lines; 1 if any failed."""
+    report = CheckReport("CHECK ", sys.stderr)
+    for name, ok, detail in checks:
+        report.add(name, ok, detail)
+    return report.exit_code
 
 
 # ---------------------------------------------------------------- commands
@@ -720,7 +720,7 @@ def _battery(seed: int, report: CheckReport) -> None:
 
 
 def cmd_check_all(args) -> int:
-    report = CheckReport(echo=True)
+    report = CheckReport()
     _battery(args.seed, report)
     summary = f"{len(report.lines) - report.failed}/{len(report.lines)} checks passed"
     print(summary)
@@ -846,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", default="biased:0.98",
                    help="honest | uniform | argmax | biased:<p>")
     p.add_argument("--n", type=_N, default=4)
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument("--budget", type=_COUNT, default=10000)
     p.add_argument("--seeds", type=_COUNT, default=100)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
@@ -867,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", default="honest",
                    help="honest | uniform | argmax | biased:<p>")
     p.add_argument("--claimed-q", choices=("none", "argmax"), default="none")
-    p.add_argument("--extract-bits", type=int, default=256)
+    p.add_argument("--extract-bits", type=_int_in(0), default=256)
     _add_common(p)
     p.set_defaults(func=cmd_protocol)
 

@@ -70,9 +70,6 @@ class DeviceModel:
         mixed[argmax_index(spec)] += self.p
         return OutcomeDistribution(mixed)
 
-    def sample(self, spec: FourierSpectrum, rng: np.random.Generator) -> int:
-        return int(self.sample_many(spec, 1, rng)[0])
-
     def sample_many(
         self, spec: FourierSpectrum, count: int, rng: np.random.Generator
     ) -> np.ndarray:

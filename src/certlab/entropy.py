@@ -18,20 +18,12 @@ exactly 1/sqrt(N) while disturbing every other coefficient by at most
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import (
-    BooleanFunction,
-    FourierSpectrum,
-    classify_scaled,
-    HeavinessClass,
-    p_set,
-    wht,
-)
+from .boolfn import BooleanFunction, p_set, wht
 from .rng import make_rng
 from .stats import wilson_halfwidth
 
@@ -102,10 +94,6 @@ class OutcomeDistribution:
     def max_prob(self) -> float:
         return float(self.probs.max())
 
-    def argmax_lex(self) -> int:
-        """Lexicographically-first index attaining the maximum probability."""
-        return int(np.argmax(self.probs))
-
 
 def min_entropy(d: OutcomeDistribution) -> float:
     """-log2 of the largest outcome probability."""
@@ -115,49 +103,11 @@ def min_entropy(d: OutcomeDistribution) -> float:
     return -math.log2(m)
 
 
-def mass_at_least(d: OutcomeDistribution, h: float) -> float:
-    """Probability mass sitting on outcomes with p_z >= 2^-h.
-
-    The working low-entropy hypothesis: a sampler is "h-concentrated" when
-    this mass is >= 0.99, which is implied by (but weaker than) plain
-    min-entropy <= h.
-    """
-    cut = 2.0 ** (-h)
-    return float(d.probs[d.probs >= cut].sum())
-
-
 def statistical_distance(d: OutcomeDistribution, d2: OutcomeDistribution) -> float:
     """Half the L1 distance between two distributions on the same domain."""
     if d.size != d2.size:
         raise ValueError("distributions live on different domains")
     return 0.5 * float(np.abs(d.probs - d2.probs).sum())
-
-
-class GoodBad(enum.Enum):
-    GOOD = "Good"
-    BAD = "Bad"
-    NEITHER = "Neither"
-
-
-def classify_good_bad(model, f: BooleanFunction, h: float) -> GoodBad:
-    """Good/Bad bookkeeping for a white-box device on f.
-
-    z_f is the lexicographically-first mode of the device's exact output
-    distribution.  Good: fhat(z_f) is SlightlyHeavy and the device has
-    min-entropy <= h.  Bad: fhat(z_f) is Light and min-entropy <= h + 0.01
-    (the extra 0.01 of slack is part of the definition).  Anything else is
-    Neither.
-    """
-    spec = wht(f)
-    d = model.distribution(spec)
-    z_f = d.argmax_lex()
-    heaviness = classify_scaled(int(spec.scaled[z_f]), spec.size)
-    ent = min_entropy(d)
-    if heaviness is HeavinessClass.SLIGHTLY_HEAVY and ent <= h:
-        return GoodBad.GOOD
-    if heaviness is HeavinessClass.LIGHT and ent <= h + 0.01:
-        return GoodBad.BAD
-    return GoodBad.NEITHER
 
 
 @dataclass(frozen=True)

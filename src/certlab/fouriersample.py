@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, FourierSpectrum, random_functions_batch, wht_rows
+from .boolfn import FourierSpectrum, random_functions_batch, wht_rows
 from .stats import wilson_halfwidth
 
 _BATCH = 512  # functions generated and transformed per vectorized block
@@ -58,23 +58,14 @@ class PgPbEstimate:
             raise ValueError("p_g must equal p_light4 - p_b")
 
 
-def fourier_sample(spec: FourierSpectrum, rng: np.random.Generator) -> int:
-    """One index z drawn with probability exactly fhat(z)^2.
+def fourier_sample_many(
+    spec: FourierSpectrum, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """`count` independent Fourier samples from one spectrum.
 
     Inverse CDF over the cumulative squared spectrum, using the scaled
     integers so the CDF grid is exact (total mass N^2).
     """
-    w = spec.scaled.astype(np.int64)
-    cs = np.cumsum(w * w)
-    total = int(cs[-1])
-    u = rng.random()
-    return int(np.searchsorted(cs, u * total, side="right"))
-
-
-def fourier_sample_many(
-    spec: FourierSpectrum, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """`count` independent Fourier samples from one spectrum."""
     w = spec.scaled.astype(np.int64)
     cs = np.cumsum(w * w)
     total = int(cs[-1])
@@ -128,10 +119,6 @@ class HonestSampler:
 
     name = "honest"
 
-    def __call__(self, f: BooleanFunction, spec: FourierSpectrum,
-                 rng: np.random.Generator) -> int:
-        return fourier_sample(spec, rng)
-
     def sample_batch(self, scaled_rows: np.ndarray,
                      rng: np.random.Generator) -> np.ndarray:
         return fourier_rows(scaled_rows, rng.random(scaled_rows.shape[0]))
@@ -141,10 +128,6 @@ class UniformSampler:
     """Ignores the function and returns a uniform index (a blind cheat)."""
 
     name = "uniform"
-
-    def __call__(self, f: BooleanFunction, spec: FourierSpectrum,
-                 rng: np.random.Generator) -> int:
-        return int(rng.integers(0, spec.size))
 
     def sample_batch(self, scaled_rows: np.ndarray,
                      rng: np.random.Generator) -> np.ndarray:

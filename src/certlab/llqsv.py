@@ -1,4 +1,4 @@
-"""Balanced-string and long-list instance generators with a
+"""Long-list instance generator, LLQ1 serialization, and a
 distinguisher-advantage harness.
 
 A long-list instance is T pairs (f_i, s_i): every f_i is a fresh uniform
@@ -8,10 +8,6 @@ of each s_i alone is uniform, so telling the cases apart requires relating
 s_i to f_i.  Distinguishers get oracle-style indexed reads with a counter
 and never see the case label; the harness scores their advantage
 |Pr[accept | fourier] - Pr[accept | uniform]|.
-
-The balanced-string sampler draws uniformly from the strings of hamming
-weight N/2 - d or N/2 + d (fair coin between the sides, then a partial
-Fisher-Yates pick of the one positions).
 """
 
 from __future__ import annotations
@@ -24,8 +20,6 @@ import numpy as np
 from .boolfn import (
     BFN1_MAGIC,
     MAX_N,
-    BooleanFunction,
-    character_values,
     random_functions_batch,
     scaled_at,
     wht_rows,
@@ -37,59 +31,6 @@ CASES = ("uniform", "fourier")
 LLQ1_MAGIC = b"LLQ1"
 _BATCH = 2048
 DENSE_LIST_LIMIT = 1 << 28  # largest T * N (sign entries) held in memory
-
-
-class BadOffset(ValueError):
-    """Raised when the weight offset d is outside 0..N/2 or N is odd."""
-
-
-@dataclass(frozen=True)
-class BalancedString:
-    """A length-N bit string of hamming weight N/2 - d or N/2 + d."""
-
-    N: int
-    bits: np.ndarray  # packed uint8, LSB-first, length ceil(N/8)
-    d: int
-
-    def __post_init__(self):
-        packed = np.asarray(self.bits, dtype=np.uint8).copy()
-        if packed.shape != ((self.N + 7) // 8,):
-            raise ValueError("packed bits have the wrong length")
-        packed.setflags(write=False)
-        object.__setattr__(self, "bits", packed)
-        w = self.weight()
-        half = self.N // 2
-        if w not in (half - self.d, half + self.d):
-            raise ValueError(
-                f"weight {w} is not N/2 +- d = {half} +- {self.d}"
-            )
-
-    def weight(self) -> int:
-        return int(np.bitwise_count(self.bits).sum())
-
-    def unpacked(self) -> np.ndarray:
-        return np.unpackbits(self.bits, bitorder="little")[: self.N]
-
-
-def sample_u_d(N: int, d: int, rng: np.random.Generator) -> BalancedString:
-    """Uniform draw from the weight-(N/2 +- d) strings.
-
-    The two weight classes have equal cardinality, so a fair coin picks
-    the side; the one positions are then chosen by a partial Fisher-Yates
-    pass (first `w` entries of a progressively shuffled range).
-    """
-    if N < 2 or N % 2 != 0:
-        raise BadOffset(f"N must be even and positive, got {N}")
-    if not 0 <= d <= N // 2:
-        raise BadOffset(f"d must be in 0..N/2, got {d}")
-    w = N // 2 + (d if rng.random() < 0.5 else -d)
-    arr = np.arange(N)
-    for i in range(w):
-        j = int(rng.integers(i, N))
-        arr[i], arr[j] = arr[j], arr[i]
-    flat = np.zeros(N, dtype=np.uint8)
-    flat[arr[:w]] = 1
-    return BalancedString(N, np.packbits(flat, bitorder="little"), d)
 
 
 class BudgetExceeded(ValueError):
@@ -219,49 +160,6 @@ def stream_llqsv(n: int, T: int, case: str, rng: np.random.Generator):
 
 
 @dataclass(frozen=True)
-class TailRateResult:
-    """Empirical exceedance rate of the max squared coefficient."""
-
-    rate: float
-    bound: float
-    ci99: float
-    trials: int
-    threshold: float  # on max fhat^2, i.e. p^2/N
-
-
-def max_coeff_tail(
-    n: int, p_poly_value: float, trials: int, rng: np.random.Generator
-) -> TailRateResult:
-    """Fraction of random f with max_z fhat(z)^2 > p^2/N.
-
-    The reference bound is 2 exp(-p^2 / (6 ln N)); the natural scale of
-    max fhat^2 is (2 ln N)/N, so p around sqrt(2 ln N) marks the knee.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    size = 1 << n
-    # threshold on the scaled integers: W^2 > p^2 * N
-    cut = p_poly_value * p_poly_value * size
-    hits = 0
-    done = 0
-    while done < trials:
-        b = min(_BATCH, trials - done)
-        tables = random_functions_batch(n, b, rng)
-        W = wht_rows(tables).astype(np.int64)
-        maxw2 = (W * W).max(axis=1)
-        hits += int(np.count_nonzero(maxw2 > cut))
-        done += b
-    bound = 2.0 * np.exp(-p_poly_value * p_poly_value / (6.0 * np.log(size)))
-    return TailRateResult(
-        rate=hits / trials,
-        bound=float(min(bound, 1.0)),
-        ci99=wilson_halfwidth(hits, trials),
-        trials=trials,
-        threshold=p_poly_value * p_poly_value / size,
-    )
-
-
-@dataclass(frozen=True)
 class AdvantageResult:
     """Distinguisher accept rates per case and their gap."""
 
@@ -306,11 +204,6 @@ def advantage(
     )
 
 
-def constant_accept(oracle: ListOracle) -> bool:
-    """Accepts everything; advantage exactly 0."""
-    return True
-
-
 @dataclass(frozen=True)
 class ScoreSumDistinguisher:
     """White-box baseline: threshold the total sampled squared coefficient.
@@ -334,24 +227,6 @@ class ScoreSumDistinguisher:
         # sum_i fhat_i(s_i)^2 = sum_i W_i^2 / N^2, an exact integer sum
         total = float(np.dot(W, W)) / (size * size)
         return total > self.scale * T / size
-
-
-def s_only_parity(oracle: ListOracle) -> bool:
-    """Reads only the s side; can have no advantage (uniform marginal)."""
-    total = 0
-    for i in range(len(oracle)):
-        total ^= oracle.read_s(i)
-    return bin(total).count("1") % 2 == 0
-
-
-def agreement_weight(f: BooleanFunction, s: int) -> int:
-    """Hamming weight of the +1 set of f * chi_s.
-
-    Identity: agreement_weight(f, s) - N/2 = N * fhat(s) / 2, linking the
-    long-list problem to balance checking of the product strings.
-    """
-    chi = character_values(f.n, s)
-    return int(np.count_nonzero(f.values * chi == 1))
 
 
 def _record_head(n: int) -> np.ndarray:

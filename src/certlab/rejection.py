@@ -2,10 +2,11 @@
 
 The sampler makes up to K = 4 n^2 uniform attempts to hit the accepting
 set {x : g(x) = +1} (sign +1 plays the role of "g(x) = 1"); if none hits,
-it returns a fresh uniform element and reports accepted = False.  Its
-output law has the closed form implemented by exact_distribution, which
-the score driver uses directly instead of re-simulating attempts (same
-expectation, far less variance).
+it returns a fresh uniform element.  The package never simulates the
+attempts: exact_distribution gives the sampler's output law in closed
+form, and the score driver reads probabilities from it (same
+expectation, far less variance).  The tests hold that law to a literal
+simulation of the attempts.
 
 RHOG: draw a correlated pair (f, g), Fourier-sample x from fhat^2, and
 evaluate the rejection sampler's probability of landing on that same x.
@@ -30,37 +31,6 @@ _BATCH = 4096
 def max_attempts(n: int) -> int:
     """Attempt budget K = 4 n^2."""
     return 4 * n * n
-
-
-@dataclass(frozen=True)
-class RejectionOutcome:
-    """Result of one rejection-sampling run."""
-
-    output: int
-    accepted: bool
-    attempts_used: int
-
-    def __post_init__(self):
-        if self.attempts_used < 1:
-            raise ValueError("at least one attempt is always spent")
-
-
-def rejection_sample(g: BooleanFunction, rng: np.random.Generator) -> RejectionOutcome:
-    """Up to 4 n^2 uniform attempts; first accepting x wins.
-
-    On total failure the output is one more fresh uniform draw with
-    accepted = False.  The generator is advanced by a fixed amount per
-    call (all attempt draws are consumed up front) so call sequences stay
-    aligned across runs.
-    """
-    K = max_attempts(g.n)
-    xs = rng.integers(0, g.size, size=K)
-    hits = g.values[xs] == 1
-    extra = int(rng.integers(0, g.size))
-    if hits.any():
-        first = int(np.argmax(hits))
-        return RejectionOutcome(int(xs[first]), True, first + 1)
-    return RejectionOutcome(extra, False, K)
 
 
 def exact_distribution(g: BooleanFunction) -> np.ndarray:

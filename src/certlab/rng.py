@@ -3,9 +3,11 @@
 Everything downstream draws its randomness through this module so that a
 single 64-bit seed pins every experiment byte-for-byte.  Two layers:
 
-* ``splitmix64`` -- a tiny counter-based mixer used for key derivation and
-  for places where we need raw reproducible 64-bit words (challenge
-  strings, extractor seeds).  Reference output for seed 0:
+* ``splitmix64`` -- a tiny counter-based mixer: word j of the stream of
+  seed s is mix64(s + (j+1) GOLDEN) mod 2^64 (``mix64`` scalar,
+  ``mix64_array`` vectorized).  Used for key derivation and for raw
+  reproducible 64-bit words (the protocol's challenge tables).
+  Reference output for seed 0:
   0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F.
 * ``make_rng`` -- a numpy ``Generator`` backed by the counter-based Philox
   bit generator, keyed off a derived splitmix64 word.  Used for bulk
@@ -36,15 +38,6 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & MASK64
     return z ^ (z >> 31)
-
-
-def splitmix64_stream(seed: int, count: int) -> np.ndarray:
-    """First `count` outputs of splitmix64 seeded with `seed`, as uint64."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = (np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN)).astype(np.uint64)
-    return mix64_array(z)
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ The generative chain: draw X iid N(0, eps) with eps = 1/(C ln N); push it
 through the orthonormal Hadamard H (entries +-1/sqrt(N), H^2 = I) to get
 Y = HX; publish Z = (X, Y^2 - eps).  Clamping Z to [-1, 1] and rounding
 each coordinate c to +-1 with probability (1 +- c)/2 yields a correlated
-pair of Boolean functions (f, g).
+pair of Boolean functions (f, g).  Every draw is made in batches:
+sample_gprime_rows gives the real pairs and pair_rows the Boolean ones,
+as (count, N) arrays.
 
 phi(f, g) = sum_z fhat(z)^2 g(z) is the accept-minus-reject bias of the
 distinguisher that Fourier-samples z from f and reads g(z); acceptance is
@@ -12,20 +14,21 @@ distinguisher that Fourier-samples z from f and reads g(z); acceptance is
 pairs the multilinear part contributes eps^2 (2 - 2/N) and the full
 expectation stays >= eps^2.
 
-phi_conditional computes E[phi | Z] in closed form (averaging out only the
-rounding), which is the lower-variance way to estimate E[phi].
+phi_rows evaluates phi per pair; phi_conditional_rows computes E[phi | Z]
+in closed form (averaging out only the rounding), which is the
+lower-variance way to estimate E[phi].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, wht_rows
+from .boolfn import wht_rows
 from .rng import gaussians
-from .stats import MeanCI, mean_ci99, wilson_halfwidth
+from .stats import mean_ci99, wilson_halfwidth
 
 DEFAULT_C = 20.0
 _BATCH = 4096
@@ -63,53 +66,6 @@ class DistParams:
         return 1.0 / (self.C * math.log(self.size))
 
 
-@dataclass(frozen=True)
-class RealPair:
-    """One draw Z = (X, Yp): X iid N(0, eps), Yp = (HX)^2 - eps."""
-
-    X: np.ndarray
-    Yp: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.X, dtype=np.float64)
-        y = np.asarray(self.Yp, dtype=np.float64)
-        if x.shape != y.shape or x.ndim != 1:
-            raise ValueError("X and Yp must be 1-d arrays of equal length")
-        object.__setattr__(self, "X", x)
-        object.__setattr__(self, "Yp", y)
-
-
-@dataclass(frozen=True)
-class BooleanPair:
-    """A pair (f, g) of Boolean functions on the same n bits."""
-
-    f: BooleanFunction
-    g: BooleanFunction
-
-    def __post_init__(self):
-        if self.f.n != self.g.n:
-            raise ValueError("f and g must share the same n")
-
-    @property
-    def n(self) -> int:
-        return self.f.n
-
-
-def orthonormal_transform(v: np.ndarray) -> np.ndarray:
-    """Apply the orthonormal Hadamard (entries +-1/sqrt(N)) to a vector.
-
-    Self-inverse to roundoff: applying twice returns the input.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    return wht_rows(v).reshape(v.shape) / math.sqrt(v.shape[-1])
-
-
-def sample_gprime(params: DistParams, rng: np.random.Generator) -> RealPair:
-    """One draw of Z = (X, Y^2 - eps) with Y = HX."""
-    X, Yp = sample_gprime_rows(params, 1, rng)
-    return RealPair(X[0], Yp[0])
-
-
 def sample_gprime_rows(
     params: DistParams, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -126,18 +82,6 @@ def trnc(v: np.ndarray) -> np.ndarray:
     return np.clip(np.asarray(v, dtype=np.float64), -1.0, 1.0)
 
 
-def round_to_boolean(Z: RealPair, rng: np.random.Generator) -> BooleanPair:
-    """Round each clamped coordinate c to +1 with probability (1+c)/2."""
-    size = Z.X.shape[0]
-    n = size.bit_length() - 1
-    flat = np.concatenate([trnc(Z.X), trnc(Z.Yp)])
-    u = rng.random(2 * size)
-    signs = np.where(u < (1.0 + flat) / 2.0, 1, -1).astype(np.int8)
-    return BooleanPair(
-        BooleanFunction(n, signs[:size]), BooleanFunction(n, signs[size:])
-    )
-
-
 def pair_rows(
     params: DistParams,
     count: int,
@@ -146,8 +90,9 @@ def pair_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`count` pairs (f, g) as two (count, N) int8 arrays of +-1 sign rows.
 
-    Correlated pairs are Gaussian draws (sample_gprime_rows), clamped and
-    rounded coordinate-wise like round_to_boolean, the f half first.  With
+    Correlated pairs are Gaussian draws (sample_gprime_rows), clamped to
+    [-1, 1], and each coordinate c rounded to +1 with probability
+    (1 + c)/2: one uniform per coordinate, the f rows first.  With
     uniform_pairs=True they are independent uniform sign tables, the f
     rows drawn before the g rows.
     """
@@ -163,39 +108,24 @@ def pair_rows(
     return f, g
 
 
-def phi(pair: BooleanPair) -> float:
-    """sum_z fhat(z)^2 g(z), computed exactly on scaled integers."""
-    W = wht_rows(pair.f.values)[0].astype(np.int64)
-    size = W.shape[0]
-    num = int(np.dot(W * W, pair.g.values.astype(np.int64)))
-    return num / float(size * size)
-
-
-def _phi_rows(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
-    """phi for each of a batch of pairs given as (count, N) sign rows."""
+def phi_rows(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
+    """phi(f, g) = sum_z fhat(z)^2 g(z) for each of a batch of pairs given
+    as (count, N) sign rows, computed exactly on scaled integers."""
     W = wht_rows(f_rows).astype(np.int64)
     size = f_rows.shape[1]
     num = np.sum(W * W * g_rows.astype(np.int64), axis=1)
     return num / float(size * size)
 
 
-def acceptance(pair: BooleanPair) -> float:
-    """Distinguisher accept probability (1 + phi)/2."""
-    return (1.0 + phi(pair)) / 2.0
-
-
-def phi_conditional(Z: RealPair) -> float:
-    """E[phi | Z]: the rounding noise integrated out in closed form.
+def phi_conditional_rows(X: np.ndarray, Yp: np.ndarray) -> np.ndarray:
+    """E[phi | Z] for each of a batch of real draws Z = (X, Yp): the
+    rounding noise integrated out in closed form.
 
     With t = clamp(X), u = clamp(Yp), A the unnormalized transform of t
     and s = sum_j (1 - t_j^2):  E[phi | Z] = (1/N^2) sum_i (A_i^2 + s) u_i.
     Pairs (j, k) with j != k contribute t_j t_k, the diagonal contributes
     1 regardless of rounding, which is exactly A^2 - sum t^2 + N.
     """
-    return float(_phi_conditional_rows(Z.X[None, :], Z.Yp[None, :])[0])
-
-
-def _phi_conditional_rows(X: np.ndarray, Yp: np.ndarray) -> np.ndarray:
     t = trnc(X)
     u = trnc(Yp)
     A = wht_rows(t)
@@ -228,8 +158,8 @@ def phi_values(
     """Per-trial phi estimates over fresh draws.
 
     estimator="plain" rounds each draw and evaluates phi on the Boolean
-    pair; estimator="conditional" evaluates phi_conditional on the real
-    draw (same expectation, smaller variance).  With uniform_pairs=True
+    pair; estimator="conditional" evaluates phi_conditional_rows on the
+    real draw (same expectation, smaller variance).  With uniform_pairs=True
     the correlated draw is replaced by independent uniform sign tables
     (the null: E[phi] = 0).
     """
@@ -243,11 +173,11 @@ def phi_values(
         b = min(_BATCH, trials - done)
         if estimator == "conditional" and not uniform_pairs:
             X, Yp = sample_gprime_rows(params, b, rng)
-            vals[done:done + b] = _phi_conditional_rows(X, Yp)
+            vals[done:done + b] = phi_conditional_rows(X, Yp)
         else:
             # uniform signs are already +-1, so conditional == plain there
-            vals[done:done + b] = _phi_rows(*pair_rows(params, b, rng,
-                                                       uniform_pairs))
+            vals[done:done + b] = phi_rows(*pair_rows(params, b, rng,
+                                                      uniform_pairs))
         done += b
     return vals
 
@@ -354,30 +284,19 @@ def hamming_balance_rate(
 ) -> tuple[float, float]:
     """(rate of g-draws outside the (1 +- N^{-1/3}) N/2 ones-count band, CI99).
 
-    Counts draws of (f, g) whose g has |{x : g(x) = +1}| outside
-    [(1 - d) N/2, (1 + d) N/2] with d = N^{-1/3}.
+    Counts draws of (f, g), made by pair_rows in blocks of _BATCH, whose g
+    has |{x : g(x) = +1}| outside [(1 - d) N/2, (1 + d) N/2], d = N^{-1/3}.
     """
     size = params.size
     delta = size ** (-1.0 / 3.0)
     lo = (1.0 - delta) * size / 2.0
     hi = (1.0 + delta) * size / 2.0
     hits = 0
-    for _, g_rows in stream_D(params, trials, rng):
+    done = 0
+    while done < trials:
+        b = min(_BATCH, trials - done)
+        _, g_rows = pair_rows(params, b, rng)
         ones = np.count_nonzero(g_rows == 1, axis=1)
         hits += int(np.count_nonzero((ones < lo) | (ones > hi)))
-    return hits / trials, wilson_halfwidth(hits, trials)
-
-
-def stream_D(
-    params: DistParams,
-    T: int,
-    rng: np.random.Generator,
-    uniform_pairs: bool = False,
-):
-    """Yield T correlated (or uniform) pairs as pair_rows blocks of up to
-    _BATCH rows each, without holding them all."""
-    done = 0
-    while done < T:
-        b = min(_BATCH, T - done)
-        yield pair_rows(params, b, rng, uniform_pairs)
         done += b
+    return hits / trials, wilson_halfwidth(hits, trials)

@@ -19,14 +19,6 @@ class MeanCI:
     ci99: float
     n: int
 
-    @property
-    def lo(self) -> float:
-        return self.mean - self.ci99
-
-    @property
-    def hi(self) -> float:
-        return self.mean + self.ci99
-
 
 def mean_ci99(samples: np.ndarray) -> MeanCI:
     """Mean and normal-approximation 99% CI half-width of a sample array."""

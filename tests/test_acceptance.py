@@ -37,7 +37,7 @@ from certlab.entropy import (
     rejsamp,
 )
 from certlab.fouriersample import estimate_pg_pb, gaussian_reference, honest_sampler
-from certlab.llqsv import llqsv_instance, s_only_parity, advantage
+from certlab.llqsv import llqsv_instance, advantage
 from certlab.protocol import ProtocolConfig, Verdict, run_protocol
 from certlab.rejection import rhog_score
 from certlab.rng import derive64, make_rng
@@ -48,6 +48,7 @@ from certlab.sqforrelation import (
     truncation_rate,
 )
 from certlab.stats import mean_ci99
+from adversaries import s_only_parity
 from exact_laws import balance_tail, band_rates
 
 SEED = 20260823  # master seed for the whole gate; everything derives from it

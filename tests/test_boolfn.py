@@ -37,7 +37,6 @@ from certlab.boolfn import (
     wht_rows,
 )
 from certlab.rng import make_rng
-from certlab.sqforrelation import orthonormal_transform
 
 
 # ---------------------------------------------------------------- oracle
@@ -228,13 +227,17 @@ def test_integer_kernel_gemms_stay_under_blas_thread_threshold(monkeypatch):
 def test_float_path_matches_loop_butterfly(n):
     x = make_rng(24, n).standard_normal((3, 1 << n))
     assert np.array_equal(wht_rows(x), loop_butterfly(x.copy()))
+    # the orthonormal transform that sample_gprime_rows applies
+    def orthonormal(v):
+        return wht_rows(v)[0] / math.sqrt(1 << n)
+
     v = x[0]
-    once = orthonormal_transform(v)
+    once = orthonormal(v)
     assert np.array_equal(once, loop_butterfly(v.copy()) / math.sqrt(1 << n))
-    assert np.allclose(orthonormal_transform(once), v, rtol=0, atol=1e-12)
+    assert np.allclose(orthonormal(once), v, rtol=0, atol=1e-12)
     if n % 2 == 0:  # sqrt(N) is a power of two: integer input comes back exactly
         k = np.round(x[1] * 8)
-        assert np.array_equal(orthonormal_transform(orthonormal_transform(k)), k)
+        assert np.array_equal(orthonormal(orthonormal(k)), k)
 
 
 def test_scaled_coefficients_share_parity_of_size():

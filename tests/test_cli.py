@@ -65,6 +65,8 @@ def test_missing_subcommand_is_usage_error():
     ["protocol", "--t", "0"],
     ["hog", "--seed", "-1"],
     ["hog", "--seed", "0x10000000000000000"],
+    ["derandomize", "--budget", "0"],
+    ["protocol", "--extract-bits", "-1"],
 ], ids=" ".join)
 def test_out_of_range_flag_is_one_line_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -95,9 +97,13 @@ def test_wht_json_payload(tmp_path, capsys):
     assert payload["results"]["parseval_sum"] == pytest.approx(1.0)
 
 
-def test_wht_check_passes():
+def test_wht_check_passes(capsys):
     assert run("wht", "--n", "4", "--seed", "1", "--check",
                "--out", "/dev/null") == 0
+    # the --check line format: CHECK PASS|FAIL name: detail, on stderr
+    err = capsys.readouterr().err.splitlines()
+    assert err[2] == "CHECK PASS integer-parseval: sum W^2 = 256 == N^2"
+    assert len(err) == 3 and all(ln.startswith("CHECK PASS ") for ln in err)
 
 
 def test_rerun_is_byte_identical(tmp_path):

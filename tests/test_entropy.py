@@ -13,23 +13,20 @@ import math
 import numpy as np
 import pytest
 
-from certlab.boolfn import BooleanFunction, character_values, random_function, wht
+from certlab.boolfn import character_values, random_function, wht
 from certlab.devices import argmax_index, biased, honest, uniform_cheat
 from certlab.entropy import (
     BudgetZero,
     EmptyDistribution,
-    GoodBad,
     OddRoot,
     OutcomeDistribution,
     RejSampSeed,
-    classify_good_bad,
     coupling_disagreement,
     coupling_rate_disjoint,
     degree_ratio,
     derandomize,
     empirical_distribution,
     exact_coupling_rate,
-    mass_at_least,
     min_entropy,
     perturb_make_light,
     rejsamp,
@@ -59,14 +56,6 @@ def test_min_entropy_values():
     assert min_entropy(two) == pytest.approx(-math.log2(0.98))
 
 
-def test_mass_at_least_counts_heavy_outcomes():
-    d = OutcomeDistribution(np.array([0.5, 0.3, 0.1, 0.1]))
-    # outcomes with probability >= 2^-h
-    assert mass_at_least(d, 1.0) == pytest.approx(0.5)       # p >= 1/2
-    assert mass_at_least(d, 2.0) == pytest.approx(0.8)       # p >= 1/4
-    assert mass_at_least(d, 4.0) == pytest.approx(1.0)
-
-
 def test_statistical_distance_examples():
     d1 = OutcomeDistribution(np.array([2 / 3, 1 / 3, 0.0]))
     d2 = OutcomeDistribution(np.array([2 / 3, 0.0, 1 / 3]))
@@ -74,10 +63,9 @@ def test_statistical_distance_examples():
     assert statistical_distance(d1, d1) == 0.0
 
 
-def test_from_counts_and_argmax_lex():
+def test_from_counts_normalizes():
     d = OutcomeDistribution.from_counts(np.array([2, 6, 6, 2]))
     assert d.probs.tolist() == [0.125, 0.375, 0.375, 0.125]
-    assert d.argmax_lex() == 1  # first of the tied maxima
 
 
 def test_empirical_distribution():
@@ -248,13 +236,3 @@ def test_derandomize_marginal_tracks_device():
     _, pvalue = chisquare(counts)
     assert pvalue > 1e-3
 
-
-# ---------------------------------------------------------------- good/bad split
-
-def test_classify_good_bad_labels():
-    # chi_z has a VeryHeavy coefficient: neither band applies
-    f_very = BooleanFunction(4, character_values(4, 2))
-    assert classify_good_bad(honest(), f_very, 4.0) is GoodBad.NEITHER
-    # uniform device has full entropy n > h + 0.01 for small h
-    f = random_function(4, make_rng(65, 0))
-    assert classify_good_bad(uniform_cheat(), f, 0.5) is GoodBad.NEITHER

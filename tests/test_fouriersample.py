@@ -35,7 +35,6 @@ from certlab.fouriersample import (
     estimate_pg_pb,
     exact_band_rates,
     fourier_rows,
-    fourier_sample,
     fourier_sample_many,
     gaussian_reference,
     hog_score,
@@ -132,7 +131,7 @@ def test_fourier_sample_goodness_of_fit():
 def test_fourier_sample_single_matches_stream():
     f = random_function(4, make_rng(22, 0))
     spec = wht(f)
-    one = fourier_sample(spec, make_rng(22, 1))
+    one = int(fourier_rows(spec.scaled[None, :], make_rng(22, 1).random(1))[0])
     assert 0 <= one < f.size
     assert spec.coeffs[one] != 0.0
 
@@ -307,10 +306,11 @@ def test_uniform_sampler_rates_follow_plain_normal_band():
 
 def test_sampler_objects_sample_in_range():
     f = random_function(5, make_rng(29, 0))
-    spec = wht(f)
-    z_h = honest_sampler(f, spec, make_rng(29, 1))
-    z_u = uniform_sampler(f, spec, make_rng(29, 2))
-    assert 0 <= z_h < f.size and 0 <= z_u < f.size
+    rows = wht(f).scaled[None, :]
+    z_h = honest_sampler.sample_batch(rows, make_rng(29, 1))
+    z_u = uniform_sampler.sample_batch(rows, make_rng(29, 2))
+    assert z_h.shape == z_u.shape == (1,)
+    assert 0 <= z_h[0] < f.size and 0 <= z_u[0] < f.size
 
 
 # ---------------------------------------------------------------- tv distance

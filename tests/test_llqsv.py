@@ -21,24 +21,18 @@ from certlab.boolfn import BooleanFunction, coefficient_at, fourth_moment, to_bf
 from certlab.llqsv import (
     CASES,
     LLQ1_MAGIC,
-    BadOffset,
-    BalancedString,
     BudgetExceeded,
     ListOracle,
     LongList,
     ScoreSumDistinguisher,
     advantage,
-    agreement_weight,
-    constant_accept,
     from_llq1,
     llqsv_instance,
-    max_coeff_tail,
-    s_only_parity,
-    sample_u_d,
     stream_llqsv,
     to_llq1,
 )
 from certlab.rng import make_rng
+from adversaries import constant_accept, s_only_parity
 
 
 def entries(inst) -> list:
@@ -236,49 +230,7 @@ def test_llq1_rejects_trailing_garbage():
         from_llq1(b"XXXX" + to_llq1(inst)[4:])
 
 
-# ---------------------------------------------------------------- balance strings
-
-def test_sample_u_d_hits_exact_weights():
-    weights = {sample_u_d(64, 4, make_rng(83, i)).weight() for i in range(40)}
-    assert weights == {28, 36}
-
-
-def test_balanced_string_validates_weight():
-    with pytest.raises(ValueError):
-        BalancedString(64, np.zeros(8, dtype=np.uint8), 4)  # weight 0
-
-
-def test_sample_u_d_validates_arguments():
-    with pytest.raises(BadOffset):
-        sample_u_d(63, 4, make_rng(83, 99))  # odd N
-    with pytest.raises(BadOffset):
-        sample_u_d(64, 40, make_rng(83, 99))  # d > N/2
-
-
-def test_balance_instance_cases():
-    rng = make_rng(83, 100)
-    strings = [sample_u_d(64, d, rng) for d in (0, 4, 4)]
-    assert strings[0].weight() == 32
-    assert strings[1].weight() in (28, 36)
-    assert strings[2].weight() in (28, 36)
-
-
-def test_unpacked_matches_weight():
-    s = sample_u_d(64, 4, make_rng(83, 102))
-    assert int(s.unpacked().sum()) == s.weight()
-
-
 # ---------------------------------------------------------------- distinguishers
-
-def test_agreement_weight_identity():
-    # weight of agreement with chi_s minus N/2 equals N fhat(s) / 2
-    from certlab.boolfn import random_function
-
-    f = random_function(5, make_rng(84, 0))
-    spec = wht(f)
-    for s in (0, 7, 31):
-        assert agreement_weight(f, s) - 16 == spec.scaled[s] / 2
-
 
 @pytest.mark.parametrize("seed", range(4))
 def test_score_sum_distinguisher_matches_per_entry_oracle(seed):
@@ -318,11 +270,3 @@ def test_advantage_reports_both_acceptance_rates():
     assert res.accept_uniform == 1.0
     assert res.trials == 4
 
-
-# ---------------------------------------------------------------- tail bound
-
-def test_max_coeff_tail_respects_bound():
-    res = max_coeff_tail(8, 0.35, 200, make_rng(85, 0))
-    assert 0.0 <= res.rate <= 1.0
-    assert res.rate <= res.bound + res.ci99
-    assert res.trials == 200

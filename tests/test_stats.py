@@ -26,8 +26,6 @@ def test_mean_ci99_matches_normal_formula():
     sem = np.std(x, ddof=1) / math.sqrt(5)
     assert est.ci99 == pytest.approx(Z99 * sem)
     assert est.n == 5
-    assert est.lo == pytest.approx(est.mean - est.ci99)
-    assert est.hi == pytest.approx(est.mean + est.ci99)
 
 
 def test_mean_ci99_single_sample_is_unbounded():
@@ -43,7 +41,7 @@ def test_mean_ci99_covers_true_mean_usually():
     for _ in range(200):
         x = rng.normal(0.7, 1.3, size=400)
         est = mean_ci99(x)
-        if not (est.lo <= 0.7 <= est.hi):
+        if abs(est.mean - 0.7) > est.ci99:
             misses += 1
     assert misses <= 10
 
