@@ -191,13 +191,19 @@ def wht_rows(rows: np.ndarray) -> np.ndarray:
     N^1.5); larger rows are refused.  The result is int16 when m*N < 2^15
     (+-1 rows up to n = 14) and int64 otherwise.
 
-    Float rows go through a reshape butterfly in float64, whose fixed
-    summation order the float-input callers' output bytes depend on.
+    Float rows are cast to float64 and transformed in blocks of about
+    _BLOCK elements, each copied transposed into an (N, m) buffer.  Stage
+    h = 1, 2, ..., N/2 maps x[j], x[j+h] (bit h of j clear) to their sum and
+    difference, as contiguous runs of h*m floats into a second buffer.  Each
+    output is one IEEE add or subtract of the same two inputs as in the
+    textbook in-place butterfly, stage for stage, so the bits (and the
+    float-input callers' output bytes) are that butterfly's.
     """
     rows = np.atleast_2d(rows)
     nrows, size = rows.shape
     if size & (size - 1) or size == 0:
         raise ValueError("row length must be a power of two")
+    step = max(1, _BLOCK // size)
     if np.issubdtype(rows.dtype, np.integer):
         bound = size * max(1, int(rows.max(initial=0)), -int(rows.min(initial=0)))
         if bound > 1 << 53:
@@ -205,7 +211,6 @@ def wht_rows(rows: np.ndarray) -> np.ndarray:
                              "(max |x| * N > 2^53)")
         out = np.empty((nrows, size),
                        dtype=np.int16 if bound < 1 << 15 else np.int64)
-        step = max(1, _BLOCK // size)
         a = np.empty((min(step, nrows), size),
                      dtype=np.float32 if bound <= 1 << 24 else np.float64)
         spare = np.empty_like(a)
@@ -214,15 +219,22 @@ def wht_rows(rows: np.ndarray) -> np.ndarray:
             a[:m] = rows[i:i + m]
             out[i:i + m] = _kron_transform(a[:m], spare[:m])
         return out
-    a = rows.astype(np.float64)
-    h = 1
-    while h < size:
-        a = a.reshape(nrows, -1, 2, h)
-        top = a[:, :, 0, :] + a[:, :, 1, :]
-        bot = a[:, :, 0, :] - a[:, :, 1, :]
-        a = np.stack([top, bot], axis=2).reshape(nrows, size)
-        h *= 2
-    return a
+    out = np.empty((nrows, size))
+    work = np.empty((2, size * min(step, nrows)))
+    for i in range(0, nrows, step):
+        m = min(step, nrows - i)
+        a, spare = work[:, :size * m]
+        a.reshape(size, m)[...] = rows[i:i + m].T
+        h = 1
+        while h < size:
+            src = a.reshape(-1, 2, h * m)
+            dst = spare.reshape(-1, 2, h * m)
+            np.add(src[:, 0], src[:, 1], out=dst[:, 0])
+            np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
+            a, spare = spare, a
+            h *= 2
+        out[i:i + m] = a.reshape(size, m).T
+    return out
 
 
 def wht(f: BooleanFunction) -> FourierSpectrum:

@@ -8,9 +8,8 @@ Four kinds, all answering one challenge function with one index:
                        index of the largest |fhat| (max collision cheat);
 * biased(p)         -- argmax with probability p, honest sample otherwise.
 
-Every kind exposes its exact OutcomeDistribution for a given spectrum, so
-entropy bookkeeping and verdict experiments can be checked against ground
-truth rather than estimated.
+Each kind's output law has a closed form in the integer spectrum, so
+min_entropy_rows is exact rather than estimated.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import FourierSpectrum
-from .entropy import OutcomeDistribution
 from .fouriersample import fourier_rows, fourier_sample_many
 
 KINDS = ("honest", "uniform", "argmax", "biased")
@@ -54,21 +52,6 @@ class DeviceModel:
     @property
     def label(self) -> str:
         return f"biased:{self.p:g}" if self.kind == "biased" else self.kind
-
-    def distribution(self, spec: FourierSpectrum) -> OutcomeDistribution:
-        """Exact output law of this device on the given spectrum."""
-        size = spec.size
-        if self.kind == "uniform":
-            return OutcomeDistribution.uniform(size)
-        if self.kind == "argmax":
-            return OutcomeDistribution.point_mass(size, argmax_index(spec))
-        w = spec.scaled.astype(np.int64)
-        fourier = (w * w) / float(size * size)
-        if self.kind == "honest":
-            return OutcomeDistribution(fourier)
-        mixed = (1.0 - self.p) * fourier
-        mixed[argmax_index(spec)] += self.p
-        return OutcomeDistribution(mixed)
 
     def sample_many(
         self, spec: FourierSpectrum, count: int, rng: np.random.Generator

@@ -79,13 +79,20 @@ def gaussians(rng: np.random.Generator, count: int, sigma: float = 1.0) -> np.nd
     if count < 0:
         raise ValueError("count must be nonnegative")
     pairs = (count + 1) // 2
-    u1 = rng.random(pairs)
-    u2 = rng.random(pairs)
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    theta = 2.0 * math.pi * u2
+    r = rng.random(pairs)
+    theta = rng.random(pairs)
+    # in place, the same IEEE operations in the same order as
+    # r = sqrt(-2 log1p(-u1)), theta = 2 pi u2, out = (r cos, r sin)
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * math.pi
     out = np.empty(2 * pairs)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
+    np.cos(theta, out=out[0::2])
+    np.sin(theta, out=out[1::2])
+    out[0::2] *= r
+    out[1::2] *= r
     if sigma != 1.0:
         out *= sigma
     return out[:count]

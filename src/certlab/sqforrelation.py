@@ -73,8 +73,11 @@ def sample_gprime_rows(
     size = params.size
     eps = params.epsilon
     X = gaussians(rng, count * size, sigma=math.sqrt(eps)).reshape(count, size)
-    Y = wht_rows(X) / math.sqrt(size)
-    return X, Y * Y - eps
+    Y = wht_rows(X)
+    Y /= math.sqrt(size)
+    Y *= Y
+    Y -= eps
+    return X, Y
 
 
 def trnc(v: np.ndarray) -> np.ndarray:
@@ -101,10 +104,13 @@ def pair_rows(
         rows = 1 - 2 * bits
         return rows[:count], rows[count:]
     X, Yp = sample_gprime_rows(params, count, rng)
-    tX = trnc(X)
-    tY = trnc(Yp)
-    f = np.where(rng.random(tX.shape) < (1.0 + tX) / 2.0, 1, -1).astype(np.int8)
-    g = np.where(rng.random(tY.shape) < (1.0 + tY) / 2.0, 1, -1).astype(np.int8)
+    for t in (X, Yp):  # (1 + trnc(t))/2, in place on the private draws
+        np.clip(t, -1.0, 1.0, out=t)
+        t += 1.0
+        t /= 2.0
+    u = np.empty(X.shape)
+    f = np.less(rng.random(out=u), X).view(np.int8) * 2 - 1
+    g = np.less(rng.random(out=u), Yp).view(np.int8) * 2 - 1
     return f, g
 
 

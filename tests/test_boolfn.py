@@ -68,7 +68,7 @@ def loop_butterfly(buf: np.ndarray) -> np.ndarray:
     """Radix-2 butterfly with a Python loop over blocks, in place on the last axis.
 
     The reference for the float path: same pairing and order of additions
-    as the reshape butterfly in wht_rows, so results must match bit for bit.
+    as the blocked butterfly in wht_rows, so results must match bit for bit.
     """
     size = buf.shape[-1]
     h = 1
@@ -223,8 +223,28 @@ def test_integer_kernel_gemms_stay_under_blas_thread_threshold(monkeypatch):
     assert sizes and max(sizes) <= 1 << 18
 
 
-@pytest.mark.parametrize("n", range(1, 15))
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
 def test_float_path_matches_loop_butterfly(n):
+    size = 1 << n
+    step = max(1, (1 << 16) // size)  # rows per transform block
+    rng = make_rng(25, n)
+    for count in sorted({1, step - 1, step, step + 1, 3 * step + 5}):
+        x = rng.standard_normal((count, size))
+        got = wht_rows(x)
+        assert got.flags.c_contiguous and not np.shares_memory(got, x)
+        assert_same_bits(got, loop_butterfly(x.copy()))
+    # a 1-d row, a column slice, and float32 / bool rows cast as astype casts
+    wide = rng.standard_normal((5, 2 * size))
+    for x in (wide[0], wide[:, size:], wide[:, ::2],
+              wide[:, :size].astype(np.float32), wide[:, :size] > 0):
+        got = wht_rows(x)
+        assert got.flags.c_contiguous and not np.shares_memory(got, wide)
+        assert_same_bits(got, loop_butterfly(np.atleast_2d(x).astype(np.float64)))
     x = make_rng(24, n).standard_normal((3, 1 << n))
     assert np.array_equal(wht_rows(x), loop_butterfly(x.copy()))
     # the orthonormal transform that sample_gprime_rows applies

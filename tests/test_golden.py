@@ -43,6 +43,10 @@ CASES = [
                             "--uniform-pairs", "--seed", "3"]),
     ("rhog-uniform-sampler", ["rhog", "--n", "6", "--c", "1", "--trials", "3000",
                               "--uniform-sampler", "--seed", "3"]),
+    # the float pair path over many transform blocks and a ragged tail
+    ("sqforr-conditional-n10", ["sqforr", "--n", "10", "--c", "1", "--trials", "5000",
+                                "--estimator", "conditional", "--seed", "2"]),
+    ("rhog-n9", ["rhog", "--n", "9", "--c", "1", "--trials", "5000", "--seed", "3"]),
     ("perturb", ["perturb", "--n", "6", "--seed", "5"]),
     ("derandomize", ["derandomize", "--device", "biased:0.98", "--n", "4",
                      "--budget", "2000", "--seeds", "10", "--seed", "6"]),
@@ -95,6 +99,10 @@ DIGESTS = {
         "37b151969cdffb838db3e495bfa2107743fbb7729833baab09dd7a17166f307c",
     "rhog-uniform-sampler":
         "35a0bb972c3c7778c27418c0c1ea869144a0a30c25ca1dd5046843433ea5be7c",
+    "sqforr-conditional-n10":
+        "d2fa81e3564639fe0b56ea2d3250e4b82258e1aa3a19ebea4814f6a246a0aeca",
+    "rhog-n9":
+        "597056b57b1e34baa5548739caabe31cd1ed8c8903e3e14f5aacdd220cf18a6c",
     "perturb":
         "37c31fb4f44a5b916ff42627b0cfa66f9208e2b592025b7d391dc419ff049456",
     "derandomize":

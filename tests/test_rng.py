@@ -7,6 +7,8 @@ reference outputs (first three words for seeds 0 and 1234567), and the
 vectorized mixer is held to it word for word.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,33 @@ def test_gaussians_match_requested_moments():
 def test_gaussians_odd_count():
     x = gaussians(make_rng(5, 1), 7, 1.0)
     assert x.shape == (7,)
+
+
+def gaussians_reference(rng, count, sigma):
+    """Box-Muller written out of place, one temporary per operation."""
+    pairs = (count + 1) // 2
+    u1 = rng.random(pairs)
+    u2 = rng.random(pairs)
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    theta = 2.0 * math.pi * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    if sigma != 1.0:
+        out *= sigma
+    return out[:count]
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 2**20 + 1])
+@pytest.mark.parametrize("sigma", [1.0, 0.3])
+def test_gaussians_match_out_of_place_box_muller(count, sigma):
+    rng = make_rng(5, 2)
+    got = gaussians(rng, count, sigma)
+    ref_rng = make_rng(5, 2)
+    want = gaussians_reference(ref_rng, count, sigma)
+    assert got.dtype == want.dtype == np.float64 and got.shape == (count,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert rng.random() == ref_rng.random()  # both consumed the same words
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63, MASK64])

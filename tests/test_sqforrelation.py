@@ -14,7 +14,7 @@ import pytest
 
 from certlab import sqforrelation
 from certlab.boolfn import BooleanFunction, character_values, random_function, wht_rows
-from certlab.rng import make_rng
+from certlab.rng import gaussians, make_rng
 from certlab.sqforrelation import (
     DistParams,
     hamming_balance_rate,
@@ -125,6 +125,66 @@ def test_pair_rows_rounding_marginal(monkeypatch):
     f, g = pair_rows(DistParams(9, 2.0), 500, make_rng(41, 0))
     assert float(np.mean(f == 1)) == pytest.approx(0.75, abs=0.01)
     assert float(np.mean(g == 1)) == pytest.approx(0.25, abs=0.01)
+
+
+def pair_rows_reference(params, count, rng, uniform_pairs=False):
+    """pair_rows written out of place: trnc copies, a fresh uniform array
+    for each half, and int64 signs from np.where."""
+    if uniform_pairs:
+        bits = rng.integers(0, 2, size=(2 * count, params.size), dtype=np.int8)
+        rows = 1 - 2 * bits
+        return rows[:count], rows[count:]
+    X, Yp = sample_gprime_rows(params, count, rng)
+    tX = trnc(X)
+    tY = trnc(Yp)
+    f = np.where(rng.random(tX.shape) < (1.0 + tX) / 2.0, 1, -1).astype(np.int8)
+    g = np.where(rng.random(tY.shape) < (1.0 + tY) / 2.0, 1, -1).astype(np.int8)
+    return f, g
+
+
+# (n, C, count): C = 1 at n <= 3 puts eps near 1, so the clamp binds often
+@pytest.mark.parametrize("n,C,count", [(1, 2.0, 5), (2, 1.0, 999), (3, 1.0, 64),
+                                       (8, 1.0, 300), (10, 20.0, 7)])
+@pytest.mark.parametrize("uniform_pairs", [False, True])
+def test_pair_rows_match_out_of_place_rounding(n, C, count, uniform_pairs):
+    params = DistParams(n, C)
+    for seed in range(3):
+        rng = make_rng(45, n, seed)
+        got = pair_rows(params, count, rng, uniform_pairs)
+        ref_rng = make_rng(45, n, seed)
+        want = pair_rows_reference(params, count, ref_rng, uniform_pairs)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int8 and a.shape == (count, 1 << n)
+            assert np.array_equal(a, b)
+        assert rng.random() == ref_rng.random()  # both consumed the same words
+
+
+def test_gprime_callers_see_untouched_draws(monkeypatch):
+    # phi_conditional_rows (through phi_values), truncation_rate and
+    # row_sum_tail_check get the raw draws, unclamped, and leave them as drawn
+    seen = []
+    real = sqforrelation.sample_gprime_rows
+
+    def spy(params, count, rng):
+        X, Yp = real(params, count, rng)
+        seen.append((X, Yp, X.copy(), Yp.copy()))
+        return X, Yp
+
+    monkeypatch.setattr(sqforrelation, "sample_gprime_rows", spy)
+    params = DistParams(6, 1.0)
+    phi_values(params, 300, "conditional", make_rng(46, 0))
+    truncation_rate(params, 300, make_rng(46, 1))
+    row_sum_tail_check(params, 300, make_rng(46, 2))
+    assert len(seen) == 3
+    for k, (X, Yp, X0, Yp0) in enumerate(seen):
+        assert np.array_equal(X.view(np.uint64), X0.view(np.uint64))
+        assert np.array_equal(Yp.view(np.uint64), Yp0.view(np.uint64))
+        assert np.abs(X).max() > 1.0  # eps = 0.24: a clamp would show
+        rng = make_rng(46, k)
+        ref = gaussians(rng, 300 * 64, math.sqrt(params.epsilon)).reshape(300, 64)
+        Y = wht_rows(ref) / math.sqrt(64)
+        assert np.array_equal(X0, ref)
+        assert np.array_equal(Yp0, Y * Y - params.epsilon)
 
 
 # ---------------------------------------------------------------- phi
