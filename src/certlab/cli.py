@@ -235,7 +235,8 @@ def cmd_hog(args) -> int:
     f = boolfn.random_function(args.n, rng)
     spec = boolfn.wht(f)
     if args.sampler == "honest":
-        samples = fouriersample.fourier_sample_many(spec, args.samples, rng)
+        samples = fouriersample.fourier_sample_many(
+            spec, rng.random(args.samples))
         target = boolfn.fourth_moment(spec)
     else:
         samples = rng.integers(0, f.size, size=args.samples)
@@ -396,13 +397,14 @@ def cmd_perturb(args) -> int:
 def cmd_derandomize(args) -> int:
     device = devices.parse_device(args.device)
     f = boolfn.random_function(args.n, make_rng(args.seed, _TAG_DERAND, 0))
+    spec = boolfn.wht(f)
     pairs = []
     agree = 0
     for j in range(args.seeds):
         r = entropy.RejSampSeed(derive64(args.seed, _TAG_DERAND, 1, j))
-        a = entropy.derandomize(device, f, r, args.budget,
+        a = entropy.derandomize(device, spec, r, args.budget,
                                 make_rng(args.seed, _TAG_DERAND, 2, j))
-        b = entropy.derandomize(device, f, r, args.budget,
+        b = entropy.derandomize(device, spec, r, args.budget,
                                 make_rng(args.seed, _TAG_DERAND, 3, j))
         pairs.append([int(a), int(b)])
         agree += int(a == b)
@@ -573,7 +575,7 @@ def _battery(seed: int, report: CheckReport) -> None:
     g = make_rng(seed, 103)
     f8 = boolfn.random_function(8, g)
     spec8 = boolfn.wht(f8)
-    samples = fouriersample.fourier_sample_many(spec8, 20000, g)
+    samples = fouriersample.fourier_sample_many(spec8, g.random(20000))
     score = fouriersample.hog_score(spec8, samples)
     fm = boolfn.fourth_moment(spec8)
     c2 = spec8.coeffs[samples] ** 2
@@ -648,12 +650,12 @@ def _battery(seed: int, report: CheckReport) -> None:
                and abs(coup.exact_rate - 0.5) < 1e-12,
                f"rate {coup.rate:.4f} vs 2d/(1+d) = {coup.disjoint_rate:.4f}")
     dev = devices.biased(0.98)
-    f4 = boolfn.random_function(4, make_rng(seed, 113))
+    spec4 = boolfn.wht(boolfn.random_function(4, make_rng(seed, 113)))
     agree = 0
     for j in range(40):
         r = entropy.RejSampSeed(derive64(seed, 114, j))
-        a = entropy.derandomize(dev, f4, r, 5000, make_rng(seed, 115, j))
-        b = entropy.derandomize(dev, f4, r, 5000, make_rng(seed, 116, j))
+        a = entropy.derandomize(dev, spec4, r, 5000, make_rng(seed, 115, j))
+        b = entropy.derandomize(dev, spec4, r, 5000, make_rng(seed, 116, j))
         agree += int(a == b)
     report.add("derandomize-constancy", agree >= 36,
                f"{agree}/40 shared-seed reruns agreed")

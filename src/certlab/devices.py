@@ -10,6 +10,9 @@ Four kinds, all answering one challenge function with one index:
 
 Each kind's output law has a closed form in the integer spectrum, so
 min_entropy_rows is exact rather than estimated.
+
+A biased call draws one coin per answer, then one uniform per answer (the
+digests pin this stream), and searches only the answers whose coin is >= p.
 """
 
 from __future__ import annotations
@@ -63,10 +66,10 @@ class DeviceModel:
         if self.kind == "argmax":
             return np.full(count, argmax_index(spec), dtype=np.int64)
         if self.kind == "honest":
-            return fourier_sample_many(spec, count, rng)
-        picks = rng.random(count) < self.p
-        out = fourier_sample_many(spec, count, rng)
-        out[picks] = argmax_index(spec)
+            return fourier_sample_many(spec, rng.random(count))
+        keep = rng.random(count) >= self.p
+        out = np.full(count, argmax_index(spec), dtype=np.int64)
+        out[keep] = fourier_sample_many(spec, rng.random(count)[keep])
         return out
 
     def sample_rows(
@@ -80,9 +83,9 @@ class DeviceModel:
             return argmax_rows(scaled_rows)
         if self.kind == "honest":
             return fourier_rows(scaled_rows, rng.random(rows))
-        picks = rng.random(rows) < self.p
-        out = fourier_rows(scaled_rows, rng.random(rows))
-        out[picks] = argmax_rows(scaled_rows)[picks]
+        keep = rng.random(rows) >= self.p
+        out = argmax_rows(scaled_rows)
+        out[keep] = fourier_rows(scaled_rows[keep], rng.random(rows)[keep])
         return out
 
     def min_entropy_rows(self, scaled_rows: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, p_set, wht
+from .boolfn import BooleanFunction, FourierSpectrum, p_set
 from .rng import make_rng
 from .stats import wilson_halfwidth
 
@@ -265,14 +265,14 @@ def empirical_distribution(draws: np.ndarray, size: int) -> OutcomeDistribution:
 
 def derandomize(
     device,
-    f: BooleanFunction,
+    spec: FourierSpectrum,
     r: RejSampSeed,
     budget: int,
     rng: np.random.Generator,
 ) -> int:
     """Replay a sampling device through a shared stream.
 
-    Step 1: estimate the device's distribution on f from `budget` fresh
+    Step 1: estimate the device's distribution on spec from `budget` fresh
     draws.  Step 2: output rejsamp(empirical law, r).  The marginal over
     (device randomness, r) is exactly the device's own law; for a
     sufficiently deterministic device and a generous budget the output is
@@ -280,7 +280,6 @@ def derandomize(
     """
     if budget < 1:
         raise BudgetZero("derandomization needs at least one device sample")
-    spec = wht(f)
     draws = device.sample_many(spec, budget, rng)
     emp = empirical_distribution(draws, spec.size)
     return rejsamp(emp, r)

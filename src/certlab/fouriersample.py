@@ -58,19 +58,15 @@ class PgPbEstimate:
             raise ValueError("p_g must equal p_light4 - p_b")
 
 
-def fourier_sample_many(
-    spec: FourierSpectrum, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """`count` independent Fourier samples from one spectrum.
+def fourier_sample_many(spec: FourierSpectrum, u: np.ndarray) -> np.ndarray:
+    """One Fourier sample from one spectrum per given uniform.
 
     Inverse CDF over the cumulative squared spectrum, using the scaled
     integers so the CDF grid is exact (total mass N^2).
     """
     w = spec.scaled.astype(np.int64)
     cs = np.cumsum(w * w)
-    total = int(cs[-1])
-    u = rng.random(count)
-    return np.searchsorted(cs, u * total, side="right").astype(np.int64)
+    return np.searchsorted(cs, u * int(cs[-1]), side="right").astype(np.int64)
 
 
 def fourier_rows(scaled_rows: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from certlab.boolfn import (
     classify_scaled,
     coefficient_at,
     random_functions_batch,
+    wht,
     wht_rows,
 )
 from certlab.devices import argmax_deterministic, biased, honest, uniform_cheat
@@ -235,14 +236,14 @@ def test_08_derandomizer_contracts(criterion):
     # marginal equality over fresh seeds, honest device at n=4
     dev = honest()
     rows = random_functions_batch(4, 1, make_rng(SEED, 10))
-    f = BooleanFunction(4, rows[0])
+    spec = wht(BooleanFunction(4, rows[0]))
     spec_scaled = wht_rows(rows.astype(np.int64))[0]
     probs = (spec_scaled / 16.0) ** 2
     rng = make_rng(SEED, 11)
     counts = np.zeros(16)
     for j in range(2000):
         r = RejSampSeed(derive64(SEED, 12, j))
-        counts[derandomize(dev, f, r, 500, rng)] += 1
+        counts[derandomize(dev, spec, r, 500, rng)] += 1
     support = probs > 0
     leak = counts[~support].sum()
     _, pvalue = chisquare(counts[support], 2000 * probs[support])
@@ -253,7 +254,7 @@ def test_08_derandomizer_contracts(criterion):
     for j in range(100):
         r = RejSampSeed(derive64(SEED, 13, j))
         outs = {
-            derandomize(dev98, f, r, 10000, make_rng(SEED, 14, j, rep))
+            derandomize(dev98, spec, r, 10000, make_rng(SEED, 14, j, rep))
             for rep in range(20)
         }
         constant_seeds += int(len(outs) == 1)

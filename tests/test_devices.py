@@ -16,6 +16,7 @@ from certlab.devices import (
     argmax_deterministic,
 )
 from certlab.entropy import OutcomeDistribution, min_entropy
+from certlab.fouriersample import fourier_rows, fourier_sample_many
 from certlab.rng import make_rng
 
 
@@ -115,6 +116,56 @@ def test_sample_rows_answers_each_challenge():
         assert np.all((0 <= ans) & (ans < 32))
     fixed = argmax_deterministic().sample_rows(scaled, make_rng(71, 2))
     assert np.array_equal(fixed, argmax_rows(scaled))
+
+
+def draw_all_then_overwrite_many(p, spec, count, rng):
+    """The biased device as first written: search every answer, then
+    overwrite the ones whose coin fell under p with the argmax."""
+    picks = rng.random(count) < p
+    out = fourier_sample_many(spec, rng.random(count))
+    out[picks] = argmax_index(spec)
+    return out
+
+
+def draw_all_then_overwrite_rows(p, scaled_rows, rng):
+    rows = scaled_rows.shape[0]
+    picks = rng.random(rows) < p
+    out = fourier_rows(scaled_rows, rng.random(rows))
+    out[picks] = argmax_rows(scaled_rows)[picks]
+    return out
+
+
+BIASED_P = (0.0, 0.5, 0.98, 1.0)
+COUNTS = (0, 1, 7, 10000)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+@pytest.mark.parametrize("p", BIASED_P)
+def test_biased_sample_many_matches_draw_all_reference(p, n):
+    spec = wht(random_function(n, make_rng(72, n)))
+    for count in COUNTS:
+        got_rng, ref_rng = make_rng(72, n, count), make_rng(72, n, count)
+        got = biased(p).sample_many(spec, count, got_rng)
+        ref = draw_all_then_overwrite_many(p, spec, count, ref_rng)
+        assert got.dtype == ref.dtype == np.int64
+        assert np.array_equal(got, ref)
+        assert got_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+@pytest.mark.parametrize("p", BIASED_P)
+def test_biased_sample_rows_matches_draw_all_reference(p, n):
+    # n = 8 rows are longer than one scan block, so fourier_rows takes its
+    # blocked search there
+    for rows in COUNTS:
+        signs = random_functions_batch(n, rows, make_rng(73, n, rows))
+        scaled = wht_rows(signs.astype(np.int64))
+        got_rng, ref_rng = make_rng(73, n, rows, 1), make_rng(73, n, rows, 1)
+        got = biased(p).sample_rows(scaled, got_rng)
+        ref = draw_all_then_overwrite_rows(p, scaled, ref_rng)
+        assert got.dtype == ref.dtype == np.int64
+        assert np.array_equal(got, ref)
+        assert got_rng.random() == ref_rng.random()
 
 
 def test_min_entropy_rows_matches_distribution(spec4):

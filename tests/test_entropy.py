@@ -209,28 +209,39 @@ def test_degree_ratio_rejects_odd_root():
 
 def test_derandomize_same_seed_same_output():
     device = biased(0.98)
-    f = random_function(4, make_rng(63, 0))
+    spec = wht(random_function(4, make_rng(63, 0)))
     r = RejSampSeed(derive64(63, 1))
-    a = derandomize(device, f, r, 5000, make_rng(63, 2))
-    b = derandomize(device, f, r, 5000, make_rng(63, 3))
+    a = derandomize(device, spec, r, 5000, make_rng(63, 2))
+    b = derandomize(device, spec, r, 5000, make_rng(63, 3))
     assert a == b
 
 
 def test_derandomize_budget_must_be_positive():
     with pytest.raises(BudgetZero):
-        derandomize(honest(), random_function(4, make_rng(63, 4)),
+        derandomize(honest(), wht(random_function(4, make_rng(63, 4))),
                     RejSampSeed(1), 0, make_rng(63, 5))
+
+
+def test_fully_biased_device_derandomizes_to_its_argmax():
+    # p = 1 leaves no answer to the Fourier search: the empirical law is a
+    # point mass at the argmax, which every shared stream must return
+    spec = wht(random_function(4, make_rng(65, 0)))
+    z = argmax_index(spec)
+    rng = make_rng(65, 1)
+    for j in range(300):
+        r = RejSampSeed(derive64(65, 2, j))
+        assert derandomize(biased(1.0), spec, r, 100, rng) == z
 
 
 def test_derandomize_marginal_tracks_device():
     # over random seeds the replayed output has the device's distribution
     device = uniform_cheat()
-    f = random_function(3, make_rng(64, 0))
+    spec = wht(random_function(3, make_rng(64, 0)))
     rng = make_rng(64, 1)
     counts = np.zeros(8)
     for j in range(4000):
         r = RejSampSeed(derive64(64, 2, j))
-        counts[derandomize(device, f, r, 200, rng)] += 1
+        counts[derandomize(device, spec, r, 200, rng)] += 1
     from scipy.stats import chisquare
 
     _, pvalue = chisquare(counts)

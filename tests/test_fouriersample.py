@@ -119,7 +119,7 @@ def test_fourier_sample_goodness_of_fit():
     # fixed f, 20000 draws, chi-square against the exact squared spectrum
     f = random_function(5, make_rng(21, 0))
     spec = wht(f)
-    draws = fourier_sample_many(spec, 20000, make_rng(21, 1))
+    draws = fourier_sample_many(spec, make_rng(21, 1).random(20000))
     probs = spec.coeffs ** 2
     support = probs > 0
     counts = np.bincount(draws, minlength=f.size)
@@ -142,7 +142,7 @@ def test_fourier_sample_point_mass():
 
     f = BooleanFunction(4, character_values(4, 3))
     spec = wht(f)
-    draws = fourier_sample_many(spec, 100, make_rng(23, 0))
+    draws = fourier_sample_many(spec, make_rng(23, 0).random(100))
     assert np.all(draws == 3)
 
 
@@ -249,7 +249,7 @@ def test_hog_score_is_mean_squared_coefficient():
 def test_honest_hog_approaches_fourth_moment():
     f = random_function(8, make_rng(25, 0))
     spec = wht(f)
-    draws = fourier_sample_many(spec, 50000, make_rng(25, 1))
+    draws = fourier_sample_many(spec, make_rng(25, 1).random(50000))
     assert hog_score(spec, draws) == pytest.approx(
         fourth_moment(spec), abs=5e-4
     )
