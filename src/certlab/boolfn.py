@@ -252,23 +252,6 @@ def spectrum_to_function(spec: FourierSpectrum) -> BooleanFunction:
     return BooleanFunction(spec.n, vals.astype(np.int8))
 
 
-def classify(coeff: float, N: int) -> HeavinessClass:
-    """Heaviness of a single coefficient against the 1/sqrt(N), 2/sqrt(N) bars.
-
-    The comparison is done on N*coeff^2 vs 1 and 4, which is exact for
-    genuine spectra (coeff = W/N dyadic, W^2 < 2^53), so boundary cases
-    land on the inclusive side by arithmetic rather than luck.
-    """
-    if N < 1:
-        raise ValueError("N must be positive")
-    t = coeff * coeff * N
-    if t <= 1.0:
-        return HeavinessClass.LIGHT
-    if t <= 4.0:
-        return HeavinessClass.SLIGHTLY_HEAVY
-    return HeavinessClass.VERY_HEAVY
-
-
 def classify_scaled(w: int, N: int) -> HeavinessClass:
     """Exact integer heaviness of a scaled coefficient W = N*fhat."""
     w2 = int(w) * int(w)

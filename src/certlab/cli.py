@@ -182,17 +182,12 @@ def cmd_wht(args) -> int:
     return 0
 
 
-def _sampler_by_name(name: str):
-    return (fouriersample.honest_sampler if name == "honest"
-            else fouriersample.uniform_sampler)
-
-
 def cmd_pgpb(args) -> int:
-    sampler = _sampler_by_name(args.sampler)
+    device = devices.DeviceModel(args.sampler)
 
     def worker(i, count):
         rng = make_rng(args.seed, _TAG_PGPB, i)
-        return fouriersample.pgpb_counts(args.n, sampler, count, rng)
+        return fouriersample.pgpb_counts(args.n, device, count, rng)
 
     parts = _fanout(args.trials, args.threads, worker)
     n_light = sum(p[0] for p in parts)
@@ -234,13 +229,8 @@ def cmd_hog(args) -> int:
     rng = make_rng(args.seed, _TAG_HOG)
     f = boolfn.random_function(args.n, rng)
     spec = boolfn.wht(f)
-    if args.sampler == "honest":
-        samples = fouriersample.fourier_sample_many(
-            spec, rng.random(args.samples))
-        target = boolfn.fourth_moment(spec)
-    else:
-        samples = rng.integers(0, f.size, size=args.samples)
-        target = 1.0 / f.size
+    samples = devices.DeviceModel(args.sampler).sample_many(spec, args.samples, rng)
+    target = boolfn.fourth_moment(spec) if args.sampler == "honest" else 1.0 / f.size
     score = fouriersample.hog_score(spec, samples)
     results = {
         "n": args.n,
@@ -550,14 +540,14 @@ def _battery(seed: int, report: CheckReport) -> None:
                f"n=2 spectrum {known.coeffs.tolist()}")
     report.add(
         "classify-boundaries",
-        boolfn.classify(0.5, 4) is boolfn.HeavinessClass.LIGHT
-        and boolfn.classify(0.75, 16) is boolfn.HeavinessClass.VERY_HEAVY
-        and boolfn.classify(0.0, 1024) is boolfn.HeavinessClass.LIGHT,
+        boolfn.classify_scaled(2, 4) is boolfn.HeavinessClass.LIGHT
+        and boolfn.classify_scaled(12, 16) is boolfn.HeavinessClass.VERY_HEAVY
+        and boolfn.classify_scaled(0, 1024) is boolfn.HeavinessClass.LIGHT,
         "inclusive thresholds at 1/sqrt(N), 2/sqrt(N)")
 
     # -- heaviness statistics
     est = fouriersample.estimate_pg_pb(
-        10, fouriersample.honest_sampler, 20000, make_rng(seed, 101))
+        10, devices.honest(), 20000, make_rng(seed, 101))
     ref_b, ref_l4, ref_g = fouriersample.exact_band_rates(10)
     report.add("pgpb-honest-windows",
                abs(est.p_b - ref_b) <= 0.03
@@ -567,7 +557,7 @@ def _battery(seed: int, report: CheckReport) -> None:
                f"p_g={est.p_g:.4f} vs exact n=10 ({ref_b:.4f}, {ref_l4:.4f}, "
                f"{ref_g:.4f})")
     estu = fouriersample.estimate_pg_pb(
-        10, fouriersample.uniform_sampler, 10000, make_rng(seed, 102))
+        10, devices.uniform_cheat(), 10000, make_rng(seed, 102))
     ref_u = fouriersample.exact_band_rates(10, "uniform")[0]
     report.add("pgpb-uniform-sampler", abs(estu.p_b - ref_u) <= 0.03,
                f"p_b={estu.p_b:.4f} vs exact n=10 mass {ref_u:.4f}")
@@ -575,7 +565,7 @@ def _battery(seed: int, report: CheckReport) -> None:
     g = make_rng(seed, 103)
     f8 = boolfn.random_function(8, g)
     spec8 = boolfn.wht(f8)
-    samples = fouriersample.fourier_sample_many(spec8, g.random(20000))
+    samples = devices.honest().sample_many(spec8, 20000, g)
     score = fouriersample.hog_score(spec8, samples)
     fm = boolfn.fourth_moment(spec8)
     c2 = spec8.coeffs[samples] ** 2
@@ -759,6 +749,17 @@ def _int_in(low: int, high: int | None = None, base: int = 10):
     return convert
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
+
+
 _N = _int_in(1, boolfn.MAX_N)
 _COUNT = _int_in(1)
 _SEED = _int_in(0, MASK64, base=0)  # decimal or 0x-prefixed, 64 bits
@@ -770,7 +771,7 @@ def _add_common(p, seed_default=0):
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--check", action="store_true",
                    help="assert this command's contract; exit 1 on failure")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tolerance, default=None,
                    help="tolerance for --check (command-specific default)")
 
 

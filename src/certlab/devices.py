@@ -2,7 +2,7 @@
 
 Four kinds, all answering one challenge function with one index:
 
-* honest            -- Fourier sampler, z with probability fhat(z)^2;
+* honest            -- Fourier sampler, z ~ fhat(z)^2 (`honest_sampler`'s draw);
 * uniform           -- ignores the function, uniform z (a blind cheat);
 * argmax            -- deterministic, always the lexicographically-first
                        index of the largest |fhat| (max collision cheat);
@@ -22,15 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import FourierSpectrum
-from .fouriersample import fourier_rows, fourier_sample_many
+from .fouriersample import fourier_rows, fourier_sample_many, honest_sampler
 
 KINDS = ("honest", "uniform", "argmax", "biased")
 
 
 def argmax_index(spec: FourierSpectrum) -> int:
     """Lexicographically-first z maximizing |fhat(z)| (exact, on integers)."""
-    w = spec.scaled.astype(np.int64)
-    return int(np.argmax(w * w))
+    return int(argmax_rows(spec.scaled[None, :])[0])
 
 
 def argmax_rows(scaled_rows: np.ndarray) -> np.ndarray:
@@ -82,7 +81,7 @@ class DeviceModel:
         if self.kind == "argmax":
             return argmax_rows(scaled_rows)
         if self.kind == "honest":
-            return fourier_rows(scaled_rows, rng.random(rows))
+            return honest_sampler.sample_batch(scaled_rows, rng)
         keep = rng.random(rows) >= self.p
         out = argmax_rows(scaled_rows)
         out[keep] = fourier_rows(scaled_rows[keep], rng.random(rows)[keep])

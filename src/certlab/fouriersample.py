@@ -113,37 +113,22 @@ def hog_score(spec: FourierSpectrum, samples) -> float:
 class HonestSampler:
     """Draws z ~ fhat(z)^2 — the distribution the quantum algorithm outputs."""
 
-    name = "honest"
-
     def sample_batch(self, scaled_rows: np.ndarray,
                      rng: np.random.Generator) -> np.ndarray:
         return fourier_rows(scaled_rows, rng.random(scaled_rows.shape[0]))
 
 
-class UniformSampler:
-    """Ignores the function and returns a uniform index (a blind cheat)."""
-
-    name = "uniform"
-
-    def sample_batch(self, scaled_rows: np.ndarray,
-                     rng: np.random.Generator) -> np.ndarray:
-        rows, size = scaled_rows.shape
-        return rng.integers(0, size, size=rows, dtype=np.int64)
-
-
 honest_sampler = HonestSampler()
-uniform_sampler = UniformSampler()
 
 
-def pgpb_counts(n: int, algorithm, functions: int,
+def pgpb_counts(n: int, device, functions: int,
                 rng: np.random.Generator) -> tuple[int, int]:
     """(Light count, Light-or-SlightlyHeavy count) over fresh functions.
 
-    Each trial draws a new uniform function, lets the algorithm return one
-    index, and classifies the coefficient at that index by exact integer
-    comparison on the scaled spectrum.  `algorithm` returns one index per
-    row through `sample_batch(scaled_rows, rng)`, as `honest_sampler` and
-    `uniform_sampler` do.
+    Each trial draws a new uniform function, lets the device answer it with
+    one index (`device.sample_rows(scaled_rows, rng)`, a `DeviceModel`), and
+    classifies the coefficient at that index by exact integer comparison on
+    the scaled spectrum.
     """
     if functions < 0:
         raise ValueError("functions must be nonnegative")
@@ -154,7 +139,7 @@ def pgpb_counts(n: int, algorithm, functions: int,
     while done < functions:
         b = min(_BATCH, functions - done)
         scaled = wht_rows(random_functions_batch(n, b, rng))
-        idx = algorithm.sample_batch(scaled, rng)
+        idx = device.sample_rows(scaled, rng)
         w = scaled[np.arange(b), idx].astype(np.int64)
         w2 = w * w
         n_light += int(np.count_nonzero(w2 <= size))
@@ -177,10 +162,10 @@ def pgpb_from_counts(n_light: int, n_light4: int, functions: int) -> PgPbEstimat
     return PgPbEstimate(p_b, p_light4, p_light4 - p_b, functions, ci)
 
 
-def estimate_pg_pb(n: int, algorithm, functions: int,
+def estimate_pg_pb(n: int, device, functions: int,
                    rng: np.random.Generator) -> PgPbEstimate:
-    """Heaviness statistics of `algorithm` over fresh random functions."""
-    n_light, n_light4 = pgpb_counts(n, algorithm, functions, rng)
+    """Heaviness statistics of the `DeviceModel` over fresh random functions."""
+    n_light, n_light4 = pgpb_counts(n, device, functions, rng)
     return pgpb_from_counts(n_light, n_light4, functions)
 
 

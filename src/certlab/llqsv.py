@@ -24,7 +24,7 @@ from .boolfn import (
     scaled_at,
     wht_rows,
 )
-from .fouriersample import fourier_rows
+from .fouriersample import honest_sampler
 from .stats import wilson_halfwidth
 
 CASES = ("uniform", "fourier")
@@ -152,7 +152,7 @@ def stream_llqsv(n: int, T: int, case: str, rng: np.random.Generator):
         b = min(_BATCH, T - done)
         tables = random_functions_batch(n, b, rng)
         if case == "fourier":
-            s = fourier_rows(wht_rows(tables), rng.random(b))
+            s = honest_sampler.sample_batch(wht_rows(tables), rng)
         else:
             s = rng.integers(0, size, size=b, dtype=np.int64)
         yield tables, s

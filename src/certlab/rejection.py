@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import BooleanFunction, wht_rows
-from .fouriersample import fourier_rows
+from .fouriersample import honest_sampler
 from .sqforrelation import DistParams, pair_rows
 from .stats import mean_ci99
 
@@ -89,7 +89,7 @@ def rhog_values(
         if uniform_sampler:
             x = rng.integers(0, size, size=b)
         else:
-            x = fourier_rows(wht_rows(f_rows), rng.random(b))
+            x = honest_sampler.sample_batch(wht_rows(f_rows), rng)
         ones = np.count_nonzero(g_rows == 1, axis=1)
         a = ones / size
         with np.errstate(divide="ignore", invalid="ignore"):

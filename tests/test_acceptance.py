@@ -37,7 +37,7 @@ from certlab.entropy import (
     perturb_make_light,
     rejsamp,
 )
-from certlab.fouriersample import estimate_pg_pb, gaussian_reference, honest_sampler
+from certlab.fouriersample import estimate_pg_pb, gaussian_reference
 from certlab.llqsv import llqsv_instance, advantage
 from certlab.protocol import ProtocolConfig, Verdict, run_protocol
 from certlab.rejection import rhog_score
@@ -56,7 +56,7 @@ SEED = 20260823  # master seed for the whole gate; everything derives from it
 
 
 def test_01_band_rates_at_n12_match_reference(criterion):
-    est = estimate_pg_pb(12, honest_sampler, 100000, make_rng(SEED, 1))
+    est = estimate_pg_pb(12, honest(), 100000, make_rng(SEED, 1))
     exact_b, exact_l4, exact_g = (float(p) for p in band_rates(12))
     ref_b, ref_l4, ref_g = gaussian_reference()
     in_windows = (

@@ -23,7 +23,6 @@ from certlab.boolfn import (
     SizeLimit,
     ZeroCoefficient,
     character_values,
-    classify,
     classify_scaled,
     coefficient_at,
     fourth_moment,
@@ -277,12 +276,6 @@ def test_classify_scaled_boundaries_are_inclusive():
     assert classify_scaled(8, N) is HeavinessClass.SLIGHTLY_HEAVY  # w^2 = 4N
     assert classify_scaled(9, N) is HeavinessClass.VERY_HEAVY
     assert classify_scaled(0, N) is HeavinessClass.LIGHT
-
-
-def test_classify_float_agrees_with_integer_path():
-    N = 16
-    for w in range(-N, N + 1):
-        assert classify(w / N, N) is classify_scaled(w, N)
 
 
 def test_classify_enum_labels():

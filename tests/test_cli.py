@@ -67,6 +67,10 @@ def test_missing_subcommand_is_usage_error():
     ["hog", "--seed", "0x10000000000000000"],
     ["derandomize", "--budget", "0"],
     ["protocol", "--extract-bits", "-1"],
+    # a negative or non-finite tolerance would turn a passing check false
+    ["wht", "--tol", "-1", "--n", "3", "--check"],
+    ["wht", "--tol", "nan", "--n", "3", "--check"],
+    ["hog", "--tol", "inf", "--check"],
 ], ids=" ".join)
 def test_out_of_range_flag_is_one_line_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

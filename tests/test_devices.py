@@ -118,6 +118,52 @@ def test_sample_rows_answers_each_challenge():
     assert np.array_equal(fixed, argmax_rows(scaled))
 
 
+# the honest and uniform draws as the sampler objects and `hog` made them
+# before the devices took them over: the same values, the same stream use
+def honest_rows_reference(scaled_rows, rng):
+    return fourier_rows(scaled_rows, rng.random(scaled_rows.shape[0]))
+
+
+def uniform_rows_reference(scaled_rows, rng):
+    rows, size = scaled_rows.shape
+    return rng.integers(0, size, size=rows, dtype=np.int64)
+
+
+def honest_many_reference(spec, count, rng):
+    return fourier_sample_many(spec, rng.random(count))
+
+
+def uniform_many_reference(spec, count, rng):
+    return rng.integers(0, spec.size, size=count)
+
+
+REFERENCES = {"honest": (honest_rows_reference, honest_many_reference),
+              "uniform": (uniform_rows_reference, uniform_many_reference)}
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 12])
+@pytest.mark.parametrize("kind", ["honest", "uniform"])
+def test_honest_and_uniform_devices_match_sampler_expressions(kind, n):
+    # n = 7 and 12 rows are longer than one scan block (blocked search)
+    rows_ref, many_ref = REFERENCES[kind]
+    dev = DeviceModel(kind)
+    spec = wht(random_function(n, make_rng(74, n)))
+    for b in (1, 512, 513):
+        scaled = wht_rows(random_functions_batch(n, b, make_rng(74, n, b)))
+        got_rng, ref_rng = make_rng(74, n, b, 1), make_rng(74, n, b, 1)
+        got = dev.sample_rows(scaled, got_rng)
+        ref = rows_ref(scaled, ref_rng)
+        assert got.dtype == ref.dtype == np.int64
+        assert np.array_equal(got, ref)
+        assert got_rng.random() == ref_rng.random()
+        got_rng, ref_rng = make_rng(74, n, b, 2), make_rng(74, n, b, 2)
+        got = dev.sample_many(spec, b, got_rng)
+        ref = many_ref(spec, b, ref_rng)
+        assert got.dtype == ref.dtype == np.int64
+        assert np.array_equal(got, ref)
+        assert got_rng.random() == ref_rng.random()
+
+
 def draw_all_then_overwrite_many(p, spec, count, rng):
     """The biased device as first written: search every answer, then
     overwrite the ones whose coin fell under p with the argmax."""

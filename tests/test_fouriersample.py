@@ -38,12 +38,11 @@ from certlab.fouriersample import (
     fourier_sample_many,
     gaussian_reference,
     hog_score,
-    honest_sampler,
     pgpb_counts,
     pgpb_from_counts,
     tv_distance,
-    uniform_sampler,
 )
+from certlab.devices import honest, uniform_cheat
 from certlab.rng import make_rng
 from exact_laws import band_rates, uniform_band_rates
 
@@ -266,16 +265,16 @@ def test_uniform_hog_approaches_one_over_n():
 # ---------------------------------------------------------------- band rates
 
 def test_estimate_matches_chunked_counts():
-    n_light, n_light4 = pgpb_counts(8, honest_sampler, 500, make_rng(27, 0))
+    n_light, n_light4 = pgpb_counts(8, honest(), 500, make_rng(27, 0))
     est = pgpb_from_counts(n_light, n_light4, 500)
-    whole = estimate_pg_pb(8, honest_sampler, 500, make_rng(27, 0))
+    whole = estimate_pg_pb(8, honest(), 500, make_rng(27, 0))
     assert est.p_b == whole.p_b
     assert est.p_light4 == whole.p_light4
     assert est.p_g == whole.p_g
 
 
 def test_estimate_invariants():
-    est = estimate_pg_pb(8, honest_sampler, 2000, make_rng(27, 1))
+    est = estimate_pg_pb(8, honest(), 2000, make_rng(27, 1))
     assert 0.0 <= est.p_b <= est.p_light4 <= 1.0
     assert est.p_g == pytest.approx(est.p_light4 - est.p_b)
     assert est.trials == 2000
@@ -291,7 +290,7 @@ def test_honest_rates_near_gaussian_reference():
     # n=10, 20000 trials: the exact n=10 law sits 0.015 (p_b) and 0.014
     # (p_light4) above the Gaussian limit and the ci99 is ~0.008, so 0.03
     # covers both; gate 1 holds the n=12 rates to the exact law itself
-    est = estimate_pg_pb(10, honest_sampler, 20000, make_rng(28, 0))
+    est = estimate_pg_pb(10, honest(), 20000, make_rng(28, 0))
     assert est.p_b == pytest.approx(P_B_REF, abs=0.03)
     assert est.p_light4 == pytest.approx(P_LIGHT4_REF, abs=0.03)
     assert est.p_g == pytest.approx(P_G_REF, abs=0.03)
@@ -300,15 +299,15 @@ def test_honest_rates_near_gaussian_reference():
 def test_uniform_sampler_rates_follow_plain_normal_band():
     # a uniform z makes N * fhat(z)^2 approximately chi-square(1), so the
     # light band carries erf(1/sqrt(2)) of the mass
-    est = estimate_pg_pb(10, uniform_sampler, 10000, make_rng(28, 1))
+    est = estimate_pg_pb(10, uniform_cheat(), 10000, make_rng(28, 1))
     assert est.p_b == pytest.approx(math.erf(1 / math.sqrt(2)), abs=0.03)
 
 
 def test_sampler_objects_sample_in_range():
     f = random_function(5, make_rng(29, 0))
     rows = wht(f).scaled[None, :]
-    z_h = honest_sampler.sample_batch(rows, make_rng(29, 1))
-    z_u = uniform_sampler.sample_batch(rows, make_rng(29, 2))
+    z_h = honest().sample_rows(rows, make_rng(29, 1))
+    z_u = uniform_cheat().sample_rows(rows, make_rng(29, 2))
     assert z_h.shape == z_u.shape == (1,)
     assert 0 <= z_h[0] < f.size and 0 <= z_u[0] < f.size
 
