@@ -20,6 +20,7 @@ import argparse
 import binascii
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -32,7 +33,9 @@ from . import sqforrelation as sqf
 from .rng import MASK64, derive64, make_rng
 from .stats import Z99
 
-_CHUNK = 8192  # trials per fan-out chunk; fixed so results ignore --threads
+# Trials per fan-out chunk, fixed so results ignore --threads; also the
+# challenge rows per chunk of the protocol writer.
+_CHUNK = 8192
 
 # stream tags, one per command family
 _TAG_PGPB = 10
@@ -84,15 +87,14 @@ def _payload(args, command: str, results: dict) -> dict:
     }
 
 
-def _write_text(out_path, *parts: str):
-    """Write `parts` in order to `out_path` (stdout if unset), unjoined."""
-    if out_path:
-        with open(out_path, "w") as fh:
-            for part in parts:
-                fh.write(part)
+def _write_text(out, parts) -> None:
+    """Write the strings of `parts` in order, as they come, to `out`: a
+    path, an open text stream, or stdout when unset."""
+    if isinstance(out, str) and out:
+        with open(out, "w") as fh:
+            fh.writelines(parts)
     else:
-        for part in parts:
-            sys.stdout.write(part)
+        (out or sys.stdout).writelines(parts)
 
 
 def _emit(args, command: str, results: dict, rows=None, header=None) -> None:
@@ -100,7 +102,7 @@ def _emit(args, command: str, results: dict, rows=None, header=None) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "json" or rows is None:
         _write_text(getattr(args, "out", None),
-                    json.dumps(payload, indent=2, sort_keys=True) + "\n")
+                    [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
         return
     buf = io.StringIO()
     buf.write(f"# certlab {__version__} {command}\n")
@@ -109,7 +111,7 @@ def _emit(args, command: str, results: dict, rows=None, header=None) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _write_text(getattr(args, "out", None), buf.getvalue())
+    _write_text(getattr(args, "out", None), [buf.getvalue()])
 
 
 class CheckReport:
@@ -461,25 +463,81 @@ def cmd_llqsv(args) -> int:
 # writes it as "\u0000challenges\u0000", which no flag value can contain.
 _CHALLENGES = "\0challenges\0"
 
-# One challenge record as json.dumps(indent=2, sort_keys=True) lays it out
-# at payload["results"]["challenges"][i].
-_CHALLENGE_ROW = '      {\n        "key": %d,\n        "p": %s,\n        "s": %d\n      }'
+# The text around the three fields of one challenge record, as
+# json.dumps(indent=2, sort_keys=True) lays it out at
+# payload["results"]["challenges"][i], followed by the ",\n" that separates
+# it from the next record.
+_ROW_TEXT = ('      {\n        "key": ', ',\n        "p": ', ',\n        "s": ',
+             "\n      },\n")
+_KEY_DIGITS = 20  # decimal digits of 2^64 - 1
+# Two decimal digits per 2-byte ASCII word, in three runs of 100 by the
+# pair's place in its number: [0] left of the first digit (NUL NUL), [1] the
+# pair holding the first digit (a leading 0 as NUL), [2] right of it.
+_PAIR_TEXT = np.frombuffer(
+    ("\0\0" * 100
+     + "".join(f"{i:2d}" for i in range(100)).replace(" ", "\0")
+     + "".join(f"{i:02d}" for i in range(100))).encode(), dtype=np.uint16)
 
 
-def _challenges_json(transcript) -> str:
-    """The `challenges` array, byte-identical to what json.dumps writes for
-    one {"key", "p", "s"} dict per challenge at the payload's depth.
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """Decimal digits of nonnegative integers below 10^width, as ASCII in a
+    (len, width) uint8 matrix; leading zeros are NUL, and 0 is "0"."""
+    pairs = np.empty((values.size, (width + 1) // 2), dtype=np.uint16)
+    v = values.astype(np.uint64)
+    last = pairs.shape[1] - 1
+    for j in range(last, -1, -1):
+        q = v // 100  # np.divmod is several times slower
+        idx = (v - q * 100).astype(np.intp)
+        idx += 100 * (q > 0)
+        idx += 100 * (v > 0) if j < last else 100  # 0 is written "0"
+        pairs[:, j] = _PAIR_TEXT[idx]
+        v = q
+    return pairs.view(np.uint8)[:, width % 2:]
 
-    Keys reach Python through tolist(), so a uint64 never passes int64.
+
+def _challenges_json(transcript):
+    """The `challenges` array as ASCII chunks, byte-identical together to
+    what json.dumps writes for one {"key", "p", "s"} dict per challenge at
+    the payload's depth.
+
+    Each chunk of _CHUNK rows is one (rows, width) uint8 matrix: the text
+    of _ROW_TEXT around the key and s digits (`_digits`) and the p text.
     p = w^2/N^2 takes few distinct values; each is formatted once with
-    float.__repr__, which is json's float format (numpy's is not).
+    float.__repr__, which is json's float format (numpy's is not).  Every
+    field is padded with NUL, and dropping the NULs leaves the rows.
     """
     values, index = np.unique(transcript.probs, return_inverse=True)
-    p_text = [float.__repr__(v) for v in values.tolist()]
-    rows = zip(transcript.challenge_keys.tolist(),
-               [p_text[i] for i in index.tolist()],
-               transcript.samples.tolist())
-    return "[\n" + ",\n".join(map(_CHALLENGE_ROW.__mod__, rows)) + "\n    ]"
+    p_text = np.array([float.__repr__(v).encode() for v in values.tolist()])
+    p_table = p_text.view(np.uint8).reshape(values.size, -1)  # NUL-padded
+    s_digits = len(str(transcript.config.size - 1))
+    widths = (_KEY_DIGITS, p_table.shape[1], s_digits, 0)
+    template = "".join(t + "\0" * w for t, w in zip(_ROW_TEXT, widths))
+    template = np.frombuffer(template.encode(), dtype=np.uint8)
+    ends = np.cumsum([len(t) + w for t, w in zip(_ROW_TEXT, widths)]).tolist()
+    key_at, p_at, s_at = (slice(e - w, e) for e, w in zip(ends, widths[:3]))
+    keys, samples = transcript.challenge_keys, transcript.samples
+    T = samples.size
+    yield "[\n"
+    for start in range(0, T, _CHUNK):
+        stop = min(start + _CHUNK, T)
+        M = np.repeat(template[None, :], stop - start, axis=0)
+        M[:, key_at] = _digits(keys[start:stop], _KEY_DIGITS)
+        M[:, p_at] = p_table[index[start:stop]]
+        M[:, s_at] = _digits(samples[start:stop], s_digits)
+        chunk = M[M != 0].tobytes().decode("ascii")
+        yield chunk if stop < T else chunk[:-2]  # no ",\n" after the last row
+    yield "\n    ]"
+
+
+def _write_transcript(out, payload: dict, transcript) -> None:
+    """Write the protocol payload, whose results["challenges"] is
+    _CHALLENGES, with the transcript's challenges array in its place."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    parts = text.split(json.dumps(_CHALLENGES))
+    if len(parts) != 2:
+        raise RuntimeError("the challenges placeholder must occur exactly once")
+    _write_text(out, itertools.chain(parts[:1], _challenges_json(transcript),
+                                     parts[1:]))
 
 
 def cmd_protocol(args) -> int:
@@ -493,12 +551,7 @@ def cmd_protocol(args) -> int:
     results = protocol.transcript_to_dict(transcript)
     results["device"] = device.label
     results["challenges"] = _CHALLENGES
-    text = json.dumps(_payload(args, "protocol", results),
-                      indent=2, sort_keys=True) + "\n"
-    parts = text.split(json.dumps(_CHALLENGES))
-    if len(parts) != 2:
-        raise RuntimeError("the challenges placeholder must occur exactly once")
-    _write_text(args.out, parts[0], _challenges_json(transcript), parts[1])
+    _write_transcript(args.out, _payload(args, "protocol", results), transcript)
     if args.check:
         checks = [
             ("score-recompute",
@@ -691,9 +744,11 @@ def _battery(seed: int, report: CheckReport) -> None:
                "linear, fast path = naive, all-ones seed gives parity")
     cfgp = protocol.ProtocolConfig(n=6, T=4096, b=1.5, eps_hog=0.5,
                                    seed=seed)
-    th = protocol.run_protocol(cfgp, devices.honest(), "argmax")
-    tu = protocol.run_protocol(cfgp, devices.uniform_cheat(), "argmax")
-    ta = protocol.run_protocol(cfgp, devices.argmax_deterministic(), "argmax")
+    th, tu, ta = protocol.run_protocol_arms(cfgp, [
+        (devices.honest(), "argmax"),
+        (devices.uniform_cheat(), "argmax"),
+        (devices.argmax_deterministic(), "argmax"),
+    ])
     report.add("protocol-score-separation",
                th.score_pass and not tu.score_pass,
                f"honest S*N/T = {th.S * 64 / cfgp.T:.3f}, "

@@ -33,9 +33,12 @@ def argmax_index(spec: FourierSpectrum) -> int:
 
 
 def argmax_rows(scaled_rows: np.ndarray) -> np.ndarray:
-    """Row-wise first argmax of the squared scaled coefficients."""
-    w = scaled_rows.astype(np.int64)
-    return np.argmax(w * w, axis=1).astype(np.int64)
+    """Row-wise first argmax of |W|, the same index as the first argmax of W^2.
+
+    |W| is taken in the input dtype, which holds it: a scaled spectrum has
+    |W| <= N, and `wht_rows` returns int16 only when N < 2^15.
+    """
+    return np.argmax(np.abs(scaled_rows), axis=1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -72,31 +75,44 @@ class DeviceModel:
         return out
 
     def sample_rows(
-        self, scaled_rows: np.ndarray, rng: np.random.Generator
+        self, scaled_rows: np.ndarray, rng: np.random.Generator, peak=None
     ) -> np.ndarray:
-        """One answer per challenge, challenges given as scaled-spectrum rows."""
+        """One answer per challenge, challenges given as scaled-spectrum rows.
+
+        `peak`, when given, is `argmax_rows(scaled_rows)`, computed once by
+        a caller that shares it between devices.
+        """
         rows, size = scaled_rows.shape
         if self.kind == "uniform":
             return rng.integers(0, size, size=rows, dtype=np.int64)
-        if self.kind == "argmax":
-            return argmax_rows(scaled_rows)
         if self.kind == "honest":
             return honest_sampler.sample_batch(scaled_rows, rng)
+        if peak is None:
+            peak = argmax_rows(scaled_rows)
+        if self.kind == "argmax":
+            return peak
         keep = rng.random(rows) >= self.p
-        out = argmax_rows(scaled_rows)
+        out = peak.copy()
         out[keep] = fourier_rows(scaled_rows[keep], rng.random(rows)[keep])
         return out
 
-    def min_entropy_rows(self, scaled_rows: np.ndarray) -> np.ndarray:
-        """Per-challenge min-entropy of the exact output law, in bits."""
+    def min_entropy_rows(self, scaled_rows: np.ndarray, peak=None) -> np.ndarray:
+        """Per-challenge min-entropy of the exact output law, in bits.
+
+        The row max of |W| is read at `peak`, which is
+        `argmax_rows(scaled_rows)` (taken here when not given), and only
+        that value is squared.
+        """
         rows, size = scaled_rows.shape
         if self.kind == "uniform":
             n = size.bit_length() - 1
             return np.full(rows, float(n))
         if self.kind == "argmax":
             return np.zeros(rows)
-        w = scaled_rows.astype(np.int64)
-        pmax = (w * w).max(axis=1) / float(size * size)
+        if peak is None:
+            peak = argmax_rows(scaled_rows)
+        top = np.abs(scaled_rows[np.arange(rows), peak]).astype(np.int64)
+        pmax = (top * top) / float(size * size)
         if self.kind == "biased":
             pmax = self.p + (1.0 - self.p) * pmax
         return -np.log2(pmax)

@@ -27,6 +27,7 @@ from .stats import wilson_halfwidth
 
 _BATCH = 512  # functions generated and transformed per vectorized block
 _SCAN_BLOCK = 64  # row entries summed per block in fourier_rows' search
+_NARROW = 128  # longest row fourier_rows scans whole, in int32 (N^3 <= 2^21)
 
 
 class EmptySamples(ValueError):
@@ -75,20 +76,27 @@ def fourier_rows(scaled_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     Inverse CDF on the exact integer grid: row i returns how many of its
     cumulative masses cs[i, j] = sum_{k <= j} W[i, k]^2 lie strictly below
     u[i] * cs[i, -1], for integer rows with |W| <= N (scaled spectra of +-1
-    tables).  Rows of at most one block (N <= 64) are scanned whole.  Longer
-    rows are searched without building cs: an integer cs lies below the
-    float64 product x = u * total exactly when it lies below t = ceil(x);
-    W^2 goes into int32 when N <= 2^15 (W^2 <= 2^30) and int64 above; the
-    blocks of 64 whose cumulative mass (summed in int64) lies below t are
-    the blocks wholly before the sample; and the cumulative sum is taken
-    inside the next block only.  The index equals the whole-row scan's on
-    every row, u = 0.0 included.
+    tables).  An integer cs lies below the float64 product x = u * total
+    exactly when it lies below t = ceil(x), so both paths count cs < t.
+
+    Rows with N <= _NARROW (128) are scanned whole in int32, since |W| <= N
+    bounds every cs by N^3 <= 2^21.  The squares are laid out transposed,
+    so the cumulative sum is N - 1 adds of whole rows down axis 0.  Longer
+    rows are searched without building cs: W^2 goes into int32 when
+    N <= 2^15 (W^2 <= 2^30) and int64 above; the blocks of 64 whose
+    cumulative mass (summed in int64) lies below t are the blocks wholly
+    before the sample; and the cumulative sum is taken inside the next block
+    only.  The index equals the whole-row scan's on every row, u = 0.0
+    included.
     """
     rows, size = scaled_rows.shape
-    if size <= _SCAN_BLOCK:
-        w = scaled_rows.astype(np.int64)
-        cs = np.cumsum(w * w, axis=1)
-        return (cs < (u * cs[:, -1])[:, None]).sum(axis=1).astype(np.int64)
+    if size <= _NARROW:
+        cs = np.square(scaled_rows.T, dtype=np.int32, order="C")
+        for j in range(1, size):  # row adds beat np.cumsum down axis 0
+            np.add(cs[j - 1], cs[j], out=cs[j])
+        t = np.ceil(u * cs[-1]).astype(np.int32)
+        # a count is at most N <= 128, so it is summed in uint8
+        return (cs < t).sum(axis=0, dtype=np.uint8).astype(np.int64)
     sq = np.square(scaled_rows, dtype=np.int32 if size <= 1 << 15 else np.int64)
     blocks = sq.reshape(rows, size // _SCAN_BLOCK, _SCAN_BLOCK)
     mass = blocks.sum(axis=2, dtype=np.int64)

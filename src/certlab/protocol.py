@@ -21,6 +21,7 @@ are bit-identical across reruns.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.T < 1:
             raise ValueError("T must be at least 1")
-        if not self.b > 1.0:
-            raise ValueError("b must exceed 1")
+        if not 1.0 < self.b < math.inf:
+            raise ValueError("b must be a finite number above 1")
         if not 0.0 < self.eps_hog < 1.0:
             raise ValueError("eps_hog must lie in (0, 1)")
         if self.extractor_output_bits < 0:
@@ -238,51 +239,62 @@ def run_protocol(
     of scaled-spectrum rows to one claimed index per row; supplying it
     enables the collision test.
     """
-    if claimed_Q == "argmax":
-        claimed_Q = argmax_rows
+    return run_protocol_arms(config, [(device, claimed_Q)])[0]
+
+
+def run_protocol_arms(config: ProtocolConfig, arms) -> list[ProtocolTranscript]:
+    """One transcript per (device, claimed_Q) arm, from one challenge stage.
+
+    The challenges are derived and transformed once per block, and their
+    argmax (the argmax claim, and where the row max of |W| sits) is taken
+    once per block and shared by every arm.  Each arm draws from its own
+    make_rng(seed, _TAG_DEVICE) stream, so each transcript equals a lone
+    run_protocol's.
+    """
     n, T, size = config.n, config.T, config.size
-    device_rng = make_rng(config.seed, _TAG_DEVICE)
+    rngs = [make_rng(config.seed, _TAG_DEVICE) for _ in arms]
     keys = np.empty(T, dtype=np.uint64)
-    samples = np.empty(T, dtype=np.int64)
-    probs = np.empty(T, dtype=np.float64)
-    V = 0 if claimed_Q is not None else None
-    entropy_total = 0.0
-    done = 0
-    while done < T:
+    samples = np.empty((len(arms), T), dtype=np.int64)
+    probs = np.empty((len(arms), T), dtype=np.float64)
+    V = [0 if q is not None else None for _, q in arms]
+    entropy = [0.0] * len(arms)
+    for done in range(0, T, _BATCH):
         b = min(_BATCH, T - done)
-        kblk = _challenge_keys_block(config.seed, done, b)
-        signs = _signs_from_keys(kblk, n)
-        W = wht_rows(signs)
-        s = np.asarray(device.sample_rows(W, device_rng), dtype=np.int64)
-        w_at = W[np.arange(b), s].astype(np.int64)
-        p = (w_at * w_at) / float(size * size)
-        keys[done:done + b] = kblk
-        samples[done:done + b] = s
-        probs[done:done + b] = p
-        if claimed_Q is not None:
-            q = np.asarray(claimed_Q(W), dtype=np.int64)
-            V += int(np.count_nonzero(s == q))
-        entropy_total += float(device.min_entropy_rows(W).sum())
-        done += b
+        keys[done:done + b] = kblk = _challenge_keys_block(config.seed, done, b)
+        W = wht_rows(_signs_from_keys(kblk, n))
+        peak = argmax_rows(W)
+        for a, (device, claimed_Q) in enumerate(arms):
+            s = np.asarray(device.sample_rows(W, rngs[a], peak), dtype=np.int64)
+            w_at = W[np.arange(b), s].astype(np.int64)
+            samples[a, done:done + b] = s
+            probs[a, done:done + b] = (w_at * w_at) / float(size * size)
+            if claimed_Q is not None:
+                q = peak if claimed_Q == "argmax" else claimed_Q(W)
+                V[a] += int(np.count_nonzero(s == np.asarray(q, dtype=np.int64)))
+            entropy[a] += float(device.min_entropy_rows(W, peak).sum())
+    return [_transcript(config, keys, samples[a], probs[a], V[a], entropy[a])
+            for a in range(len(arms))]
+
+
+def _transcript(config, keys, samples, probs, V, entropy_total):
+    """Score, judge and extract one arm's answers into its transcript."""
     S = float(probs.sum())
-    score_pass = S >= score_threshold(config)
-    verdict = (
-        collision_verdict(V, T, size, config.eps_hog)
-        if V is not None
-        else None
-    )
-    extracted = _extract_bits(config, samples, entropy_total)
     return ProtocolTranscript(
         config=config,
         challenge_keys=keys,
         samples=samples,
         probs=probs,
         S=S,
-        score_pass=score_pass,
+        score_pass=S >= score_threshold(config),
         V=V,
-        entropy_verdict=verdict,
+        entropy_verdict=(
+            collision_verdict(V, config.T, config.size, config.eps_hog)
+            if V is not None
+            else None
+        ),
         min_entropy_total=entropy_total,
-        extracted_bits="".join(map(str, extracted)),
+        extracted_bits="".join(
+            map(str, _extract_bits(config, samples, entropy_total))),
     )
 
 

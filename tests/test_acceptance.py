@@ -39,7 +39,7 @@ from certlab.entropy import (
 )
 from certlab.fouriersample import estimate_pg_pb, gaussian_reference
 from certlab.llqsv import llqsv_instance, advantage
-from certlab.protocol import ProtocolConfig, Verdict, run_protocol
+from certlab.protocol import ProtocolConfig, Verdict, run_protocol_arms
 from certlab.rejection import rhog_score
 from certlab.rng import derive64, make_rng
 from certlab.sqforrelation import (
@@ -313,14 +313,17 @@ def test_10_protocol_separates_devices(criterion):
     for i in range(runs):
         cfg = ProtocolConfig(n=6, T=T, b=1.5, eps_hog=0.5,
                              seed=derive64(SEED, 19, i))
-        if run_protocol(cfg, honest(), None).score_pass:
+        tr_h, tr_u, tr_a = run_protocol_arms(cfg, [
+            (honest(), None),
+            (uniform_cheat(), "argmax"),
+            (argmax_deterministic(), "argmax"),
+        ])
+        if tr_h.score_pass:
             honest_pass += 1
-        tr_u = run_protocol(cfg, uniform_cheat(), "argmax")
         if not tr_u.score_pass:
             uniform_fail += 1
         if tr_u.entropy_verdict is Verdict.UNIFORM_LIKE:
             uniform_verdict += 1
-        tr_a = run_protocol(cfg, argmax_deterministic(), "argmax")
         if tr_a.entropy_verdict is Verdict.QUANTUM_LIKE:
             argmax_verdict += 1
     ok = criterion(

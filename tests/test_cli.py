@@ -245,6 +245,17 @@ def test_invalid_device_reports_error(capsys):
     assert "certlab:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("b", ["inf", "nan", "1"])
+def test_protocol_rejects_unusable_b(b, capsys):
+    # an infinite bar would print "Infinity", which is not JSON, for a run
+    # that can never pass
+    assert run("protocol", "--b", b, "--t", "16", "--out", "/dev/null") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("certlab: ")
+    assert "b must be" in captured.err and captured.err.count("\n") == 1
+
+
 def test_check_all_battery_passes(tmp_path, capsys):
     out = tmp_path / "battery.json"
     assert run("check-all", "--seed", "0", "--out", str(out)) == 0

@@ -85,6 +85,38 @@ def test_argmax_index_takes_first_of_ties():
     assert argmax_rows(rows).tolist() == [0, 1]
 
 
+def tied_rows(n, dtype, rng):
+    """Spectra of random functions, plus rows whose largest |W| is held by
+    +w and -w, in both orders, at random places."""
+    size = 1 << n
+    rows = wht_rows(random_functions_batch(n, 64, rng)).astype(np.int64)
+    tied = rng.integers(-size // 2, size // 2 + 1, size=(64, size))
+    for row in tied:
+        i, j = rng.choice(size, size=2, replace=False)
+        row[i], row[j] = size, -size
+    return np.concatenate([rows, tied]).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("n", [1, 2, 6, 7, 10])
+def test_argmax_and_row_max_match_squared_oracle(n, dtype):
+    # the first argmax of |W| in the input dtype against the first argmax of
+    # W^2 in int64; min_entropy_rows against the row max of W^2, with and
+    # without the shared peak
+    rows = tied_rows(n, dtype, make_rng(72, n))
+    w2 = rows.astype(np.int64) ** 2
+    peak = np.argmax(w2, axis=1)
+    got = argmax_rows(rows)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, peak)
+    size = rows.shape[1]
+    pmax = w2.max(axis=1) / float(size * size)
+    for dev, law in ((honest(), pmax), (biased(0.3), 0.3 + (1.0 - 0.3) * pmax)):
+        want = -np.log2(law)
+        np.testing.assert_array_equal(dev.min_entropy_rows(rows), want)
+        np.testing.assert_array_equal(dev.min_entropy_rows(rows, got), want)
+
+
 def test_sampling_follows_distribution(spec4):
     dev = biased(0.5)
     d = exact_law(dev, spec4)

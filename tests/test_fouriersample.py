@@ -7,7 +7,9 @@ checked against enumeration of every function at n=1..3 (and
 certlab's float form `exact_band_rates` against it), and the
 sampler itself is checked by a goodness-of-fit test against the exact
 squared-coefficient law.  The blocked search in `fourier_rows` is held
-index for index to the whole-row int64 scan (`scan_reference`).
+index for index to the whole-row int64 scan (`scan_reference`), and its
+whole-row int32 path (N <= 128) to a binary search per row
+(`searchsorted_reference`).
 """
 
 import itertools
@@ -218,6 +220,35 @@ def test_fourier_rows_constant_rows_need_wide_squares(n):
     u = np.array([0.0, 0.3, 0.75, np.nextafter(1.0, 0.0)])
     got = assert_matches_scan(rows, u)
     assert list(got) == [0] + [math.ceil(x * size) - 1 for x in u[1:]]
+
+
+def searchsorted_reference(scaled_rows, u):
+    """Row by row, the number of cs < u * total, by binary search in int64."""
+    out = []
+    for w, x in zip(scaled_rows.astype(np.int64), u):
+        cs = np.cumsum(w * w)
+        out.append(np.searchsorted(cs, x * cs[-1], side="left"))
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_narrow_scan_matches_binary_search(n, dtype):
+    # the whole-row int32 path (N <= 128): random spectra, u drawn and
+    # forced to 0.0 and the largest float below 1, and constant rows
+    # |W| = N, whose cs reaches its bound N^3
+    size = 1 << n
+    rng = make_rng(35, n)
+    rows = wht_rows(random_functions_batch(n, 256, rng)).astype(dtype)
+    signs = np.array([1, -1, 1, -1])[:, None]
+    constant = (signs * np.full(size, size)).astype(dtype)
+    for block in (rows, constant):
+        count = block.shape[0]
+        for u in (rng.random(count), np.zeros(count),
+                  np.full(count, np.nextafter(1.0, 0.0))):
+            got = fourier_rows(block, u)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, searchsorted_reference(block, u))
 
 
 def test_fourier_rows_memory_stays_under_one_int64_copy():

@@ -7,15 +7,19 @@ which must not change a byte.
 
 The protocol transcript is further compared, byte for byte, with the
 oracle below: `json.dumps(indent=2, sort_keys=True)` over one dict per
-challenge, the construction the CLI's direct writer replaces.
+challenge, the construction the CLI's chunked writer replaces.  The writer
+is also held to it on synthetic transcripts whose keys sit at every
+digit-count edge, which real seeds do not reach.
 """
 
 import hashlib
+import io
 import json
 
+import numpy as np
 import pytest
 
-from certlab import __version__, devices, protocol
+from certlab import __version__, cli, devices, protocol
 from certlab.cli import main
 
 # (id, argv) with JSON written to --out (LLQ1 bytes for llqsv).
@@ -143,26 +147,31 @@ def protocol_argv(n, t, device, claimed_q, seed):
             "--claimed-q", claimed_q, "--seed", hex(seed)]
 
 
-def protocol_oracle(n, t, device, claimed_q, seed) -> bytes:
+def transcript_oracle(tr, flags: dict, label: str) -> bytes:
     """The transcript as json.dumps writes it from one dict per challenge."""
-    dev = devices.parse_device(device)
-    cfg = protocol.ProtocolConfig(n=n, T=t, b=1.5, eps_hog=0.5,
-                                  extractor_output_bits=256, seed=seed)
-    tr = protocol.run_protocol(cfg, dev, None if claimed_q == "none" else claimed_q)
     results = protocol.transcript_to_dict(tr)
     results["challenges"] = [
         {"key": int(k), "s": int(s), "p": float(p)}
         for k, s, p in zip(tr.challenge_keys, tr.samples, tr.probs)
     ]
-    results["device"] = dev.label
+    results["device"] = label
     payload = {
         "version": __version__,
         "command": "protocol",
-        "config": {"b": 1.5, "claimed_q": claimed_q, "device": device, "eps": 0.5,
-                   "extract_bits": 256, "n": n, "seed": seed, "t": t},
+        "config": flags,
         "results": results,
     }
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def protocol_oracle(n, t, device, claimed_q, seed) -> bytes:
+    dev = devices.parse_device(device)
+    cfg = protocol.ProtocolConfig(n=n, T=t, b=1.5, eps_hog=0.5,
+                                  extractor_output_bits=256, seed=seed)
+    tr = protocol.run_protocol(cfg, dev, None if claimed_q == "none" else claimed_q)
+    flags = {"b": 1.5, "claimed_q": claimed_q, "device": device, "eps": 0.5,
+             "extract_bits": 256, "n": n, "seed": seed, "t": t}
+    return transcript_oracle(tr, flags, dev.label)
 
 
 def output_of(argv, tmp_path) -> bytes:
@@ -196,3 +205,53 @@ def test_protocol_transcript_bytes(name, n, t, device, claimed_q, seed,
     assert capsys.readouterr().out.encode() == written
     assert written == protocol_oracle(n, t, device, claimed_q, seed)
     assert sha(written) == DIGESTS["protocol-" + name]
+
+
+# Keys at each digit-count edge and both ends of 64 bits.  Real seeds give
+# keys of 18 to 20 digits, never 0 or one below 10^18.
+EDGE_KEYS = [0, 9, 10, 99, 100, 10**18 - 1, 10**18, 2**64 - 1]
+
+
+def synthetic_transcript(n, keys, samples):
+    """A transcript with the given keys and answers, and p = w^2/N^2 for w
+    running through 0..N (0.0 and 1.0 included)."""
+    size = 1 << n
+    w = np.arange(len(samples)) % (size + 1)
+    probs = (w * w) / float(size * size)
+    cfg = protocol.ProtocolConfig(n=n, T=len(samples), b=1.5, eps_hog=0.5)
+    return protocol.ProtocolTranscript(
+        config=cfg, challenge_keys=np.array(keys, dtype=np.uint64),
+        samples=np.array(samples, dtype=np.int64), probs=probs,
+        S=float(probs.sum()), score_pass=False, V=None, entropy_verdict=None,
+        min_entropy_total=0.0, extracted_bits="")
+
+
+def written_by_cli(tr, flags, label) -> bytes:
+    results = protocol.transcript_to_dict(tr)
+    results["device"] = label
+    results["challenges"] = cli._CHALLENGES
+    payload = {"version": __version__, "command": "protocol",
+               "config": flags, "results": results}
+    buf = io.StringIO()
+    cli._write_transcript(buf, payload, tr)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("n", [1, 6, 12])
+def test_challenges_writer_edge_values(n):
+    # every edge key with s = 0 and s = N - 1 at T = 1, then T one past a
+    # writer chunk, its last row alone in the last chunk
+    size = 1 << n
+    flags = {"n": n, "seed": 0}
+    for key in EDGE_KEYS:
+        for s in (0, size - 1):
+            tr = synthetic_transcript(n, [key], [s])
+            assert written_by_cli(tr, flags, "honest") == transcript_oracle(
+                tr, flags, "honest")
+    T = cli._CHUNK + 1
+    i = np.arange(T)
+    keys = np.array(EDGE_KEYS, dtype=np.uint64)[(i + 7) % len(EDGE_KEYS)]
+    tr = synthetic_transcript(n, keys, np.where(i % 2 == 0, size - 1, 0))
+    assert tr.challenge_keys[-1] == 2**64 - 1
+    assert written_by_cli(tr, flags, "honest") == transcript_oracle(
+        tr, flags, "honest")

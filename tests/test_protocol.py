@@ -4,6 +4,8 @@ The Toeplitz fast path's oracle is the quadratic bit-by-bit multiply;
 the challenge stream's oracle is the scalar key derivation.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,13 +23,14 @@ from certlab.protocol import (
     collision_verdict,
     index_bits,
     run_protocol,
+    run_protocol_arms,
     score_threshold,
     toeplitz_extract,
     toeplitz_extract_naive,
     transcript_to_dict,
     verify_score,
 )
-from certlab.rng import make_rng
+from certlab.rng import derive64, make_rng
 
 
 def small_config(**kw) -> ProtocolConfig:
@@ -154,6 +157,38 @@ def test_custom_callable_claim():
     assert tr.V == cfg.T
 
 
+def argmax_claim(rows):
+    """The argmax claim, computed apart from certlab: first argmax of W^2."""
+    w = rows.astype(np.int64)
+    return np.argmax(w * w, axis=1)
+
+
+def assert_same_transcript(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_arms_equal_lone_runs(i):
+    # gate 10's seeds and arms, plus biased and honest arms with the claim;
+    # T spans three whole blocks and one partial one
+    cfg = ProtocolConfig(n=6, T=3 * 4096 + 5, b=1.5, eps_hog=0.5,
+                         seed=derive64(20260823, 19, i))
+    arms = [(honest(), None), (uniform_cheat(), "argmax"),
+            (argmax_deterministic(), "argmax"), (biased(0.5), "argmax"),
+            (honest(), "argmax")]
+    got = run_protocol_arms(cfg, arms)
+    assert len(got) == len(arms)
+    for tr, (device, claim) in zip(got, arms):
+        lone = run_protocol(cfg, device, None if claim is None else argmax_claim)
+        assert_same_transcript(tr, lone)
+
+
 # ---------------------------------------------------------------- extraction
 
 def test_index_bits_lsb_first():
@@ -229,8 +264,9 @@ def test_small_entropy_budget_truncates_output():
 def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(n=6, T=0, b=1.5, eps_hog=0.5)
-    with pytest.raises(ValueError):
-        ProtocolConfig(n=6, T=16, b=0.9, eps_hog=0.5)
+    for b in (0.9, 1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            ProtocolConfig(n=6, T=16, b=b, eps_hog=0.5)
     with pytest.raises(ValueError):
         ProtocolConfig(n=6, T=16, b=1.5, eps_hog=0.0)
     cfg = ProtocolConfig(n=6, T=16, b=1.5, eps_hog=0.5)
