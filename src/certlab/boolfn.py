@@ -340,16 +340,34 @@ def fourth_moment(spec: FourierSpectrum) -> float:
 
 def random_function(n: int, rng: np.random.Generator) -> BooleanFunction:
     """Uniformly random sign table; same generator state, same table."""
-    n = _check_n(n)
-    bits = rng.integers(0, 2, size=1 << n, dtype=np.int8)
-    return BooleanFunction(n, 1 - 2 * bits)
+    return BooleanFunction(n, random_functions_batch(n, 1, rng)[0])
 
 
 def random_functions_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, N) int8 array of independent random sign tables."""
+    """(count, N) int8 array of independent random sign tables.
+
+    Bit for bit 1 - 2 * rng.integers(0, 2, (count, N), int8), and the same
+    generator state after: numpy draws each of those bits as bit 7 of the
+    next byte of the raw Philox words, in stream order (each word's bytes
+    low first), after the 4 bytes of a uint32 half that an earlier draw
+    left pending.  So the pending half (at most 4 values) and the last
+    1..8 values go through rng.integers, which also leaves the stale half
+    the plain draw would; the rest is read from random_raw, where an
+    arithmetic >> 7 of each byte gives 0 or -1 and | 1 makes that +1 or
+    -1.  The oracle test in tests/test_boolfn.py pins this layout against
+    the installed numpy.
+    """
     n = _check_n(n)
-    bits = rng.integers(0, 2, size=(count, 1 << n), dtype=np.int8)
-    return 1 - 2 * bits
+    total = count << n
+    out = np.empty(total, dtype=np.int8)
+    head = min(total, 4) if rng.bit_generator.state["has_uint32"] else 0
+    mid = head + 8 * max(0, (total - head - 1) // 8)
+    np.negative(rng.integers(0, 2, size=head, dtype=np.int8), out=out[:head])
+    raw = rng.bit_generator.random_raw((mid - head) // 8)
+    np.right_shift(raw.astype("<u8", copy=False).view(np.int8), 7, out=out[head:mid])
+    np.negative(rng.integers(0, 2, size=total - mid, dtype=np.int8), out=out[mid:])
+    out |= 1
+    return out.reshape(count, 1 << n)
 
 
 BFN1_MAGIC = b"BFN1"

@@ -194,10 +194,12 @@ def toeplitz_extract(
 ) -> np.ndarray:
     """GF(2) Toeplitz extraction of k bits from m input bits.
 
-    Same matrix as the naive form, evaluated on packed bytes: output bit i
+    Same matrix as the naive form, evaluated on packed words: output bit i
     is the parity of AND(seed[i : i+m], reversed input), so eight
-    bit-shifted packed copies of the seed give every window alignment and
-    popcount does the parity.  Linear in (input, fixed seed).
+    bit-shifted packed copies of the seed give every window alignment.
+    The input is zero-padded to whole uint64 words, so seed bits past the
+    window drop out of the AND, and the popcount of the XOR of the ANDed
+    words gives the parity.  Linear in (input, fixed seed).
     """
     x = np.asarray(samples, dtype=np.uint8)
     seed = np.asarray(extractor_seed, dtype=np.uint8)
@@ -205,18 +207,19 @@ def toeplitz_extract(
     _check_extract_args(m, seed.size, k)
     if k == 0:
         return np.zeros(0, dtype=np.uint8)
-    xr_packed = np.packbits(x[::-1], bitorder="little")
-    mbytes = xr_packed.size
-    # shifted[s] holds the seed bits starting at offset s, packed LSB-first
-    shifted = []
-    for s in range(8):
-        padded = np.zeros(((seed.size - s) + 7) // 8 * 8, dtype=np.uint8)
-        padded[: seed.size - s] = seed[s:]
-        shifted.append(np.packbits(padded, bitorder="little"))
+    nbytes = -(-m // 64) * 8
+    xr = np.packbits(np.pad(x[::-1], (0, 8 * nbytes - m)), bitorder="little")
+    xr = xr.view(np.uint64)
+    span = ((k - 1) >> 3) + nbytes + 1  # bytes, so that every window fits
+    # shifted[s] holds the seed bits from offset s, packed LSB-first
+    shifted = [np.packbits(np.pad(seed[s:], (0, 8 * span - seed[s:].size)),
+                           bitorder="little") for s in range(8)]
     out = np.empty(k, dtype=np.uint8)
+    anded = np.empty_like(xr)
     for i in range(k):
-        window = shifted[i & 7][i >> 3: (i >> 3) + mbytes]
-        out[i] = int(np.bitwise_count(window & xr_packed).sum()) & 1
+        window = shifted[i & 7][i >> 3: (i >> 3) + nbytes].view(np.uint64)
+        np.bitwise_and(window, xr, out=anded)
+        out[i] = int(np.bitwise_count(np.bitwise_xor.reduce(anded))) & 1
     return out
 
 

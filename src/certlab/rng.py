@@ -15,6 +15,11 @@ single 64-bit seed pins every experiment byte-for-byte.  Two layers:
   stream-id), independent streams can be handed to worker threads and the
   union of their outputs does not depend on the thread count.
 
+Random sign tables (``boolfn.random_functions_batch``) take sign x from
+bit 7 of the next byte of the raw Philox words, in stream order, with a
+pending uint32 half used first; an oracle test pins this layout against
+the installed numpy.
+
 Gaussian variates are produced by an explicit Box-Muller transform on
 uniform words rather than the Generator's own normal() so that the exact
 bit stream is pinned by this file alone.

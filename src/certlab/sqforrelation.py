@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import wht_rows
+from .boolfn import random_functions_batch, wht_rows
 from .rng import gaussians
 from .stats import mean_ci99, wilson_halfwidth
 
@@ -100,8 +100,7 @@ def pair_rows(
     rows drawn before the g rows.
     """
     if uniform_pairs:
-        bits = rng.integers(0, 2, size=(2 * count, params.size), dtype=np.int8)
-        rows = 1 - 2 * bits
+        rows = random_functions_batch(params.n, 2 * count, rng)
         return rows[:count], rows[count:]
     X, Yp = sample_gprime_rows(params, count, rng)
     for t in (X, Yp):  # (1 + trnc(t))/2, in place on the private draws

@@ -381,6 +381,47 @@ def test_random_functions_batch_matches_single_draws():
     assert np.all(np.abs(rows) == 1)
 
 
+def signs_oracle(rng, shape):
+    """The plain numpy sign draw the raw-word reader must reproduce."""
+    return 1 - 2 * rng.integers(0, 2, size=shape, dtype=np.int8)
+
+
+# Draws before the sign table: 0-3 uint32 draws (1 and 3 leave half a word
+# pending), and an odd-length bounded int64 draw as llqsv makes (numpy takes
+# values below 2^32 from 32-bit halves, so it leaves one pending too).
+PRE_DRAWS = [(f"uint32x{j}", j % 2,
+              lambda g, j=j: g.integers(0, 2**32, size=j, dtype=np.uint32))
+             for j in range(4)]
+PRE_DRAWS.append(("int64x7", 1, lambda g: g.integers(0, 256, size=7, dtype=np.int64)))
+
+
+def assert_same_stream(got_rng, want_rng):
+    assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+    for draw in (lambda g: g.random(3),
+                 lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+                 lambda g: g.integers(0, 256, size=3, dtype=np.int64)):
+        a, b = draw(got_rng), draw(want_rng)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n,count", [(n, c) for n in range(1, 15)
+                                     for c in (1, 3, 40, 512)] + [(16, 40)])
+def test_sign_tables_match_integers_oracle(n, count):
+    draws = [lambda g: random_functions_batch(n, count, g)]
+    if count == 1:
+        draws.append(lambda g: random_function(n, g).values[None])
+    for i, (name, pending, pre) in enumerate(PRE_DRAWS):
+        for draw in draws:
+            want_rng, got_rng = make_rng(11, n, count, i), make_rng(11, n, count, i)
+            for g in (want_rng, got_rng):
+                pre(g)
+                assert g.bit_generator.state["has_uint32"] == pending, name
+            want = signs_oracle(want_rng, (count, 1 << n))
+            got = draw(got_rng)
+            assert got.dtype == np.int8 and np.array_equal(got, want), name
+            assert_same_stream(got_rng, want_rng)
+
+
 # ---------------------------------------------------------------- serialization
 
 @given(st.integers(min_value=1, max_value=8),

@@ -213,6 +213,19 @@ def test_toeplitz_fast_matches_naive(m, k, seed):
                           toeplitz_extract_naive(x, sd, k))
 
 
+# m off the 64-bit word size; k = 255 and 256 reach windows at byte offsets
+# up to 31, most of them not 8-byte aligned; k = m is the square matrix
+@pytest.mark.parametrize("m", [1, 7, 63, 64, 65, 257, 319, 1000, 4099])
+@pytest.mark.parametrize("k", [1, 8, 255, 256, "m"])
+def test_toeplitz_word_fold_matches_naive(m, k):
+    k = m if k == "m" else min(k, m)
+    rng = np.random.default_rng([m, k])
+    x = rng.integers(0, 2, size=m, dtype=np.uint8)
+    sd = rng.integers(0, 2, size=m + k - 1, dtype=np.uint8)
+    assert np.array_equal(toeplitz_extract(x, sd, k),
+                          toeplitz_extract_naive(x, sd, k))
+
+
 def test_toeplitz_is_gf2_linear():
     rng = np.random.default_rng(99)
     a = rng.integers(0, 2, size=300, dtype=np.uint8)
