@@ -99,8 +99,7 @@ def _write_text(out, parts) -> None:
 
 def _emit(args, command: str, results: dict, rows=None, header=None) -> None:
     payload = _payload(args, command, results)
-    fmt = getattr(args, "format", "json")
-    if fmt == "json" or rows is None:
+    if getattr(args, "format", "json") == "json":
         _write_text(getattr(args, "out", None),
                     [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
         return
@@ -393,12 +392,11 @@ def cmd_derandomize(args) -> int:
     pairs = []
     agree = 0
     for j in range(args.seeds):
-        r = entropy.RejSampSeed(derive64(args.seed, _TAG_DERAND, 1, j))
-        a = entropy.derandomize(device, spec, r, args.budget,
-                                make_rng(args.seed, _TAG_DERAND, 2, j))
-        b = entropy.derandomize(device, spec, r, args.budget,
-                                make_rng(args.seed, _TAG_DERAND, 3, j))
-        pairs.append([int(a), int(b)])
+        a, b = entropy.derandomize(
+            device, spec, derive64(args.seed, _TAG_DERAND, 1, j), args.budget,
+            [make_rng(args.seed, _TAG_DERAND, 2, j),
+             make_rng(args.seed, _TAG_DERAND, 3, j)]).tolist()
+        pairs.append([a, b])
         agree += int(a == b)
     frac = agree / args.seeds
     results = {
@@ -696,9 +694,8 @@ def _battery(seed: int, report: CheckReport) -> None:
     spec4 = boolfn.wht(boolfn.random_function(4, make_rng(seed, 113)))
     agree = 0
     for j in range(40):
-        r = entropy.RejSampSeed(derive64(seed, 114, j))
-        a = entropy.derandomize(dev, spec4, r, 5000, make_rng(seed, 115, j))
-        b = entropy.derandomize(dev, spec4, r, 5000, make_rng(seed, 116, j))
+        a, b = entropy.derandomize(dev, spec4, derive64(seed, 114, j), 5000,
+                                   [make_rng(seed, 115, j), make_rng(seed, 116, j)])
         agree += int(a == b)
     report.add("derandomize-constancy", agree >= 36,
                f"{agree}/40 shared-seed reruns agreed")
@@ -820,14 +817,15 @@ _COUNT = _int_in(1)
 _SEED = _int_in(0, MASK64, base=0)  # decimal or 0x-prefixed, 64 bits
 
 
-def _add_common(p, seed_default=0):
-    p.add_argument("--seed", type=_SEED, default=seed_default,
+def _add_common(p, tol=True):
+    p.add_argument("--seed", type=_SEED, default=0,
                    help="64-bit master seed (default %(default)s)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--check", action="store_true",
                    help="assert this command's contract; exit 1 on failure")
-    p.add_argument("--tol", type=_tolerance, default=None,
-                   help="tolerance for --check (command-specific default)")
+    if tol:
+        p.add_argument("--tol", type=_tolerance, default=None,
+                       help="tolerance for --check (command-specific default)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -863,7 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_COUNT, default=100000)
     p.add_argument("--sampler", choices=("honest", "uniform"),
                    default="honest")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
     p.set_defaults(func=cmd_hog)
 
@@ -926,7 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="honest | uniform | argmax | biased:<p>")
     p.add_argument("--claimed-q", choices=("none", "argmax"), default="none")
     p.add_argument("--extract-bits", type=_int_in(0), default=256)
-    _add_common(p)
+    _add_common(p, tol=False)
     p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("check-all", help="fast cross-module battery")

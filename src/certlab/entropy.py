@@ -4,7 +4,9 @@ seed-driven derandomizer.
 The derandomizer story: any sampling device whose output distribution d is
 known (or estimated) can be replaced by the deterministic-given-r
 procedure "walk a shared stream of uniform points (x_i, y_i), output the
-first x_i with y_i < d(x_i)".  The output marginal over random r is
+first x_i with y_i < d(x_i)".  The stream is a pure function of (seed, N),
+so k laws on the same domain share one walk of it and each gets the index
+a walk of its own would give.  The output marginal over random r is
 exactly d, and two distributions at statistical distance delta disagree on
 a shared stream with probability at most 2 delta/(1 + delta) — with
 equality when the distributions differ on disjoint supports; the exact
@@ -51,9 +53,8 @@ class OutcomeDistribution:
     """A probability vector over indices 0..N-1.
 
     Stored dense (desk-scale N keeps this cheap, and the exact device
-    distributions are dense anyway); empirical laws come in through
-    from_counts.  Probabilities must be nonnegative and sum to 1 within
-    1e-9.
+    distributions are dense anyway).  Probabilities must be nonnegative
+    and sum to 1 within 1e-9.
     """
 
     probs: np.ndarray
@@ -83,14 +84,6 @@ class OutcomeDistribution:
         p[z] = 1.0
         return cls(p)
 
-    @classmethod
-    def from_counts(cls, counts: np.ndarray) -> "OutcomeDistribution":
-        c = np.asarray(counts, dtype=np.float64)
-        total = float(c.sum())
-        if total <= 0:
-            raise EmptyDistribution("no observations")
-        return cls(c / total)
-
     def max_prob(self) -> float:
         return float(self.probs.max())
 
@@ -110,36 +103,34 @@ def statistical_distance(d: OutcomeDistribution, d2: OutcomeDistribution) -> flo
     return 0.5 * float(np.abs(d.probs - d2.probs).sum())
 
 
-@dataclass(frozen=True)
-class RejSampSeed:
-    """A 64-bit seed naming an unbounded stream of points (x_i, y_i).
+def rejsamp(laws: np.ndarray, seed: int) -> np.ndarray:
+    """First x_i on seed's stream whose y_i falls under each law's mass at x_i.
 
-    The stream is a pure function of (seed, domain size): x uniform over
-    indices, y uniform in [0, 1).
+    `laws` is a (k, N) float array, one law per row; `seed` is a 64-bit
+    int.  The stream of points (x_i, y_i), x uniform over 0..N-1 and y
+    uniform in [0, 1), is a pure function of (seed, N), drawn in chunks
+    of xs then ys, and the k laws share one walk of it: row i's answer is
+    the index a walk for that row alone returns.  Over random seeds a
+    law's answer is distributed exactly as the law (uniform proposal,
+    acceptance d(x), expected attempts N).
     """
-
-    seed: int
-
-    def stream_rng(self) -> np.random.Generator:
-        return make_rng(self.seed, _REJ_TAG)
-
-
-def rejsamp(d: OutcomeDistribution, r: RejSampSeed) -> int:
-    """First x_i on r's stream whose y_i falls under d(x_i).
-
-    Deterministic given (d, r); over random r the output is distributed
-    exactly as d (uniform proposal, acceptance d(x), expected attempts N).
-    """
-    size = d.size
-    g = r.stream_rng()
+    laws = np.asarray(laws, dtype=np.float64)
+    k, size = laws.shape
+    g = make_rng(seed, _REJ_TAG)
     chunk = min(max(64, 2 * size), 1 << 20)
-    probs = d.probs
+    out = np.empty(k, dtype=np.int64)
+    left = np.arange(k)  # rows still walking; a missed row's out is rewritten
     while True:
         xs = g.integers(0, size, size=chunk)
         ys = g.random(chunk)
-        hits = ys < probs[xs]
-        if hits.any():
-            return int(xs[int(np.argmax(hits))])
+        hits = ys < laws[:, xs]
+        out[left] = xs[hits.argmax(axis=1)]
+        missed = ~hits.any(axis=1)
+        if not missed.any():
+            return out
+        left, laws = left[missed], laws[missed]
+        if not np.all(laws.max(axis=1) > 0.0):  # would walk forever
+            raise EmptyDistribution("every law needs some mass")
 
 
 def coupling_rate_disjoint(delta: float) -> float:
@@ -148,7 +139,7 @@ def coupling_rate_disjoint(delta: float) -> float:
 
 
 def exact_coupling_rate(d: OutcomeDistribution, d2: OutcomeDistribution) -> float:
-    """Exact Pr over shared streams r of rejsamp(d, r) != rejsamp(d2, r).
+    """Exact Pr over shared streams r that d and d2 replay to different points.
 
     Conditioning on the first attempt accepted by either run: both accept
     together with the overlap mass, one run pulls ahead with mass
@@ -188,17 +179,17 @@ def coupling_disagreement(
     trials: int,
     rng: np.random.Generator,
 ) -> CouplingResult:
-    """Run both samplers on `trials` shared streams and count disagreements."""
+    """Replay both laws on `trials` shared streams, one walk per stream, and
+    count disagreements."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if d.size != d2.size:
         raise ValueError("distributions live on different domains")
-    seeds = rng.integers(0, 1 << 63, size=trials)
+    laws = np.stack([d.probs, d2.probs])
     bad = 0
-    for s in seeds:
-        r = RejSampSeed(int(s))
-        if rejsamp(d, r) != rejsamp(d2, r):
-            bad += 1
+    for s in rng.integers(0, 1 << 63, size=trials).tolist():
+        a, b = rejsamp(laws, s)
+        bad += int(a != b)
     delta = statistical_distance(d, d2)
     return CouplingResult(
         rate=bad / trials,
@@ -257,29 +248,27 @@ def degree_ratio(N: int) -> float:
     return math.exp(log_binom(half + r, r) - log_binom(half, r))
 
 
-def empirical_distribution(draws: np.ndarray, size: int) -> OutcomeDistribution:
-    """Observed frequencies of index draws as an OutcomeDistribution."""
-    counts = np.bincount(np.asarray(draws, dtype=np.int64), minlength=size)
-    return OutcomeDistribution.from_counts(counts)
-
-
 def derandomize(
     device,
     spec: FourierSpectrum,
-    r: RejSampSeed,
+    seed: int,
     budget: int,
-    rng: np.random.Generator,
-) -> int:
-    """Replay a sampling device through a shared stream.
+    rngs,
+) -> np.ndarray:
+    """Replay a sampling device through one shared stream, once per generator.
 
-    Step 1: estimate the device's distribution on spec from `budget` fresh
-    draws.  Step 2: output rejsamp(empirical law, r).  The marginal over
-    (device randomness, r) is exactly the device's own law; for a
-    sufficiently deterministic device and a generous budget the output is
-    almost always a function of r alone.
+    For each generator in `rngs`, step 1 estimates the device's law on
+    spec from `budget` fresh draws, count/budget; step 2 replays every
+    such law on seed's stream, which is a pure function of (seed, N), in
+    one walk (`rejsamp`).  Returns one index per generator.  The marginal
+    over (device randomness, seed) is exactly the device's own law; for a
+    sufficiently deterministic device and a generous budget the answers
+    are almost always one function of the seed alone.
     """
     if budget < 1:
         raise BudgetZero("derandomization needs at least one device sample")
-    draws = device.sample_many(spec, budget, rng)
-    emp = empirical_distribution(draws, spec.size)
-    return rejsamp(emp, r)
+    laws = np.stack([
+        np.bincount(device.sample_many(spec, budget, g), minlength=spec.size)
+        for g in rngs
+    ]) / budget
+    return rejsamp(laws, seed)

@@ -14,18 +14,16 @@ import numpy as np
 import pytest
 
 from certlab.boolfn import character_values, random_function, wht
-from certlab.devices import argmax_index, biased, honest, uniform_cheat
+from certlab.devices import argmax_index, biased, honest, parse_device, uniform_cheat
 from certlab.entropy import (
     BudgetZero,
     EmptyDistribution,
     OddRoot,
     OutcomeDistribution,
-    RejSampSeed,
     coupling_disagreement,
     coupling_rate_disjoint,
     degree_ratio,
     derandomize,
-    empirical_distribution,
     exact_coupling_rate,
     min_entropy,
     perturb_make_light,
@@ -63,30 +61,69 @@ def test_statistical_distance_examples():
     assert statistical_distance(d1, d1) == 0.0
 
 
-def test_from_counts_normalizes():
-    d = OutcomeDistribution.from_counts(np.array([2, 6, 6, 2]))
-    assert d.probs.tolist() == [0.125, 0.375, 0.375, 0.125]
-
-
-def test_empirical_distribution():
-    draws = np.array([0, 1, 1, 3, 3, 3, 3, 1])
-    d = empirical_distribution(draws, 4)
-    assert d.probs.tolist() == [0.125, 0.375, 0.0, 0.5]
-
-
 # ---------------------------------------------------------------- rejsamp
 
+def lone_walk(probs, seed):
+    """The one-law walk that rejsamp's stacked walk must reproduce: chunks
+    of xs then ys from make_rng(seed, 0x72656A), the first x with y below
+    its mass."""
+    probs = np.asarray(probs, dtype=np.float64)
+    size = probs.size
+    g = make_rng(seed, 0x72656A)
+    chunk = min(max(64, 2 * size), 1 << 20)
+    while True:
+        xs = g.integers(0, size, size=chunk)
+        ys = g.random(chunk)
+        hits = ys < probs[xs]
+        if hits.any():
+            return int(xs[int(np.argmax(hits))])
+
+
+def law_stack(k, size, rng, shift):
+    """k laws on 0..size-1, cycling through three kinds: a law with zero
+    entries, a point mass, and a law of mass 1e-4 on each support point
+    (whose walk runs many chunks past the others' first hits)."""
+    laws = np.zeros((k, size))
+    for i in range(k):
+        kind = (i + shift) % 3
+        support = rng.random(size) < 0.5
+        support[rng.integers(size)] = True
+        if kind == 0:
+            w = rng.random(size) * support
+            laws[i] = w / w.sum()
+        elif kind == 1:
+            laws[i, rng.integers(size)] = 1.0
+        else:
+            laws[i] = 1e-4 * support
+    return laws
+
+
+@pytest.mark.parametrize("size", [2, 3, 16, 100])
+@pytest.mark.parametrize("k", [1, 2, 20])
+def test_rejsamp_stack_matches_lone_walks(k, size):
+    rng = make_rng(67, k, size)
+    for shift in range(6):
+        laws = law_stack(k, size, rng, shift)
+        seed = int(rng.integers(0, 1 << 63))
+        got = rejsamp(laws, seed)
+        assert got.tolist() == [lone_walk(law, seed) for law in laws]
+
+
 def test_rejsamp_is_a_pure_function_of_seed():
-    d = OutcomeDistribution(np.array([0.2, 0.5, 0.3]))
-    r = RejSampSeed(777)
-    assert rejsamp(d, r) == rejsamp(d, r)
-    outs = {rejsamp(d, RejSampSeed(s)) for s in range(30)}
+    law = np.array([[0.2, 0.5, 0.3]])
+    assert rejsamp(law, 777)[0] == rejsamp(law, 777)[0]
+    outs = {int(rejsamp(law, s)[0]) for s in range(30)}
     assert outs.issubset({0, 1, 2}) and len(outs) > 1
 
 
 def test_rejsamp_point_mass_always_returns_it():
-    d = OutcomeDistribution.point_mass(16, 11)
-    assert all(rejsamp(d, RejSampSeed(s)) == 11 for s in range(20))
+    law = OutcomeDistribution.point_mass(16, 11).probs[None, :]
+    assert all(rejsamp(law, s)[0] == 11 for s in range(20))
+
+
+def test_rejsamp_rejects_a_law_without_mass():
+    with pytest.raises(EmptyDistribution):
+        rejsamp(np.array([[0.5, 0.5], [0.0, 0.0]]), 1)
 
 
 def test_rejsamp_marginal_matches_distribution():
@@ -95,7 +132,7 @@ def test_rejsamp_marginal_matches_distribution():
     seeds = rng.integers(0, 1 << 63, size=20000)
     counts = np.zeros(4)
     for s in seeds:
-        counts[rejsamp(d, RejSampSeed(int(s)))] += 1
+        counts[rejsamp(d.probs[None, :], int(s))[0]] += 1
     from scipy.stats import chisquare
 
     _, pvalue = chisquare(counts, 20000 * d.probs)
@@ -141,6 +178,16 @@ def test_empirical_coupling_matches_exact_law():
     res = coupling_disagreement(d1, d2, 4000, make_rng(61, 1))
     assert res.exact_rate == pytest.approx(1 / 3, abs=1e-12)
     assert res.rate == pytest.approx(res.exact_rate, abs=res.ci99 + 0.01)
+
+
+def test_coupling_counts_the_two_lone_walks_of_each_seed():
+    d1 = OutcomeDistribution(np.array([2 / 3, 1 / 3, 0.0]))
+    d2 = OutcomeDistribution(np.array([2 / 3, 0.0, 1 / 3]))
+    res = coupling_disagreement(d1, d2, 2000, make_rng(61, 3))
+    seeds = make_rng(61, 3).integers(0, 1 << 63, size=2000)
+    bad = sum(lone_walk(d1.probs, int(s)) != lone_walk(d2.probs, int(s))
+              for s in seeds)
+    assert res.rate == bad / 2000
 
 
 def test_coupling_result_reports_both_references():
@@ -210,16 +257,33 @@ def test_degree_ratio_rejects_odd_root():
 def test_derandomize_same_seed_same_output():
     device = biased(0.98)
     spec = wht(random_function(4, make_rng(63, 0)))
-    r = RejSampSeed(derive64(63, 1))
-    a = derandomize(device, spec, r, 5000, make_rng(63, 2))
-    b = derandomize(device, spec, r, 5000, make_rng(63, 3))
+    a, b = derandomize(device, spec, derive64(63, 1), 5000,
+                       [make_rng(63, 2), make_rng(63, 3)])
     assert a == b
 
 
 def test_derandomize_budget_must_be_positive():
     with pytest.raises(BudgetZero):
         derandomize(honest(), wht(random_function(4, make_rng(63, 4))),
-                    RejSampSeed(1), 0, make_rng(63, 5))
+                    1, 0, [make_rng(63, 5)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("label", ["honest", "argmax", "biased:0.98"])
+def test_derandomize_matches_one_call_per_generator(label, seed):
+    # the form derandomize replaced: each generator's draws become a law
+    # (counts over their total) that walks the shared stream on its own
+    device = parse_device(label)
+    spec = wht(random_function(4, make_rng(68, seed)))
+    r = derive64(68, 1, seed)
+    rngs = [make_rng(68, 2, seed), make_rng(68, 3, seed)]
+    got = derandomize(device, spec, r, 10000, rngs)
+    for j, g in enumerate([make_rng(68, 2, seed), make_rng(68, 3, seed)]):
+        counts = np.bincount(device.sample_many(spec, 10000, g), minlength=16)
+        law = counts.astype(np.float64) / float(counts.sum())
+        assert np.array_equal(counts / 10000, law)
+        assert got[j] == lone_walk(law, r)
+        assert rngs[j].random() == g.random()
 
 
 def test_fully_biased_device_derandomizes_to_its_argmax():
@@ -229,8 +293,7 @@ def test_fully_biased_device_derandomizes_to_its_argmax():
     z = argmax_index(spec)
     rng = make_rng(65, 1)
     for j in range(300):
-        r = RejSampSeed(derive64(65, 2, j))
-        assert derandomize(biased(1.0), spec, r, 100, rng) == z
+        assert derandomize(biased(1.0), spec, derive64(65, 2, j), 100, [rng])[0] == z
 
 
 def test_derandomize_marginal_tracks_device():
@@ -240,10 +303,8 @@ def test_derandomize_marginal_tracks_device():
     rng = make_rng(64, 1)
     counts = np.zeros(8)
     for j in range(4000):
-        r = RejSampSeed(derive64(64, 2, j))
-        counts[derandomize(device, spec, r, 200, rng)] += 1
+        counts[derandomize(device, spec, derive64(64, 2, j), 200, [rng])[0]] += 1
     from scipy.stats import chisquare
 
     _, pvalue = chisquare(counts)
     assert pvalue > 1e-3
-
