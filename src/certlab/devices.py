@@ -11,12 +11,14 @@ Four kinds, all answering one challenge function with one index:
 Each kind's output law has a closed form in the integer spectrum, so
 min_entropy_rows is exact rather than estimated.
 
-A biased call draws one coin per answer, then one uniform per answer (the
-digests pin this stream), and searches only the answers whose coin is >= p.
+A biased call reads 2*count raw Philox words at once, coins then answers, the
+words of two `rng.random` draws (the digests pin them), and searches only the
+answers whose coin is >= p.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +71,27 @@ class DeviceModel:
             return np.full(count, argmax_index(spec), dtype=np.int64)
         if self.kind == "honest":
             return fourier_sample_many(spec, rng.random(count))
-        keep = rng.random(count) >= self.p
+        keep, answers = self._biased_split(spec, count, rng)
         out = np.full(count, argmax_index(spec), dtype=np.int64)
-        out[keep] = fourier_sample_many(spec, rng.random(count)[keep])
+        out[keep] = answers
         return out
+
+    def sample_counts(self, spec: FourierSpectrum, count: int, rng) -> np.ndarray:
+        """Length-N int64 tally of `sample_many`'s answers, from its draws."""
+        if self.kind != "biased":
+            return np.bincount(self.sample_many(spec, count, rng), minlength=spec.size)
+        _, answers = self._biased_split(spec, count, rng)
+        counts = np.bincount(answers, minlength=spec.size)
+        counts[argmax_index(spec)] += count - answers.size
+        return counts
+
+    def _biased_split(self, spec, count, rng):
+        """Coin mask and honest answers from 2*count raw words, coins first;
+        rng.random's coin (w >> 11) * 2^-53 is >= p iff w >= ceil(p 2^53) 2^11."""
+        w = rng.bit_generator.random_raw(2 * count)
+        keep = w[:count] >= math.ceil(self.p * 2**53) << 11
+        u = (w[count:][keep] >> np.uint64(11)) * 2.0**-53
+        return keep, fourier_sample_many(spec, u)
 
     def sample_rows(
         self, scaled_rows: np.ndarray, rng: np.random.Generator, peak=None
@@ -137,7 +156,11 @@ def biased(p: float) -> DeviceModel:
 def parse_device(text: str) -> DeviceModel:
     """Parse 'honest' | 'uniform' | 'argmax' | 'biased:<p>'."""
     if text.startswith("biased:"):
-        return biased(float(text.split(":", 1)[1]))
+        try:
+            p = float(text[len("biased:"):])
+        except ValueError:
+            raise ValueError(f"unknown device spec {text!r}") from None
+        return biased(p)
     if text in ("honest", "uniform", "argmax"):
         return DeviceModel(text)
     raise ValueError(f"unknown device spec {text!r}")

@@ -257,18 +257,15 @@ def derandomize(
 ) -> np.ndarray:
     """Replay a sampling device through one shared stream, once per generator.
 
-    For each generator in `rngs`, step 1 estimates the device's law on
-    spec from `budget` fresh draws, count/budget; step 2 replays every
-    such law on seed's stream, which is a pure function of (seed, N), in
-    one walk (`rejsamp`).  Returns one index per generator.  The marginal
-    over (device randomness, seed) is exactly the device's own law; for a
-    sufficiently deterministic device and a generous budget the answers
-    are almost always one function of the seed alone.
+    For each generator in `rngs`, step 1 estimates the device's law on spec
+    as count/budget from `device.sample_counts` over `budget` fresh draws;
+    step 2 replays every such law on seed's stream, a pure function of
+    (seed, N), in one walk (`rejsamp`).  Returns one index per generator.
+    The marginal over (device randomness, seed) is exactly the device's own
+    law; for a sufficiently deterministic device and a generous budget the
+    answers are almost always one function of the seed alone.
     """
     if budget < 1:
         raise BudgetZero("derandomization needs at least one device sample")
-    laws = np.stack([
-        np.bincount(device.sample_many(spec, budget, g), minlength=spec.size)
-        for g in rngs
-    ]) / budget
+    laws = np.stack([device.sample_counts(spec, budget, g) for g in rngs]) / budget
     return rejsamp(laws, seed)

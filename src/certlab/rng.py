@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -69,9 +70,18 @@ def derive64(seed: int, *tags: int) -> int:
     return k
 
 
+class _PhiloxKey(ISeedSequence):
+    """Philox key words [k, 0]; Philox(key=k) also draws OS entropy it drops."""
+    def __init__(self, key: int):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array([self.key, 0], dtype=np.uint64)
+
+
 def make_rng(seed: int, *tags: int) -> np.random.Generator:
     """Counter-based numpy Generator for the given (seed, stream tags)."""
-    return np.random.Generator(np.random.Philox(key=derive64(seed, *tags)))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(derive64(seed, *tags))))
 
 
 def gaussians(rng: np.random.Generator, count: int, sigma: float = 1.0) -> np.ndarray:

@@ -253,6 +253,15 @@ def test_invalid_device_reports_error(capsys):
     assert "certlab:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["biased:abc", "biased:"])
+@pytest.mark.parametrize("command", ["derandomize", "protocol"])
+def test_malformed_biased_device_names_the_spec(command, spec, capsys):
+    assert run(command, "--device", spec, "--out", "/dev/null") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"certlab: unknown device spec {spec!r}\n"
+
+
 @pytest.mark.parametrize("b", ["inf", "nan", "1"])
 def test_protocol_rejects_unusable_b(b, capsys):
     # an infinite bar would print "Infinity", which is not JSON, for a run

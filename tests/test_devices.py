@@ -1,5 +1,7 @@
 """Device models: exact output laws and per-challenge entropy."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,76 @@ def test_biased_sample_rows_matches_draw_all_reference(p, n):
         assert got_rng.random() == ref_rng.random()
 
 
+def assert_counts_match(dev, spec, count, reference, seed):
+    # sample_counts against np.bincount of the reference answers, from the
+    # same generator state, and both generators' next draw
+    got_rng, ref_rng = make_rng(*seed), make_rng(*seed)
+    got = dev.sample_counts(spec, count, got_rng)
+    want = np.bincount(reference(spec, count, ref_rng), minlength=spec.size)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == (spec.size,) and int(got.sum()) == count
+    np.testing.assert_array_equal(got, want)
+    assert got_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+@pytest.mark.parametrize("p", BIASED_P)
+def test_biased_sample_counts_match_draw_all_reference(p, n):
+    spec = wht(random_function(n, make_rng(75, n)))
+    for count in COUNTS:
+        assert_counts_match(
+            biased(p), spec, count,
+            lambda s, c, g: draw_all_then_overwrite_many(p, s, c, g),
+            (75, n, count))
+
+
+class WordStream:
+    """A stand-in generator over given 64-bit words: `random` reads them as
+    numpy's Generator does, (w >> 11) * 2^-53, and `bit_generator.random_raw`
+    hands them out raw, both from one position."""
+
+    def __init__(self, words):
+        self.words, self.pos, self.bit_generator = words, 0, self
+
+    def random_raw(self, size):
+        self.pos += size
+        return self.words[self.pos - size:self.pos]
+
+    def random(self, size):
+        return (self.random_raw(size) >> np.uint64(11)) * 2.0**-53
+
+
+@pytest.mark.parametrize("p", BIASED_P + (1 / 3, 0.1, 1.0 - 2.0**-53, 2.0**-60))
+def test_biased_coin_test_on_raw_words_holds_at_ties(p):
+    # coins that equal p exactly, and the words on each side of it, are
+    # judged as the float test on rng.random's doubles judges them
+    edge = min(math.ceil(p * 2**53), 2**53 - 1) << 11
+    coins = [edge - 1, edge, edge + 2047, edge + 2048, 0, 2**64 - 1]
+    coins = np.array([min(max(c, 0), 2**64 - 1) for c in coins], dtype=np.uint64)
+    words = np.concatenate([coins, make_rng(78, 0).bit_generator.random_raw(6)])
+    spec = wht(random_function(4, make_rng(78, 1)))
+    got = biased(p).sample_many(spec, 6, WordStream(words))
+    want = draw_all_then_overwrite_many(p, spec, 6, WordStream(words))
+    np.testing.assert_array_equal(got, want)
+    counts = biased(p).sample_counts(spec, 6, WordStream(words))
+    np.testing.assert_array_equal(counts, np.bincount(want, minlength=16))
+
+
+def argmax_many_reference(spec, count, rng):
+    return np.full(count, argmax_index(spec), dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+@pytest.mark.parametrize("kind", ["honest", "uniform", "argmax"])
+def test_sample_counts_match_many_references(kind, n):
+    reference = (argmax_many_reference if kind == "argmax"
+                 else REFERENCES[kind][1])
+    spec = wht(random_function(n, make_rng(76, n)))
+    for count in COUNTS:
+        assert_counts_match(DeviceModel(kind), spec, count, reference,
+                            (76, n, count))
+
+
 def test_min_entropy_rows_matches_distribution(spec4):
     rows = spec4.scaled[None, :].astype(np.int64)
     for dev in (honest(), uniform_cheat(), argmax_deterministic(),
@@ -264,8 +336,11 @@ def test_labels_and_parsing():
     assert dev.kind == "biased" and dev.p == 0.75
     with pytest.raises(ValueError):
         parse_device("teleport")
-    with pytest.raises(ValueError):
-        parse_device("biased:nope")
+    for text in ("biased:nope", "biased:"):
+        with pytest.raises(ValueError, match="unknown device spec"):
+            parse_device(text)
+    with pytest.raises(ValueError, match=r"p in \[0, 1\]"):
+        parse_device("biased:1.5")
 
 
 def test_device_model_is_frozen():

@@ -126,3 +126,27 @@ def test_gaussians_match_out_of_place_box_muller(count, sigma):
 @pytest.mark.parametrize("seed", [0, 1, 2**63, MASK64])
 def test_derive64_stays_in_range(seed):
     assert 0 <= derive64(seed, 99) <= MASK64
+
+
+def test_make_rng_equals_philox_keyed_by_derive64():
+    # make_rng hands Philox its key words directly; the generator it builds
+    # must be the one Philox(key=derive64(...)) gives: the same state and
+    # the same next 1 000 doubles.  Half the derived keys have the top bit
+    # set; the forced seeds cover 0, 2^63 and 2^64 - 1.
+    seeds = [0, 1, 2**63, MASK64] + [derive64(77, i) for i in range(124)]
+    cases = [(s, *tags) for s in seeds for tags in ((), (0,), (3, 1), (MASK64, 2, 9))]
+    assert len(cases) >= 500
+    top = sum(derive64(*case) >> 63 for case in cases)
+    assert 100 < top < len(cases) - 100
+    for case in cases:
+        got = make_rng(*case)
+        want = np.random.Generator(np.random.Philox(key=derive64(*case)))
+        a, b = got.bit_generator.state, want.bit_generator.state
+        assert a.keys() == b.keys() and a["bit_generator"] == b["bit_generator"]
+        for name in ("counter", "key"):
+            np.testing.assert_array_equal(a["state"][name], b["state"][name])
+        np.testing.assert_array_equal(a["buffer"], b["buffer"])
+        assert (a["buffer_pos"], a["has_uint32"], a["uinteger"]) == (
+            b["buffer_pos"], b["has_uint32"], b["uinteger"])
+        x, y = got.random(1000), want.random(1000)
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
