@@ -273,34 +273,17 @@ def character_values(n: int, z: int) -> np.ndarray:
     return (1 - 2 * parity).astype(np.int8)
 
 
-def p_set(
-    f: BooleanFunction,
-    z: int,
-    spec: FourierSpectrum | None = None,
-    sign: int | None = None,
-) -> np.ndarray:
+def p_set(f: BooleanFunction, z: int) -> np.ndarray:
     """Indices x where f agrees with sgn(fhat(z)) * chi_z, sorted ascending.
 
     The result always has exactly N*(1 + |fhat(z)|)/2 elements.  If
-    fhat(z) = 0 the majority sign is undefined and the caller must pass
-    sign=+1 or sign=-1 explicitly.
+    fhat(z) = 0 there is no sign to move toward zero: ZeroCoefficient.
     """
     chi = character_values(f.n, z)
-    if spec is None:
-        w = int(np.dot(f.values.astype(np.int64), chi))
-    else:
-        w = int(spec.scaled[z])
-    if w > 0:
-        s = 1
-    elif w < 0:
-        s = -1
-    else:
-        if sign not in (1, -1):
-            raise ZeroCoefficient(
-                f"fhat({z}) = 0; pass sign=+1 or sign=-1 to break the tie"
-            )
-        s = sign
-    return np.nonzero(f.values == s * chi)[0]
+    w = int(np.dot(f.values.astype(np.int64), chi))
+    if w == 0:
+        raise ZeroCoefficient(f"fhat({z}) = 0 has no sign to move toward zero")
+    return np.nonzero(f.values == (1 if w > 0 else -1) * chi)[0]
 
 
 def coefficient_at(f: BooleanFunction, z: int) -> float:

@@ -446,7 +446,7 @@ def cmd_llqsv(args) -> int:
           f"N*mean fhat(s)^2 = {mean_stat:.4f}", file=sys.stderr)
     if args.check:
         tol = args.tol if args.tol is not None else 0.5
-        back = llqsv.from_llq1(blob, case_label=args.case)
+        back = llqsv.from_llq1(blob)
         round_ok = _same_entries(back, inst)
         expected = (3.0 * size - 2.0) / size if args.case == "fourier" else 1.0
         return _check_result([
@@ -708,7 +708,7 @@ def _battery(seed: int, report: CheckReport) -> None:
 
     # -- long lists
     inst = llqsv.llqsv_instance(6, 2000, "fourier", make_rng(seed, 117))
-    back = llqsv.from_llq1(llqsv.to_llq1(inst), "fourier")
+    back = llqsv.from_llq1(llqsv.to_llq1(inst))
     report.add("llq1-roundtrip", _same_entries(back, inst),
                f"{len(back)} entries round-trip")
     stat = _sampled_power(inst) * 64

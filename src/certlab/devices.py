@@ -11,9 +11,10 @@ Four kinds, all answering one challenge function with one index:
 Each kind's output law has a closed form in the integer spectrum, so
 min_entropy_rows is exact rather than estimated.
 
-A biased call reads 2*count raw Philox words at once, coins then answers, the
-words of two `rng.random` draws (the digests pin them), and searches only the
-answers whose coin is >= p.
+Every biased call tosses one coin per answer the same way (`_biased_split`):
+it reads 2*count raw Philox words at once, coins then answers, the words of
+two `rng.random` draws (the digests pin them), and searches only the answers
+whose coin is >= p.
 """
 
 from __future__ import annotations
@@ -71,27 +72,27 @@ class DeviceModel:
             return np.full(count, argmax_index(spec), dtype=np.int64)
         if self.kind == "honest":
             return fourier_sample_many(spec, rng.random(count))
-        keep, answers = self._biased_split(spec, count, rng)
+        keep, u = self._biased_split(count, rng)
         out = np.full(count, argmax_index(spec), dtype=np.int64)
-        out[keep] = answers
+        out[keep] = fourier_sample_many(spec, u)
         return out
 
     def sample_counts(self, spec: FourierSpectrum, count: int, rng) -> np.ndarray:
         """Length-N int64 tally of `sample_many`'s answers, from its draws."""
         if self.kind != "biased":
             return np.bincount(self.sample_many(spec, count, rng), minlength=spec.size)
-        _, answers = self._biased_split(spec, count, rng)
-        counts = np.bincount(answers, minlength=spec.size)
-        counts[argmax_index(spec)] += count - answers.size
+        _, u = self._biased_split(count, rng)
+        counts = np.bincount(fourier_sample_many(spec, u), minlength=spec.size)
+        counts[argmax_index(spec)] += count - u.size
         return counts
 
-    def _biased_split(self, spec, count, rng):
-        """Coin mask and honest answers from 2*count raw words, coins first;
-        rng.random's coin (w >> 11) * 2^-53 is >= p iff w >= ceil(p 2^53) 2^11."""
+    def _biased_split(self, count, rng):
+        """Coin mask and the kept answers' uniforms from 2*count raw words,
+        coins first; rng.random's (w >> 11) * 2^-53 is >= p iff
+        w >= ceil(p 2^53) 2^11."""
         w = rng.bit_generator.random_raw(2 * count)
         keep = w[:count] >= math.ceil(self.p * 2**53) << 11
-        u = (w[count:][keep] >> np.uint64(11)) * 2.0**-53
-        return keep, fourier_sample_many(spec, u)
+        return keep, (w[count:][keep] >> np.uint64(11)) * 2.0**-53
 
     def sample_rows(
         self, scaled_rows: np.ndarray, rng: np.random.Generator, peak=None
@@ -110,17 +111,16 @@ class DeviceModel:
             peak = argmax_rows(scaled_rows)
         if self.kind == "argmax":
             return peak
-        keep = rng.random(rows) >= self.p
+        keep, u = self._biased_split(rows, rng)
         out = peak.copy()
-        out[keep] = fourier_rows(scaled_rows[keep], rng.random(rows)[keep])
+        out[keep] = fourier_rows(scaled_rows[keep], u)
         return out
 
-    def min_entropy_rows(self, scaled_rows: np.ndarray, peak=None) -> np.ndarray:
+    def min_entropy_rows(self, scaled_rows: np.ndarray, peak) -> np.ndarray:
         """Per-challenge min-entropy of the exact output law, in bits.
 
         The row max of |W| is read at `peak`, which is
-        `argmax_rows(scaled_rows)` (taken here when not given), and only
-        that value is squared.
+        `argmax_rows(scaled_rows)`, and only that value is squared.
         """
         rows, size = scaled_rows.shape
         if self.kind == "uniform":
@@ -128,8 +128,6 @@ class DeviceModel:
             return np.full(rows, float(n))
         if self.kind == "argmax":
             return np.zeros(rows)
-        if peak is None:
-            peak = argmax_rows(scaled_rows)
         top = np.abs(scaled_rows[np.arange(rows), peak]).astype(np.int64)
         pmax = (top * top) / float(size * size)
         if self.kind == "biased":

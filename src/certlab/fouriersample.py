@@ -59,25 +59,35 @@ class PgPbEstimate:
             raise ValueError("p_g must equal p_light4 - p_b")
 
 
+def _threshold(u: np.ndarray, total) -> np.ndarray:
+    """t = floor(u * total) + 1 in the dtype of the integer `total`: the tie
+    rule.  Index i owns u * total in [cs[i-1], cs[i]), so the sample is the
+    count of integer cs < t, never an index with zero mass.  u >= 0, so the
+    cast is the floor; u < 1 keeps t <= total."""
+    return (u * total).astype(total.dtype) + 1
+
+
 def fourier_sample_many(spec: FourierSpectrum, u: np.ndarray) -> np.ndarray:
     """One Fourier sample from one spectrum per given uniform.
 
     Inverse CDF over the cumulative squared spectrum, using the scaled
-    integers so the CDF grid is exact (total mass N^2).
+    integers so the CDF grid is exact (total mass N^2), by binary search
+    for the threshold of `_threshold`.
     """
     w = spec.scaled.astype(np.int64)
     cs = np.cumsum(w * w)
-    return np.searchsorted(cs, u * int(cs[-1]), side="right").astype(np.int64)
+    t = _threshold(u, cs[-1])
+    return np.searchsorted(cs, t, side="left").astype(np.int64, copy=False)
 
 
 def fourier_rows(scaled_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One Fourier sample per row of scaled spectra, given one uniform per row.
 
     Inverse CDF on the exact integer grid: row i returns how many of its
-    cumulative masses cs[i, j] = sum_{k <= j} W[i, k]^2 lie strictly below
-    u[i] * cs[i, -1], for integer rows with |W| <= N (scaled spectra of +-1
-    tables).  An integer cs lies below the float64 product x = u * total
-    exactly when it lies below t = ceil(x), so both paths count cs < t.
+    cumulative masses cs[i, j] = sum_{k <= j} W[i, k]^2 lie below the
+    threshold t = floor(u[i] * cs[i, -1]) + 1 of `_threshold`, for integer
+    rows with |W| <= N (scaled spectra of +-1 tables): the same index as
+    `fourier_sample_many`'s binary search on every u.
 
     Rows with N <= _NARROW (128) are scanned whole in int32, since |W| <= N
     bounds every cs by N^3 <= 2^21.  The squares are laid out transposed,
@@ -86,23 +96,24 @@ def fourier_rows(scaled_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     N <= 2^15 (W^2 <= 2^30) and int64 above; the blocks of 64 whose
     cumulative mass (summed in int64) lies below t are the blocks wholly
     before the sample; and the cumulative sum is taken inside the next block
-    only.  The index equals the whole-row scan's on every row, u = 0.0
-    included.
+    only.  The index equals the whole-row scan's on every row.
     """
     rows, size = scaled_rows.shape
     if size <= _NARROW:
         cs = np.square(scaled_rows.T, dtype=np.int32, order="C")
         for j in range(1, size):  # row adds beat np.cumsum down axis 0
             np.add(cs[j - 1], cs[j], out=cs[j])
-        t = np.ceil(u * cs[-1]).astype(np.int32)
+        t = _threshold(u, cs[-1])
         # a count is at most N <= 128, so it is summed in uint8
         return (cs < t).sum(axis=0, dtype=np.uint8).astype(np.int64)
     sq = np.square(scaled_rows, dtype=np.int32 if size <= 1 << 15 else np.int64)
     blocks = sq.reshape(rows, size // _SCAN_BLOCK, _SCAN_BLOCK)
     mass = blocks.sum(axis=2, dtype=np.int64)
     cb = np.cumsum(mass, axis=1)
-    t = np.ceil(u * cb[:, -1]).astype(np.int64)
-    k = (cb < t[:, None]).sum(axis=1)
+    t = _threshold(u, cb[:, -1])
+    # u = 1.0 (t = total + 1) reads the last block and returns N, as the
+    # binary search does
+    k = np.minimum((cb < t[:, None]).sum(axis=1), cb.shape[1] - 1)
     r = np.arange(rows)
     rest = t - (cb[r, k] - mass[r, k])
     inside = np.cumsum(blocks[r, k], axis=1, dtype=np.int64)

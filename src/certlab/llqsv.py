@@ -47,22 +47,18 @@ def _check_budget(n: int, T: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LongList:
-    """T pairs (f_i, s_i) as two read-only arrays plus the hidden case label.
+    """T pairs (f_i, s_i) as two read-only arrays.
 
     Row i of `tables` ((T, N) int8, entries +-1) is the sign table of f_i,
     and s[i] ((T,) int64, 0 <= s < N) is its sample index; both are kept
-    as read-only views of the arrays passed in.  The label is
-    harness-side bookkeeping only; hand distinguishers a ListOracle, never
-    this object.
+    as read-only views of the arrays passed in.  The list does not carry
+    its case; hand distinguishers a ListOracle, never this object.
     """
 
     tables: np.ndarray
     s: np.ndarray
-    case_label: str
 
     def __post_init__(self):
-        if self.case_label not in CASES + ("unknown",):
-            raise ValueError(f"unknown case label {self.case_label!r}")
         tables = np.asarray(self.tables)
         s = np.asarray(self.s)
         if tables.ndim != 2 or s.shape != tables.shape[:1]:
@@ -139,7 +135,7 @@ def llqsv_instance(
         tables[done:done + len(idx)] = block
         s[done:done + len(idx)] = idx
         done += len(idx)
-    return LongList(tables, s, case)
+    return LongList(tables, s)
 
 
 def stream_llqsv(n: int, T: int, case: str, rng: np.random.Generator):
@@ -236,8 +232,8 @@ def _record_head(n: int) -> np.ndarray:
 
 def to_llq1(llist: LongList) -> bytes:
     """Serialize: 'LLQ1', n u32 LE, T u32 LE, then per entry the function's
-    BFN1 payload followed by s as u32 LE.  The case label is deliberately
-    not stored."""
+    BFN1 payload followed by s as u32 LE.  The case is deliberately not
+    stored."""
     T = len(llist)
     if T == 0:
         return LLQ1_MAGIC + struct.pack("<II", 0, 0)
@@ -251,8 +247,8 @@ def to_llq1(llist: LongList) -> bytes:
     return LLQ1_MAGIC + struct.pack("<II", n, T) + body.tobytes()
 
 
-def from_llq1(data: bytes, case_label: str = "unknown") -> LongList:
-    """Parse the LLQ1 wire format; the label must be supplied out of band.
+def from_llq1(data: bytes) -> LongList:
+    """Parse the LLQ1 wire format.
 
     Only the canonical encoding is accepted: n = 0 exactly when T = 0,
     the length is exactly what the header implies, and every record has
@@ -280,4 +276,4 @@ def from_llq1(data: bytes, case_label: str = "unknown") -> LongList:
         pos = 12 + int(np.argmax(bad)) * rec
         raise ValueError(f"LLQ1 record at byte {pos} does not fit n = {n}")
     bits = np.unpackbits(packed, axis=1, count=size, bitorder="little")
-    return LongList(1 - 2 * bits.view(np.int8), s, case_label)
+    return LongList(1 - 2 * bits.view(np.int8), s)

@@ -6,9 +6,10 @@ query the device once per challenge, and judge the answers three ways.
 * Score test: S = sum_i fhat_i(s_i)^2 must reach (b - eps/2) T/N.  Honest
   Fourier samplers concentrate near 3T/N (the fourth-moment mean), blind
   uniform cheats near T/N.
-* Collision test (when a deterministic claim Q is supplied): V counts
-  challenges with s_i = Q(C_i).  With mu = T/N, small V looks like
-  uniform sampling, large V like a genuinely peaked sampler.
+* Collision test (when the argmax claim Q is supplied): V counts
+  challenges with s_i = Q(C_i), the first index of the largest |fhat_i|.
+  With mu = T/N, small V looks like uniform sampling, large V like a
+  genuinely peaked sampler.
 * Extraction: the answer bits are condensed through a Toeplitz matrix
   whose height is capped by the device's accumulated min-entropy minus a
   64-bit safety margin.
@@ -238,9 +239,8 @@ def run_protocol(
 ) -> ProtocolTranscript:
     """Execute one full protocol run; see module docstring for the phases.
 
-    claimed_Q is None, the string "argmax", or a callable mapping a block
-    of scaled-spectrum rows to one claimed index per row; supplying it
-    enables the collision test.
+    claimed_Q is None or the string "argmax"; "argmax" enables the
+    collision test against each challenge's first argmax of |W|.
     """
     return run_protocol_arms(config, [(device, claimed_Q)])[0]
 
@@ -252,8 +252,11 @@ def run_protocol_arms(config: ProtocolConfig, arms) -> list[ProtocolTranscript]:
     argmax (the argmax claim, and where the row max of |W| sits) is taken
     once per block and shared by every arm.  Each arm draws from its own
     make_rng(seed, _TAG_DEVICE) stream, so each transcript equals a lone
-    run_protocol's.
+    run_protocol's.  A claim other than None or "argmax" raises ValueError.
     """
+    for _, claimed_Q in arms:
+        if not (claimed_Q is None or claimed_Q == "argmax"):
+            raise ValueError(f"unknown claim {claimed_Q!r}; use None or 'argmax'")
     n, T, size = config.n, config.T, config.size
     rngs = [make_rng(config.seed, _TAG_DEVICE) for _ in arms]
     keys = np.empty(T, dtype=np.uint64)
@@ -272,8 +275,7 @@ def run_protocol_arms(config: ProtocolConfig, arms) -> list[ProtocolTranscript]:
             samples[a, done:done + b] = s
             probs[a, done:done + b] = (w_at * w_at) / float(size * size)
             if claimed_Q is not None:
-                q = peak if claimed_Q == "argmax" else claimed_Q(W)
-                V[a] += int(np.count_nonzero(s == np.asarray(q, dtype=np.int64)))
+                V[a] += int(np.count_nonzero(s == peak))
             entropy[a] += float(device.min_entropy_rows(W, peak).sum())
     return [_transcript(config, keys, samples[a], probs[a], V[a], entropy[a])
             for a in range(len(arms))]

@@ -33,24 +33,29 @@ def max_attempts(n: int) -> int:
     return 4 * n * n
 
 
-def exact_distribution(g: BooleanFunction) -> np.ndarray:
-    """The sampler's output law as a length-N probability vector.
+def _placement(ones, hit, n: int) -> np.ndarray:
+    """Pr[sampler outputs x] for accepting sets of `ones` elements, x
+    accepting where `hit`.
 
-    With a = |accepting set|/N and K = 4 n^2:
+    With N = 2^n, a = ones/N and K = 4 n^2:
       accepting x:  (1 - (1-a)^K)/(aN) + (1-a)^K / N
       rejecting x:  (1-a)^K / N
-    and the uniform vector when a = 0.  Sums to 1 to 1e-12.
+    and 1/N when a = 0.
     """
-    size = g.size
-    K = max_attempts(g.n)
-    ones = int(np.count_nonzero(g.values == 1))
-    if ones == 0:
-        return np.full(size, 1.0 / size)
+    size = 1 << n
     a = ones / size
-    miss = (1.0 - a) ** K
-    p_acc = (1.0 - miss) / (a * size) + miss / size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        miss = (1.0 - a) ** max_attempts(n)
+        p_acc = (1.0 - miss) / (a * size) + miss / size
     p_rej = miss / size
-    return np.where(g.values == 1, p_acc, p_rej)
+    return np.where(ones == 0, 1.0 / size, np.where(hit, p_acc, p_rej))
+
+
+def exact_distribution(g: BooleanFunction) -> np.ndarray:
+    """The sampler's output law as a length-N probability vector (see
+    `_placement`); sums to 1 to 1e-12."""
+    accept = g.values == 1
+    return _placement(np.count_nonzero(accept), accept, g.n)
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,6 @@ def rhog_values(
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     size = params.size
-    K = max_attempts(params.n)
     vals = np.empty(trials)
     done = 0
     while done < trials:
@@ -91,14 +95,8 @@ def rhog_values(
         else:
             x = honest_sampler.sample_batch(wht_rows(f_rows), rng)
         ones = np.count_nonzero(g_rows == 1, axis=1)
-        a = ones / size
-        with np.errstate(divide="ignore", invalid="ignore"):
-            miss = (1.0 - a) ** K
-            p_acc = (1.0 - miss) / (a * size) + miss / size
-        p_rej = miss / size
         hit = g_rows[np.arange(b), x] == 1
-        p = np.where(ones == 0, 1.0 / size, np.where(hit, p_acc, p_rej))
-        vals[done:done + b] = size * p
+        vals[done:done + b] = size * _placement(ones, hit, params.n)
         done += b
     return vals
 

@@ -33,13 +33,12 @@ def mean_ci99(samples: np.ndarray) -> MeanCI:
     return MeanCI(m, Z99 * sd / math.sqrt(n), n)
 
 
-def wilson_halfwidth(k: int, n: int, z: float = Z99) -> float:
-    """Half-width of the Wilson score interval for k successes in n trials."""
+def wilson_halfwidth(k: int, n: int) -> float:
+    """99% half-width of the Wilson score interval for k successes in n trials."""
     if n <= 0:
         raise ValueError("need at least one trial")
     p = k / n
-    z2 = z * z
+    z2 = Z99 * Z99
     denom = 1.0 + z2 / n
-    half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
-    return half
+    return (Z99 / denom) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
 

@@ -295,14 +295,12 @@ def test_p_set_size_identity(n, bits, z_raw):
     z = z_raw % f.size
     spec = wht(f)
     if spec.scaled[z] == 0:
-        members = p_set(f, z, spec, sign=1)
-        assert members.size == f.size // 2
-        assert np.array_equal(p_set(f, z, sign=1), members)  # no spec: O(N) read
+        with pytest.raises(ZeroCoefficient):
+            p_set(f, z)
     else:
-        members = p_set(f, z, spec)
+        members = p_set(f, z)
         # |P_f| = N (1 + |fhat|) / 2 exactly
         assert 2 * members.size == f.size + abs(int(spec.scaled[z]))
-        assert np.array_equal(p_set(f, z), members)  # no spec: O(N) read
 
 
 def test_p_set_members_agree_with_signed_character():
@@ -311,18 +309,16 @@ def test_p_set_members_agree_with_signed_character():
     z = int(np.argmax(np.abs(spec.scaled)))
     sgn = 1 if spec.scaled[z] > 0 else -1
     chi = character_values(5, z)
-    members = p_set(f, z, spec)
+    members = p_set(f, z)
     mask = np.zeros(f.size, dtype=bool)
     mask[members] = True
     assert np.array_equal(mask, f.values == sgn * chi)
 
 
-def test_p_set_zero_coefficient_needs_explicit_sign():
+def test_p_set_zero_coefficient_raises():
     f = BooleanFunction(1, np.array([1, 1], dtype=np.int8))  # fhat = (1, 0)
-    with pytest.raises(ZeroCoefficient):
+    with pytest.raises(ZeroCoefficient, match="no sign"):
         p_set(f, 1)
-    assert p_set(f, 1, sign=1).size == 1
-    assert p_set(f, 1, sign=-1).size == 1
 
 
 def test_coefficient_at_matches_spectrum():

@@ -99,6 +99,15 @@ def test_bad_bfn1_file_reports_error(tmp_path, capsys):
     assert "certlab:" in capsys.readouterr().err
 
 
+def test_perturb_at_zero_coefficient_is_one_line_error(capsys):
+    # seed 2 draws an n = 4 function with fhat(1) = 0
+    assert run("perturb", "--n", "4", "--z", "1", "--seed", "2") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "certlab: fhat(1) = 0 has no sign to move toward zero\n"
+    assert "sign=" not in captured.err
+
+
 def test_wht_json_payload(tmp_path, capsys):
     out = tmp_path / "w.json"
     assert run("wht", "--n", "3", "--seed", "5", "--out", str(out)) == 0
@@ -209,7 +218,7 @@ def test_llqsv_writes_parseable_binary(tmp_path):
     out = tmp_path / "x.llq1"
     assert run("llqsv", "--n", "5", "--t", "300", "--case", "uniform",
                "--seed", "7", "--out", str(out), "--check") == 0
-    inst = from_llq1(out.read_bytes(), "uniform")
+    inst = from_llq1(out.read_bytes())
     assert len(inst) == 300
     # same flags, same bytes
     out2 = tmp_path / "y.llq1"

@@ -9,7 +9,9 @@ sampler itself is checked by a goodness-of-fit test against the exact
 squared-coefficient law.  The blocked search in `fourier_rows` is held
 index for index to the whole-row int64 scan (`scan_reference`), and its
 whole-row int32 path (N <= 128) to a binary search per row
-(`searchsorted_reference`).
+(`searchsorted_reference`).  The tie rule (index i owns u * total in
+[cs[i-1], cs[i])) is held to an exact-rational oracle (`fraction_oracle`),
+and both searches are held to each other on every exact tie.
 """
 
 import itertools
@@ -23,6 +25,7 @@ from scipy import stats as sps
 
 from certlab.boolfn import (
     BooleanFunction,
+    FourierSpectrum,
     character_values,
     fourth_moment,
     random_function,
@@ -150,10 +153,10 @@ def test_fourier_sample_point_mass():
 # ------------------------------------------------------ the batched kernel
 
 def scan_reference(scaled_rows, u):
-    """The whole-row scan: how many cs[i, j] lie strictly below u[i] * cs[i, -1]."""
+    """The whole-row scan: how many cs[i, j] lie at or below u[i] * cs[i, -1]."""
     w = scaled_rows.astype(np.int64)
     cs = np.cumsum(w * w, axis=1)
-    return (cs < (u * cs[:, -1])[:, None]).sum(axis=1)
+    return (cs <= (u * cs[:, -1])[:, None]).sum(axis=1)
 
 
 def assert_matches_scan(rows, u):
@@ -197,15 +200,15 @@ def test_fourier_rows_on_block_boundaries(n):
 
 @pytest.mark.parametrize("n", [6, 7, 12, 16])
 def test_fourier_rows_single_mass_rows(n):
-    # chi_z puts all its mass N^2 on z: every u > 0 returns z, and u = 0.0
-    # returns 0 like the scan (cs < 0 never holds); z in the first and the
-    # last block, at n = 16 with W^2 = 2^32
+    # chi_z puts all its mass N^2 on z: every u returns z, u = 0.0 too (the
+    # first index with mass, like the scan); z in the first and the last
+    # block, at n = 16 with W^2 = 2^32
     size = 1 << n
     zs = [0, 1, 63, size - 64, size - 2, size - 1]
     rows = wht_rows(np.stack([character_values(n, z) for z in zs]))
     u = np.full(len(zs), 0.3)
     assert list(assert_matches_scan(rows, u)) == zs
-    assert list(assert_matches_scan(rows, np.zeros(len(zs)))) == [0] * len(zs)
+    assert list(assert_matches_scan(rows, np.zeros(len(zs)))) == zs
     assert list(assert_matches_scan(rows, np.full(len(zs), 2.0 ** -60))) == zs
 
 
@@ -213,21 +216,21 @@ def test_fourier_rows_single_mass_rows(n):
 def test_fourier_rows_constant_rows_need_wide_squares(n):
     # |W| = N everywhere: at n = 15 a block of 64 squares (2^36) overflows
     # int32, and at n = 16 a single square (2^32) does.  cs_j = (j + 1) N^2,
-    # so u > 0 returns ceil(u N) - 1
+    # so u returns floor(u N)
     size = 1 << n
     signs = np.array([1, -1, 1, -1])[:, None]
     rows = np.broadcast_to(signs * size, (4, size)).astype(np.int64)
     u = np.array([0.0, 0.3, 0.75, np.nextafter(1.0, 0.0)])
     got = assert_matches_scan(rows, u)
-    assert list(got) == [0] + [math.ceil(x * size) - 1 for x in u[1:]]
+    assert list(got) == [math.floor(x * size) for x in u]
 
 
 def searchsorted_reference(scaled_rows, u):
-    """Row by row, the number of cs < u * total, by binary search in int64."""
+    """Row by row, the number of cs <= u * total, by binary search in int64."""
     out = []
     for w, x in zip(scaled_rows.astype(np.int64), u):
         cs = np.cumsum(w * w)
-        out.append(np.searchsorted(cs, x * cs[-1], side="left"))
+        out.append(np.searchsorted(cs, x * cs[-1], side="right"))
     return np.array(out, dtype=np.int64)
 
 
@@ -249,6 +252,70 @@ def test_narrow_scan_matches_binary_search(n, dtype):
             got = fourier_rows(block, u)
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, searchsorted_reference(block, u))
+
+
+# ------------------------------------------------------------ the tie rule
+
+def fraction_oracle(w, u):
+    """The index i whose interval [cs[i-1], cs[i]) holds u * total, in exact
+    rationals; u = 1.0 lies in none."""
+    x = Fraction(u) * sum(int(v) ** 2 for v in w)
+    acc = 0
+    for i, v in enumerate(w):
+        acc += int(v) ** 2
+        if x < acc:
+            return i
+    raise AssertionError("u * total lies past the last interval")
+
+
+def spectrum(w):
+    size = len(w)
+    return FourierSpectrum(size.bit_length() - 1, np.asarray(w) / size, w)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_searches_agree_on_every_tie(n):
+    # u = 0.0, every tie u = cs_j / N^2 (u * N^2 = cs_j exactly, u = 1.0 at
+    # the last) and the floats beside each: fourier_rows (the int32 scan for
+    # n <= 7, the blocked search above) and fourier_sample_many's binary
+    # search return the same index, never one with zero mass below u = 1
+    size = 1 << n
+    tables = np.concatenate([random_functions_batch(n, 4, make_rng(36, n)),
+                             character_values(n, size - 1)[None, :]])
+    for w in wht_rows(tables):
+        ties = np.cumsum(w.astype(np.int64) ** 2) / float(size * size)
+        u = np.concatenate([[0.0], ties, np.nextafter(ties, 0.0),
+                            np.nextafter(ties, 1.0)])
+        want = fourier_sample_many(spectrum(w), u)
+        for lo in range(0, u.size, 1024):
+            part = u[lo:lo + 1024]
+            got = fourier_rows(np.broadcast_to(w, (part.size, size)), part)
+            np.testing.assert_array_equal(got, want[lo:lo + 1024])
+        assert np.all(w[want[u < 1.0]] != 0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_left_end_of_each_interval_returns_its_index(n):
+    # u * total = cs[i-1] exactly, for every index i with mass, and drawn u
+    # against the rational oracle; W = (0, 0, 4, 0) at u = 0.0 returns 2
+    size = 1 << n
+    rows = wht_rows(random_functions_batch(n, 8, make_rng(37, n)))
+    drawn = make_rng(37, n, 1).random(64)
+    for w in rows:
+        mass = [int(v) ** 2 for v in w]
+        total = sum(mass)
+        heavy = [i for i in range(size) if mass[i]]
+        left = np.array([float(Fraction(sum(mass[:i]), total)) for i in heavy])
+        for u, want in ((left, heavy),
+                        (drawn, [fraction_oracle(w, x) for x in drawn])):
+            assert all(fraction_oracle(w, x) == i for x, i in zip(u, want))
+            rows_got = fourier_rows(np.broadcast_to(w, (u.size, size)), u)
+            assert list(rows_got) == list(want)
+            assert list(fourier_sample_many(spectrum(w), u)) == list(want)
+            assert all(mass[i] for i in rows_got)
+    point = np.array([0, 0, 4, 0])
+    assert fourier_rows(point[None, :], np.zeros(1))[0] == 2
+    assert fourier_sample_many(spectrum(point), np.zeros(1))[0] == 2
 
 
 def test_fourier_rows_memory_stays_under_one_int64_copy():

@@ -80,7 +80,6 @@ def test_instance_shapes_and_stream_agreement():
     assert len(inst) == 64 and inst.n == 4
     assert inst.tables.shape == (64, 16) and inst.tables.dtype == np.int8
     assert inst.s.shape == (64,) and inst.s.dtype == np.int64
-    assert inst.case_label == "fourier"
     assert not inst.tables.flags.writeable and not inst.s.flags.writeable
     # blocks of 2048 rows, concatenated by llqsv_instance
     inst = llqsv_instance(3, 4097, "fourier", make_rng(80, 0))
@@ -101,7 +100,7 @@ def test_instance_shapes_and_stream_agreement():
 ])
 def test_long_list_validates_arrays(tables, s):
     with pytest.raises(ValueError):
-        LongList(tables, s, "unknown")
+        LongList(tables, s)
 
 
 def test_fourier_case_mean_tracks_fourth_moment():
@@ -162,7 +161,7 @@ def test_list_oracle_counts_reads():
 def test_llq1_roundtrip(n, t):
     inst = llqsv_instance(n, t, "fourier", make_rng(82, n * 31 + t))
     blob = to_llq1(inst)
-    back = from_llq1(blob, case_label="fourier")
+    back = from_llq1(blob)
     assert len(back) == t
     assert same_entries(back, inst)
 
@@ -175,7 +174,7 @@ def test_llq1_matches_per_entry_writer(n):
         blob = to_llq1(inst)
         assert blob == llq1_reference(inst)
         back = from_llq1(blob)
-        assert same_entries(back, inst) and back.case_label == "unknown"
+        assert same_entries(back, inst)
 
 
 @given(st.integers(min_value=1, max_value=4),

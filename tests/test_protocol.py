@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certlab.boolfn import wht
+from certlab.boolfn import wht, wht_rows
 from certlab.devices import argmax_deterministic, biased, honest, uniform_cheat
 from certlab.protocol import (
     EXTRACTOR_MARGIN_BITS,
@@ -150,17 +150,34 @@ def test_no_claim_means_no_collision_count():
     assert tr.entropy_verdict is None
 
 
-def test_custom_callable_claim():
-    cfg = small_config(T=64)
-    tr = run_protocol(cfg, argmax_deterministic(),
-                      lambda rows: np.argmax(rows * rows, axis=1))
-    assert tr.V == cfg.T
-
-
 def argmax_claim(rows):
     """The argmax claim, computed apart from certlab: first argmax of W^2."""
     w = rows.astype(np.int64)
     return np.argmax(w * w, axis=1)
+
+
+def oracle_claims(cfg):
+    """argmax_claim over the challenges regenerated one by one."""
+    tables = [challenge_function(cfg.seed, i, cfg.n).values for i in range(cfg.T)]
+    return argmax_claim(wht_rows(np.stack(tables)))
+
+
+def test_argmax_claim_counts_against_oracle():
+    cfg = small_config(T=64)
+    claims = oracle_claims(cfg)
+    tr = run_protocol(cfg, argmax_deterministic(), "argmax")
+    assert tr.V == cfg.T and np.array_equal(tr.samples, claims)
+    for device in (honest(), biased(0.5)):
+        tr = run_protocol(cfg, device, "argmax")
+        assert tr.V == int(np.count_nonzero(tr.samples == claims))
+
+
+@pytest.mark.parametrize("claim", ["maxarg", argmax_claim])
+def test_unknown_claim_raises(claim):
+    with pytest.raises(ValueError, match="unknown claim"):
+        run_protocol(small_config(T=8), honest(), claim)
+    with pytest.raises(ValueError, match="unknown claim"):
+        run_protocol_arms(small_config(T=8), [(honest(), None), (honest(), claim)])
 
 
 def assert_same_transcript(got, want):
@@ -184,9 +201,11 @@ def test_arms_equal_lone_runs(i):
             (honest(), "argmax")]
     got = run_protocol_arms(cfg, arms)
     assert len(got) == len(arms)
+    claims = oracle_claims(cfg)
     for tr, (device, claim) in zip(got, arms):
-        lone = run_protocol(cfg, device, None if claim is None else argmax_claim)
-        assert_same_transcript(tr, lone)
+        assert_same_transcript(tr, run_protocol(cfg, device, claim))
+        if claim is not None:
+            assert tr.V == int(np.count_nonzero(tr.samples == claims))
 
 
 # ---------------------------------------------------------------- extraction

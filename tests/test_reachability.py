@@ -1,12 +1,15 @@
-"""Every public definition in certlab is used by certlab.
+"""Every public definition in certlab is used by certlab, and every
+defaulted parameter is passed by it.
 
 A function that only tests call either becomes an oracle in tests/ or
 goes.  This check parses src/certlab/*.py and requires each public
 top-level `def` or `class`, and each public method or property of a
 public class (dunders excluded), to be named (as a bare name or an
-attribute) somewhere in the package outside its own definition.  KEEP
-lists the exceptions, each with its reason; an entry that the package
-starts to use, or that is deleted, fails too, so the list stays exact.
+attribute) somewhere in the package outside its own definition.  Likewise
+a parameter with a default that no call in the package passes is a knob
+only tests turn: it goes.  KEEP and KEEP_PARAMS list the exceptions, each
+with its reason; an entry that the package starts to use, or that is
+deleted, fails too, so the lists stay exact.
 """
 
 import ast
@@ -20,6 +23,12 @@ KEEP = {
     "challenge_function": "regenerates a challenge from its key, for the "
                           "transcript verifier still to come",
     "hamming_balance_rate": "the concentration statistic gate 3 measures",
+}
+
+KEEP_PARAMS = {
+    "cli.main.argv": "the entry point perfbench and the tests call with argv; "
+                     "the console script passes none",
+    "rejection.rhog_score.uniform_pairs": "gate 4's uniform-pair control",
 }
 
 
@@ -75,3 +84,74 @@ def test_every_public_definition_is_used_by_the_package():
     unused = sorted(name for name in defined if name not in used)
     # a KEEP entry that is now used, or no longer defined, shows up here too
     assert unused == sorted(KEEP)
+
+
+def defaulted_parameters():
+    """{`module.function.param` or `module.Class.method.param`: (callee,
+    param, position)} for each defaulted parameter of a public function,
+    of a public method of a public class, or of such a class's __init__.
+    The callee is the name a call uses (the class, for __init__); the
+    position counts after self or cls, and is None for a keyword-only
+    parameter."""
+    params = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if (not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    or stmt.name.startswith("_")):
+                continue
+            if isinstance(stmt, ast.FunctionDef):
+                funcs = [(stmt.name, stmt.name, stmt, False)]
+            else:
+                funcs = [(f"{stmt.name}.{item.name}",
+                          stmt.name if item.name == "__init__" else item.name,
+                          item,
+                          not any(getattr(d, "id", None) == "staticmethod"
+                                  for d in item.decorator_list))
+                         for item in stmt.body
+                         if isinstance(item, ast.FunctionDef)
+                         and (item.name == "__init__"
+                              or not item.name.startswith("_"))]
+            for key, callee, fn, bound in funcs:
+                a = fn.args
+                pos = (a.posonlyargs + a.args)[1 if bound else 0:]
+                first = len(pos) - len(a.defaults)
+                for i, arg in enumerate(pos[first:], first):
+                    params[f"{path.stem}.{key}.{arg.arg}"] = (callee, arg.arg, i)
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        params[f"{path.stem}.{key}.{arg.arg}"] = (
+                            callee, arg.arg, None)
+    return params
+
+
+def calls_by_name():
+    """Every call in the package, keyed by the bare name or attribute it
+    calls."""
+    calls = defaultdict(list)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls[name].append(node)
+    return calls
+
+
+def passes(call, param, position):
+    """Whether the call passes the parameter by keyword or by position; a
+    **mapping or a *sequence may pass anything."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(x, ast.Starred) for x in call.args))
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    calls = calls_by_name()
+    unpassed = sorted(key for key, (callee, param, position)
+                      in defaulted_parameters().items()
+                      if not any(passes(c, param, position)
+                                 for c in calls[callee]))
+    # a KEEP_PARAMS entry that is now passed, or no longer defined, shows
+    # up here too
+    assert unpassed == sorted(KEEP_PARAMS)
