@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import blocks
+
 MAX_N = 24  # N = 16M signs; keeps every dense array desk-sized
 
 
@@ -203,7 +205,7 @@ def wht_rows(rows: np.ndarray) -> np.ndarray:
     nrows, size = rows.shape
     if size & (size - 1) or size == 0:
         raise ValueError("row length must be a power of two")
-    step = max(1, _BLOCK // size)
+    step = max(1, min(nrows, _BLOCK // size))  # rows per block and per buffer
     if np.issubdtype(rows.dtype, np.integer):
         bound = size * max(1, int(rows.max(initial=0)), -int(rows.min(initial=0)))
         if bound > 1 << 53:
@@ -211,18 +213,16 @@ def wht_rows(rows: np.ndarray) -> np.ndarray:
                              "(max |x| * N > 2^53)")
         out = np.empty((nrows, size),
                        dtype=np.int16 if bound < 1 << 15 else np.int64)
-        a = np.empty((min(step, nrows), size),
+        a = np.empty((step, size),
                      dtype=np.float32 if bound <= 1 << 24 else np.float64)
         spare = np.empty_like(a)
-        for i in range(0, nrows, step):
-            m = min(step, nrows - i)
+        for i, m in blocks(nrows, step):
             a[:m] = rows[i:i + m]
             out[i:i + m] = _kron_transform(a[:m], spare[:m])
         return out
     out = np.empty((nrows, size))
-    work = np.empty((2, size * min(step, nrows)))
-    for i in range(0, nrows, step):
-        m = min(step, nrows - i)
+    work = np.empty((2, size * step))
+    for i, m in blocks(nrows, step):
         a, spare = work[:, :size * m]
         a.reshape(size, m)[...] = rows[i:i + m].T
         h = 1
@@ -305,10 +305,10 @@ def scaled_at(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
     x = np.arange(size, dtype=np.int64)
     out = np.empty(len(z), dtype=np.int64)
     step = max(1, _BLOCK // size)
-    for i in range(0, len(z), step):
-        odd = np.bitwise_count(z[i:i + step, None] & x) & 1
-        agree = np.count_nonzero(odd == (rows[i:i + step] < 0), axis=1)
-        out[i:i + step] = 2 * agree - size
+    for i, m in blocks(len(z), step):
+        odd = np.bitwise_count(z[i:i + m, None] & x) & 1
+        agree = np.count_nonzero(odd == (rows[i:i + m] < 0), axis=1)
+        out[i:i + m] = 2 * agree - size
     return out
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from . import boolfn, devices, entropy, fouriersample, llqsv, protocol, rejection
 from . import sqforrelation as sqf
-from .rng import MASK64, derive64, make_rng
+from .rng import MASK64, blocks, derive64, make_rng
 from .stats import Z99
 
 # Trials per fan-out chunk, fixed so results ignore --threads; also the
@@ -57,20 +57,13 @@ def _fanout(total: int, threads: int, worker):
     results are returned in chunk order — so merged outputs are identical
     for any thread count.
     """
-    jobs = []
-    start = idx = 0
-    while start < total:
-        cnt = min(_CHUNK, total - start)
-        jobs.append((idx, cnt))
-        idx += 1
-        start += cnt
+    counts = [c for _, c in blocks(total, _CHUNK)]
     if threads <= 1:
-        return [worker(i, c) for i, c in jobs]
+        return list(map(worker, range(len(counts)), counts))
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, i, c) for i, c in jobs]
-        return [f.result() for f in futures]
+        return list(pool.map(worker, range(len(counts)), counts))
 
 
 def _payload(args, command: str, results: dict) -> dict:
@@ -100,13 +93,12 @@ def _write_text(out, parts) -> None:
 def _emit(args, command: str, results: dict, rows=None, header=None) -> None:
     payload = _payload(args, command, results)
     if getattr(args, "format", "json") == "json":
-        _write_text(getattr(args, "out", None),
-                    [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        _write_text(getattr(args, "out", None), [text + "\n"])
         return
+    config = json.dumps(payload["config"], sort_keys=True, allow_nan=False)
     buf = io.StringIO()
-    buf.write(f"# certlab {__version__} {command}\n")
-    buf.write("# config: " +
-              json.dumps(payload["config"], sort_keys=True) + "\n")
+    buf.write(f"# certlab {__version__} {command}\n# config: {config}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -516,9 +508,9 @@ def _challenges_json(transcript):
     keys, samples = transcript.challenge_keys, transcript.samples
     T = samples.size
     yield "[\n"
-    for start in range(0, T, _CHUNK):
-        stop = min(start + _CHUNK, T)
-        M = np.repeat(template[None, :], stop - start, axis=0)
+    for start, count in blocks(T, _CHUNK):
+        stop = start + count
+        M = np.repeat(template[None, :], count, axis=0)
         M[:, key_at] = _digits(keys[start:stop], _KEY_DIGITS)
         M[:, p_at] = p_table[index[start:stop]]
         M[:, s_at] = _digits(samples[start:stop], s_digits)
@@ -530,7 +522,7 @@ def _challenges_json(transcript):
 def _write_transcript(out, payload: dict, transcript) -> None:
     """Write the protocol payload, whose results["challenges"] is
     _CHALLENGES, with the transcript's challenges array in its place."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     parts = text.split(json.dumps(_CHALLENGES))
     if len(parts) != 2:
         raise RuntimeError("the challenges placeholder must occur exactly once")
@@ -769,10 +761,7 @@ def cmd_check_all(args) -> int:
     summary = f"{len(report.lines) - report.failed}/{len(report.lines)} checks passed"
     print(summary)
     if args.out:
-        payload = _payload(args, "check-all",
-                           {"checks": report.lines, "summary": summary})
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit(args, "check-all", {"checks": report.lines, "summary": summary})
     return report.exit_code
 
 
@@ -867,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sqforr", help="mean phi over correlated pairs")
     p.add_argument("--n", type=_N, default=8)
     p.add_argument("--c", type=float, default=20.0)
-    p.add_argument("--trials", type=_COUNT, default=100000)
+    p.add_argument("--trials", type=_int_in(2), default=100000)
     p.add_argument("--estimator", choices=("plain", "conditional"),
                    default="conditional")
     p.add_argument("--uniform-pairs", action="store_true")
@@ -879,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rhog", help="N-scaled rejection placement score")
     p.add_argument("--n", type=_N, default=8)
     p.add_argument("--c", type=float, default=20.0)
-    p.add_argument("--trials", type=_COUNT, default=100000)
+    p.add_argument("--trials", type=_int_in(2), default=100000)
     p.add_argument("--uniform-pairs", action="store_true")
     p.add_argument("--uniform-sampler", action="store_true")
     p.add_argument("--threads", type=_COUNT, default=1)
@@ -940,6 +929,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"certlab: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"certlab: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

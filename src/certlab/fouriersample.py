@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import FourierSpectrum, random_functions_batch, wht_rows
+from .rng import blocks
 from .stats import wilson_halfwidth
 
 _BATCH = 512  # functions generated and transformed per vectorized block
@@ -154,16 +155,13 @@ def pgpb_counts(n: int, device, functions: int,
     size = 1 << n
     n_light = 0
     n_light4 = 0
-    done = 0
-    while done < functions:
-        b = min(_BATCH, functions - done)
+    for _, b in blocks(functions, _BATCH):
         scaled = wht_rows(random_functions_batch(n, b, rng))
         idx = device.sample_rows(scaled, rng)
         w = scaled[np.arange(b), idx].astype(np.int64)
         w2 = w * w
         n_light += int(np.count_nonzero(w2 <= size))
         n_light4 += int(np.count_nonzero(w2 <= 4 * size))
-        done += b
     return n_light, n_light4
 
 

@@ -25,6 +25,7 @@ from .boolfn import (
     wht_rows,
 )
 from .fouriersample import honest_sampler
+from .rng import blocks
 from .stats import wilson_halfwidth
 
 CASES = ("uniform", "fourier")
@@ -39,10 +40,8 @@ class BudgetExceeded(ValueError):
 
 def _check_budget(n: int, T: int) -> None:
     if T * (1 << n) > DENSE_LIST_LIMIT:
-        raise BudgetExceeded(
-            f"T * N = {T} * 2^{n} sign entries exceeds the dense budget "
-            f"2^{DENSE_LIST_LIMIT.bit_length() - 1}; use stream_llqsv instead"
-        )
+        raise BudgetExceeded(f"T * N = {T} * 2^{n} sign entries exceeds the "
+                             f"dense budget 2^{DENSE_LIST_LIMIT.bit_length() - 1}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +118,10 @@ def llqsv_instance(
 ) -> LongList:
     """Generate a long-list instance of the requested case.
 
-    Dense only: T * N beyond the in-memory budget raises BudgetExceeded
-    before anything is allocated (use stream_llqsv to consume longer lists
-    block by block).
+    Rows are drawn in blocks of _BATCH: each block's sign tables from
+    random_functions_batch, then its honest Fourier samples ("fourier") or
+    uniform indices ("uniform").  Dense only: T * N beyond the in-memory
+    budget raises BudgetExceeded before anything is allocated.
     """
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}")
@@ -130,29 +130,14 @@ def llqsv_instance(
     _check_budget(n, T)
     tables = np.empty((T, 1 << n), dtype=np.int8)
     s = np.empty(T, dtype=np.int64)
-    done = 0
-    for block, idx in stream_llqsv(n, T, case, rng):
-        tables[done:done + len(idx)] = block
-        s[done:done + len(idx)] = idx
-        done += len(idx)
-    return LongList(tables, s)
-
-
-def stream_llqsv(n: int, T: int, case: str, rng: np.random.Generator):
-    """Yield the list as blocks (tables, s) of up to _BATCH rows each."""
-    if case not in CASES:
-        raise ValueError(f"case must be one of {CASES}")
-    size = 1 << n
-    done = 0
-    while done < T:
-        b = min(_BATCH, T - done)
-        tables = random_functions_batch(n, b, rng)
+    for start, b in blocks(T, _BATCH):
+        rows = tables[start:start + b]
+        rows[...] = random_functions_batch(n, b, rng)
         if case == "fourier":
-            s = honest_sampler.sample_batch(wht_rows(tables), rng)
+            s[start:start + b] = honest_sampler.sample_batch(wht_rows(rows), rng)
         else:
-            s = rng.integers(0, size, size=b, dtype=np.int64)
-        yield tables, s
-        done += b
+            s[start:start + b] = rng.integers(0, 1 << n, size=b, dtype=np.int64)
+    return LongList(tables, s)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .boolfn import BooleanFunction, wht_rows
 from .devices import DeviceModel, argmax_rows
-from .rng import GOLDEN, MASK64, derive64, make_rng, mix64_array
+from .rng import GOLDEN, MASK64, blocks, derive64, make_rng, mix64_array
 
 _TAG_CHALLENGES = 1
 _TAG_DEVICE = 2
@@ -264,8 +264,7 @@ def run_protocol_arms(config: ProtocolConfig, arms) -> list[ProtocolTranscript]:
     probs = np.empty((len(arms), T), dtype=np.float64)
     V = [0 if q is not None else None for _, q in arms]
     entropy = [0.0] * len(arms)
-    for done in range(0, T, _BATCH):
-        b = min(_BATCH, T - done)
+    for done, b in blocks(T, _BATCH):
         keys[done:done + b] = kblk = _challenge_keys_block(config.seed, done, b)
         W = wht_rows(_signs_from_keys(kblk, n))
         peak = argmax_rows(W)
@@ -307,8 +306,7 @@ def _extract_bits(
     config: ProtocolConfig, samples: np.ndarray, entropy_total: float
 ) -> np.ndarray:
     """Toeplitz-condense the answer bits under the min-entropy budget."""
-    x = index_bits(samples, config.n)
-    m = x.size
+    m = samples.size * config.n
     k = min(
         config.extractor_output_bits,
         int(np.floor(entropy_total)) - EXTRACTOR_MARGIN_BITS,
@@ -318,7 +316,7 @@ def _extract_bits(
         return np.zeros(0, dtype=np.uint8)
     ext_rng = make_rng(config.seed, _TAG_EXTRACTOR)
     seed_bits = ext_rng.integers(0, 2, size=m + k - 1, dtype=np.uint8)
-    return toeplitz_extract(x, seed_bits, k)
+    return toeplitz_extract(index_bits(samples, config.n), seed_bits, k)
 
 
 def transcript_to_dict(transcript: ProtocolTranscript) -> dict:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .boolfn import BooleanFunction, wht_rows
 from .fouriersample import honest_sampler
+from .rng import blocks
 from .sqforrelation import DistParams, pair_rows
 from .stats import mean_ci99
 
@@ -86,9 +87,7 @@ def rhog_values(
         raise ValueError("trials must be nonnegative")
     size = params.size
     vals = np.empty(trials)
-    done = 0
-    while done < trials:
-        b = min(_BATCH, trials - done)
+    for done, b in blocks(trials, _BATCH):
         f_rows, g_rows = pair_rows(params, b, rng, uniform_pairs)
         if uniform_sampler:
             x = rng.integers(0, size, size=b)
@@ -97,7 +96,6 @@ def rhog_values(
         ones = np.count_nonzero(g_rows == 1, axis=1)
         hit = g_rows[np.arange(b), x] == 1
         vals[done:done + b] = size * _placement(ones, hit, params.n)
-        done += b
     return vals
 
 

@@ -84,6 +84,14 @@ def make_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_PhiloxKey(derive64(seed, *tags))))
 
 
+def blocks(total: int, size: int):
+    """Yield (start, count) for consecutive blocks of at most `size` that
+    cover range(total) in order.  Every block but the last holds `size`;
+    where a batched draw cuts its blocks is part of its pinned bytes."""
+    for start in range(0, total, size):
+        yield start, min(size, total - start)
+
+
 def gaussians(rng: np.random.Generator, count: int, sigma: float = 1.0) -> np.ndarray:
     """`count` N(0, sigma^2) draws via Box-Muller on uniform pairs.
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import random_functions_batch, wht_rows
-from .rng import gaussians
+from .rng import blocks, gaussians
 from .stats import mean_ci99, wilson_halfwidth
 
 DEFAULT_C = 20.0
@@ -173,9 +173,7 @@ def phi_values(
     if estimator not in ("plain", "conditional"):
         raise ValueError("estimator must be 'plain' or 'conditional'")
     vals = np.empty(trials)
-    done = 0
-    while done < trials:
-        b = min(_BATCH, trials - done)
+    for done, b in blocks(trials, _BATCH):
         if estimator == "conditional" and not uniform_pairs:
             X, Yp = sample_gprime_rows(params, b, rng)
             vals[done:done + b] = phi_conditional_rows(X, Yp)
@@ -183,7 +181,6 @@ def phi_values(
             # uniform signs are already +-1, so conditional == plain there
             vals[done:done + b] = phi_rows(*pair_rows(params, b, rng,
                                                       uniform_pairs))
-        done += b
     return vals
 
 
@@ -248,12 +245,9 @@ def row_sum_tail_check(
     size = params.size
     threshold = 3.0 * math.sqrt(size)
     hits = 0
-    done = 0
-    while done < trials:
-        b = min(_BATCH, trials - done)
+    for _, b in blocks(trials, _BATCH):
         _, Yp = sample_gprime_rows(params, b, rng)
         hits += int(np.count_nonzero(np.abs(Yp.sum(axis=1)) >= threshold))
-        done += b
     eps = params.epsilon
     return TailCheckResult(
         rate=hits / trials,
@@ -274,13 +268,10 @@ def truncation_rate(
     guarantee at C = 20 is rate <= 2/N^2.
     """
     hits = 0
-    done = 0
-    while done < trials:
-        b = min(_BATCH, trials - done)
+    for _, b in blocks(trials, _BATCH):
         X, Yp = sample_gprime_rows(params, b, rng)
         out = (np.abs(X).max(axis=1) > 1.0) | (np.abs(Yp).max(axis=1) > 1.0)
         hits += int(np.count_nonzero(out))
-        done += b
     return hits / trials, wilson_halfwidth(hits, trials)
 
 
@@ -297,11 +288,8 @@ def hamming_balance_rate(
     lo = (1.0 - delta) * size / 2.0
     hi = (1.0 + delta) * size / 2.0
     hits = 0
-    done = 0
-    while done < trials:
-        b = min(_BATCH, trials - done)
+    for _, b in blocks(trials, _BATCH):
         _, g_rows = pair_rows(params, b, rng)
         ones = np.count_nonzero(g_rows == 1, axis=1)
         hits += int(np.count_nonzero((ones < lo) | (ones > hi)))
-        done += b
     return hits / trials, wilson_halfwidth(hits, trials)

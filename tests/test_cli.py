@@ -71,6 +71,9 @@ UNREAD_FLAGS = [["hog", "--format", "csv"], ["protocol", "--tol", "1"]]
     ["hog", "--seed", "0x10000000000000000"],
     ["derandomize", "--budget", "0"],
     ["protocol", "--extract-bits", "-1"],
+    # one trial has no CI: mean_ci99 would write "ci99": Infinity
+    ["sqforr", "--trials", "1"],
+    ["rhog", "--trials", "1"],
     # a negative or non-finite tolerance would turn a passing check false
     ["wht", "--tol", "-1", "--n", "3", "--check"],
     ["wht", "--tol", "nan", "--n", "3", "--check"],
@@ -280,6 +283,21 @@ def test_protocol_rejects_unusable_b(b, capsys):
     assert captured.out == ""
     assert captured.err.startswith("certlab: ")
     assert "b must be" in captured.err and captured.err.count("\n") == 1
+
+
+def test_out_of_memory_is_one_line_error(monkeypatch, capsys):
+    from certlab import protocol
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(protocol, "run_protocol", exhausted)
+    assert run("protocol", "--t", "16", "--out", "/dev/null") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("certlab: out of memory: "
+                            "Unable to allocate 8.00 GiB for an array\n")
+    assert "Traceback" not in captured.err
 
 
 def test_check_all_battery_passes(tmp_path, capsys):

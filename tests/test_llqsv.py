@@ -17,7 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certlab import llqsv
-from certlab.boolfn import BooleanFunction, coefficient_at, fourth_moment, to_bfn1, wht
+from certlab.boolfn import (
+    BooleanFunction,
+    coefficient_at,
+    fourth_moment,
+    random_functions_batch,
+    to_bfn1,
+    wht,
+    wht_rows,
+)
+from certlab.fouriersample import honest_sampler
 from certlab.llqsv import (
     CASES,
     LLQ1_MAGIC,
@@ -28,7 +37,6 @@ from certlab.llqsv import (
     advantage,
     from_llq1,
     llqsv_instance,
-    stream_llqsv,
     to_llq1,
 )
 from certlab.rng import make_rng
@@ -81,12 +89,16 @@ def test_instance_shapes_and_stream_agreement():
     assert inst.tables.shape == (64, 16) and inst.tables.dtype == np.int8
     assert inst.s.shape == (64,) and inst.s.dtype == np.int64
     assert not inst.tables.flags.writeable and not inst.s.flags.writeable
-    # blocks of 2048 rows, concatenated by llqsv_instance
+    # blocks of 2048, 2048 and 1 rows, each drawing its tables and then
+    # its samples from the one generator
     inst = llqsv_instance(3, 4097, "fourier", make_rng(80, 0))
-    blocks = list(stream_llqsv(3, 4097, "fourier", make_rng(80, 0)))
-    assert [len(s) for _, s in blocks] == [2048, 2048, 1]
-    assert np.array_equal(np.concatenate([t for t, _ in blocks]), inst.tables)
-    assert np.array_equal(np.concatenate([s for _, s in blocks]), inst.s)
+    rng = make_rng(80, 0)
+    tables, s = [], []
+    for b in (2048, 2048, 1):
+        tables.append(random_functions_batch(3, b, rng))
+        s.append(honest_sampler.sample_batch(wht_rows(tables[-1]), rng))
+    assert np.array_equal(np.concatenate(tables), inst.tables)
+    assert np.array_equal(np.concatenate(s), inst.s)
 
 
 @pytest.mark.parametrize("tables, s", [

@@ -15,6 +15,7 @@ import pytest
 from certlab.rng import (
     GOLDEN,
     MASK64,
+    blocks,
     derive64,
     gaussians,
     make_rng,
@@ -121,6 +122,19 @@ def test_gaussians_match_out_of_place_box_muller(count, sigma):
     assert got.dtype == want.dtype == np.float64 and got.shape == (count,)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert rng.random() == ref_rng.random()  # both consumed the same words
+
+
+@pytest.mark.parametrize("total, size, counts", [
+    (0, 4, []),               # nothing to cover
+    (12, 4, [4, 4, 4]),       # an exact multiple
+    (10, 4, [4, 4, 2]),       # a ragged tail
+    (3, 8, [3]),              # one block shorter than size
+])
+def test_blocks_cover_the_range_in_order(total, size, counts):
+    got = list(blocks(total, size))
+    assert [c for _, c in got] == counts
+    covered = [i for start, count in got for i in range(start, start + count)]
+    assert covered == list(range(total))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63, MASK64])
