@@ -112,8 +112,8 @@ class FourierSpectrum:
 
 # OpenBLAS, numpy's BLAS, runs a GEMM whose M*N*K is at most 65536 * 4 on
 # the calling thread and hands larger ones to its worker threads.  The
-# integer kernel below keeps every GEMM it issues at or under this size, so a
-# transform never wakes those threads (they would spin beside the --threads
+# transform kernel below keeps every GEMM it issues at or under this size, so
+# a transform never wakes those threads (they would spin beside the --threads
 # workers and slow them).
 _GEMM_MAX = 1 << 18
 _FACTOR_BITS = 5  # Hadamard factors are at most 2^5 x 2^5
@@ -139,7 +139,7 @@ def _hadamard(bits: int, dtype) -> np.ndarray:
 
 def _factor_bits(n: int) -> list[int]:
     """Split n into the fewest parts of at most _FACTOR_BITS, sizes within one."""
-    k = -(-n // _FACTOR_BITS)
+    k = max(1, -(-n // _FACTOR_BITS))  # n = 0 is one 1 x 1 factor
     return [n // k + (i < n % k) for i in range(k)]
 
 
@@ -184,56 +184,39 @@ def wht_rows(rows: np.ndarray) -> np.ndarray:
     Row z of the result is sum_x rows[x] (-1)^{z.x}; applying it twice
     multiplies a row by N.  A 1-d input is one row.
 
-    Integer rows go through a Kronecker-factored BLAS product
-    (`_kron_transform`) and come back as exact integers.  With m = max |x|,
-    every partial sum of that product, in any summation order, is an
-    integer of magnitude at most m*N.  So the product runs in float32 when
-    m*N <= 2^24 (every +-1 row, as N <= 2^24) and in float64 when
-    m*N <= 2^53 (a scaled spectrum fed back, where partial sums reach about
-    N^1.5); larger rows are refused.  The result is int16 when m*N < 2^15
-    (+-1 rows up to n = 14) and int64 otherwise.
+    Rows of both dtypes go through one Kronecker-factored BLAS product
+    (`_kron_transform`), in blocks of about _BLOCK elements through two work
+    buffers allocated once per call.  Integer rows come back as exact
+    integers.  With m = max |x|, every partial sum of that product, in any
+    summation order, is an integer of magnitude at most m*N.  So the product
+    runs in float32 when m*N <= 2^24 (every +-1 row, as N <= 2^24) and in
+    float64 when m*N <= 2^53 (a scaled spectrum fed back, where partial sums
+    reach about N^1.5); larger rows are refused.  The result is int16 when
+    m*N < 2^15 (+-1 rows up to n = 14) and int64 otherwise.
 
-    Float rows are cast to float64 and transformed in blocks of about
-    _BLOCK elements, each copied transposed into an (N, m) buffer.  Stage
-    h = 1, 2, ..., N/2 maps x[j], x[j+h] (bit h of j clear) to their sum and
-    difference, as contiguous runs of h*m floats into a second buffer.  Each
-    output is one IEEE add or subtract of the same two inputs as in the
-    textbook in-place butterfly, stage for stage, so the bits (and the
-    float-input callers' output bytes) are that butterfly's.
+    Other rows are cast as astype(np.float64) casts them and come back as
+    float64: the exact transform up to rounding, and the same bits for a
+    given numpy and BLAS build.
     """
     rows = np.atleast_2d(rows)
     nrows, size = rows.shape
     if size & (size - 1) or size == 0:
         raise ValueError("row length must be a power of two")
     step = max(1, min(nrows, _BLOCK // size))  # rows per block and per buffer
+    dtype = work = np.float64
     if np.issubdtype(rows.dtype, np.integer):
         bound = size * max(1, int(rows.max(initial=0)), -int(rows.min(initial=0)))
         if bound > 1 << 53:
             raise ValueError("integer rows too large for an exact transform "
                              "(max |x| * N > 2^53)")
-        out = np.empty((nrows, size),
-                       dtype=np.int16 if bound < 1 << 15 else np.int64)
-        a = np.empty((step, size),
-                     dtype=np.float32 if bound <= 1 << 24 else np.float64)
-        spare = np.empty_like(a)
-        for i, m in blocks(nrows, step):
-            a[:m] = rows[i:i + m]
-            out[i:i + m] = _kron_transform(a[:m], spare[:m])
-        return out
-    out = np.empty((nrows, size))
-    work = np.empty((2, size * step))
+        dtype = np.int16 if bound < 1 << 15 else np.int64
+        work = np.float32 if bound <= 1 << 24 else np.float64
+    out = np.empty((nrows, size), dtype=dtype)
+    a = np.empty((step, size), dtype=work)
+    spare = np.empty_like(a)
     for i, m in blocks(nrows, step):
-        a, spare = work[:, :size * m]
-        a.reshape(size, m)[...] = rows[i:i + m].T
-        h = 1
-        while h < size:
-            src = a.reshape(-1, 2, h * m)
-            dst = spare.reshape(-1, 2, h * m)
-            np.add(src[:, 0], src[:, 1], out=dst[:, 0])
-            np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
-            a, spare = spare, a
-            h *= 2
-        out[i:i + m] = a.reshape(size, m).T
+        a[:m] = rows[i:i + m]
+        out[i:i + m] = _kron_transform(a[:m], spare[:m])
     return out
 
 

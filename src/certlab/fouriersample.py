@@ -87,8 +87,8 @@ def fourier_rows(scaled_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     Inverse CDF on the exact integer grid: row i returns how many of its
     cumulative masses cs[i, j] = sum_{k <= j} W[i, k]^2 lie below the
     threshold t = floor(u[i] * cs[i, -1]) + 1 of `_threshold`, for integer
-    rows with |W| <= N (scaled spectra of +-1 tables): the same index as
-    `fourier_sample_many`'s binary search on every u.
+    rows with |W| <= N (scaled spectra of +-1 tables) and u in [0, 1): the
+    same index as `fourier_sample_many`'s binary search on every such u.
 
     Rows with N <= _NARROW (128) are scanned whole in int32, since |W| <= N
     bounds every cs by N^3 <= 2^21.  The squares are laid out transposed,
@@ -112,9 +112,7 @@ def fourier_rows(scaled_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     mass = blocks.sum(axis=2, dtype=np.int64)
     cb = np.cumsum(mass, axis=1)
     t = _threshold(u, cb[:, -1])
-    # u = 1.0 (t = total + 1) reads the last block and returns N, as the
-    # binary search does
-    k = np.minimum((cb < t[:, None]).sum(axis=1), cb.shape[1] - 1)
+    k = (cb < t[:, None]).sum(axis=1)
     r = np.arange(rows)
     rest = t - (cb[r, k] - mass[r, k])
     inside = np.cumsum(blocks[r, k], axis=1, dtype=np.int64)

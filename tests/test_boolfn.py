@@ -63,24 +63,6 @@ def hadamard_oracle(n: int) -> np.ndarray:
     return 1 - 2 * (p & 1)
 
 
-def loop_butterfly(buf: np.ndarray) -> np.ndarray:
-    """Radix-2 butterfly with a Python loop over blocks, in place on the last axis.
-
-    The reference for the float path: same pairing and order of additions
-    as the blocked butterfly in wht_rows, so results must match bit for bit.
-    """
-    size = buf.shape[-1]
-    h = 1
-    while h < size:
-        for start in range(0, size, 2 * h):
-            a = buf[..., start:start + h].copy()
-            b = buf[..., start + h:start + 2 * h]
-            buf[..., start:start + h] = a + b
-            buf[..., start + h:start + 2 * h] = a - b
-        h *= 2
-    return buf
-
-
 def sign_table(n: int, bits: int) -> np.ndarray:
     """Sign table from the low 2^n bits of an integer (bit=1 -> -1)."""
     size = 1 << n
@@ -149,6 +131,9 @@ def test_wht_rows_agrees_with_per_row_transform():
 
 def test_wht_rows_is_unnormalized():
     assert wht_rows(np.array([1, 1, 1, -1], dtype=np.int64)).tolist() == [[2, 2, 2, -2]]
+    # N = 1 is one 1 x 1 factor: the identity, in both dtypes
+    assert wht_rows(np.array([[3], [-2]], dtype=np.int8)).tolist() == [[3], [-2]]
+    assert wht_rows(np.array([2.5])).tolist() == [[2.5]]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -204,9 +189,10 @@ def test_wht_rows_refuses_rows_past_exact_range():
         wht_rows(np.array([[1 << 53, 0]], dtype=np.int64))
 
 
-def test_integer_kernel_gemms_stay_under_blas_thread_threshold(monkeypatch):
+def test_transform_gemms_stay_under_blas_thread_threshold(monkeypatch):
     # OpenBLAS runs a GEMM with M*N*K <= 2^18 on the calling thread and
-    # wakes its worker threads above that; no product may pass it
+    # wakes its worker threads above that; no product may pass it, for
+    # integer rows and for float rows alike
     sizes = []
     real = np.matmul
 
@@ -216,44 +202,51 @@ def test_integer_kernel_gemms_stay_under_blas_thread_threshold(monkeypatch):
 
     monkeypatch.setattr(np, "matmul", spy)
     for n in range(1, 21):
-        wht_rows(random_functions_batch(n, 777 if n <= 12 else 1, make_rng(23, n)))
+        count = 777 if n <= 12 else 1
+        wht_rows(random_functions_batch(n, count, make_rng(23, n)))
+        wht_rows(make_rng(24, n).standard_normal((count, 1 << n)))
     f = random_function(16, make_rng(23, 0))
     assert spectrum_to_function(wht(f)) == f  # the float64 product
     assert sizes and max(sizes) <= 1 << 18
 
 
-def assert_same_bits(got, want):
-    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 @pytest.mark.parametrize("n", range(1, 17))
-def test_float_path_matches_loop_butterfly(n):
+def test_float_rows_match_dense_oracle(n):
+    # Gaussian rows against x @ H_N (n <= 10), integer-valued float rows
+    # against the exact integer path, and the transform's own identities
     size = 1 << n
     step = max(1, (1 << 16) // size)  # rows per transform block
+    tol = 1e-12 * math.sqrt(size)
     rng = make_rng(25, n)
-    for count in sorted({1, step - 1, step, step + 1, 3 * step + 5}):
-        x = rng.standard_normal((count, size))
+    oracle = hadamard_oracle(n).astype(np.float64) if n <= 10 else None
+
+    def check(x):
         got = wht_rows(x)
+        want = np.atleast_2d(x).astype(np.float64)
+        assert got.dtype == np.float64 and got.shape == want.shape
         assert got.flags.c_contiguous and not np.shares_memory(got, x)
-        assert_same_bits(got, loop_butterfly(x.copy()))
+        if oracle is not None:
+            np.testing.assert_allclose(got, want @ oracle, rtol=0, atol=tol)
+        np.testing.assert_allclose(wht_rows(got) / size, want, rtol=0, atol=tol)
+        return got
+
+    for count in sorted({1, step - 1, step, step + 1, 3 * step + 5} - {0}):
+        check(rng.standard_normal((count, size)))
+        k = rng.integers(-8, 9, size=(count, size))
+        assert np.array_equal(wht_rows(k.astype(np.float64)), wht_rows(k))
     # a 1-d row, a column slice, and float32 / bool rows cast as astype casts
     wide = rng.standard_normal((5, 2 * size))
-    for x in (wide[0], wide[:, size:], wide[:, ::2],
-              wide[:, :size].astype(np.float32), wide[:, :size] > 0):
-        got = wht_rows(x)
-        assert got.flags.c_contiguous and not np.shares_memory(got, wide)
-        assert_same_bits(got, loop_butterfly(np.atleast_2d(x).astype(np.float64)))
-    x = make_rng(24, n).standard_normal((3, 1 << n))
-    assert np.array_equal(wht_rows(x), loop_butterfly(x.copy()))
+    for x in (wide[0, :size], wide[:, size:], wide[:, ::2],
+              wide[:, :size].astype(np.float32)):
+        check(x)
+    signs = wide[:, :size] > 0
+    assert np.array_equal(check(signs), wht_rows(signs.astype(np.int8)))
     # the orthonormal transform that sample_gprime_rows applies
     def orthonormal(v):
-        return wht_rows(v)[0] / math.sqrt(1 << n)
+        return wht_rows(v)[0] / math.sqrt(size)
 
-    v = x[0]
-    once = orthonormal(v)
-    assert np.array_equal(once, loop_butterfly(v.copy()) / math.sqrt(1 << n))
-    assert np.allclose(orthonormal(once), v, rtol=0, atol=1e-12)
+    x = make_rng(24, n).standard_normal((2, size))
+    assert np.allclose(orthonormal(orthonormal(x[0])), x[0], rtol=0, atol=1e-12)
     if n % 2 == 0:  # sqrt(N) is a power of two: integer input comes back exactly
         k = np.round(x[1] * 8)
         assert np.array_equal(orthonormal(orthonormal(k)), k)

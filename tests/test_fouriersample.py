@@ -184,15 +184,17 @@ def test_fourier_rows_matches_whole_row_scan(n):
 def test_fourier_rows_on_block_boundaries(n):
     # u = cb / N^2 puts u * total exactly on a block's cumulative mass cb
     # (total = N^2 and cb < 2^53, so the product is exact); the floats just
-    # beside it and the integers cb - 1, cb + 1 over N^2 straddle it
+    # beside it and the integers cb - 1, cb + 1 over N^2 straddle it.  The
+    # last block's cb is N^2, which only u = 1.0 reaches, and every u the
+    # package draws is below 1, so the pick is one of the blocks before it
     size = 1 << n
     rng = make_rng(33, n)
     rows = wht_rows(random_functions_batch(n, 64, rng))
     blocks = np.cumsum(np.square(rows.astype(np.int64)), axis=1)[:, 63::64]
-    pick = blocks[np.arange(64), rng.integers(0, size // 64, size=64)]
+    pick = blocks[np.arange(64), rng.integers(0, size // 64 - 1, size=64)]
     total = size * size
     u = pick / total
-    assert np.all(u * total == pick)
+    assert np.all(u * total == pick) and np.all(u < 1)
     for v in (u, np.nextafter(u, 0.0), np.nextafter(u, 1.0),
               (pick - 1) / total, np.minimum(pick + 1, total - 1) / total):
         assert_matches_scan(rows, v)
@@ -275,10 +277,10 @@ def spectrum(w):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_searches_agree_on_every_tie(n):
-    # u = 0.0, every tie u = cs_j / N^2 (u * N^2 = cs_j exactly, u = 1.0 at
-    # the last) and the floats beside each: fourier_rows (the int32 scan for
-    # n <= 7, the blocked search above) and fourier_sample_many's binary
-    # search return the same index, never one with zero mass below u = 1
+    # u = 0.0, every tie u = cs_j / N^2 below 1 (u * N^2 = cs_j exactly) and
+    # the floats beside each: fourier_rows (the int32 scan for n <= 7, the
+    # blocked search above) and fourier_sample_many's binary search return
+    # the same index, never one with zero mass
     size = 1 << n
     tables = np.concatenate([random_functions_batch(n, 4, make_rng(36, n)),
                              character_values(n, size - 1)[None, :]])
@@ -286,12 +288,13 @@ def test_searches_agree_on_every_tie(n):
         ties = np.cumsum(w.astype(np.int64) ** 2) / float(size * size)
         u = np.concatenate([[0.0], ties, np.nextafter(ties, 0.0),
                             np.nextafter(ties, 1.0)])
+        u = u[u < 1.0]  # the last tie is 1.0, which no draw reaches
         want = fourier_sample_many(spectrum(w), u)
         for lo in range(0, u.size, 1024):
             part = u[lo:lo + 1024]
             got = fourier_rows(np.broadcast_to(w, (part.size, size)), part)
             np.testing.assert_array_equal(got, want[lo:lo + 1024])
-        assert np.all(w[want[u < 1.0]] != 0)
+        assert np.all(w[want] != 0)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
