@@ -196,7 +196,8 @@ def wht_rows(rows: np.ndarray) -> np.ndarray:
 
     Other rows are cast as astype(np.float64) casts them and come back as
     float64: the exact transform up to rounding, and the same bits for a
-    given numpy and BLAS build.
+    given numpy/BLAS build and CPU kernel (the last bits may differ under
+    another BLAS kernel, whose summation order differs).
     """
     rows = np.atleast_2d(rows)
     nrows, size = rows.shape

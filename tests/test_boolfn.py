@@ -230,7 +230,7 @@ def test_float_rows_match_dense_oracle(n):
         np.testing.assert_allclose(wht_rows(got) / size, want, rtol=0, atol=tol)
         return got
 
-    for count in sorted({1, step - 1, step, step + 1, 3 * step + 5} - {0}):
+    for count in sorted({1, step - 1, step, step + 1, 3 * step + 5}):
         check(rng.standard_normal((count, size)))
         k = rng.integers(-8, 9, size=(count, size))
         assert np.array_equal(wht_rows(k.astype(np.float64)), wht_rows(k))
