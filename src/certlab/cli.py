@@ -382,14 +382,15 @@ def cmd_derandomize(args) -> int:
     f = boolfn.random_function(args.n, make_rng(args.seed, _TAG_DERAND, 0))
     spec = boolfn.wht(f)
     pairs = []
-    agree = 0
-    for j in range(args.seeds):
-        a, b = entropy.derandomize(
-            device, spec, derive64(args.seed, _TAG_DERAND, 1, j), args.budget,
-            [make_rng(args.seed, _TAG_DERAND, 2, j),
-             make_rng(args.seed, _TAG_DERAND, 3, j)]).tolist()
-        pairs.append([a, b])
-        agree += int(a == b)
+    block = entropy.seed_block(2, spec.size, args.budget)
+    for start, count in blocks(args.seeds, block):
+        js = range(start, start + count)
+        pairs += entropy.derandomize(
+            device, spec, [derive64(args.seed, _TAG_DERAND, 1, j) for j in js],
+            args.budget, [[make_rng(args.seed, _TAG_DERAND, 2, j),
+                           make_rng(args.seed, _TAG_DERAND, 3, j)]
+                          for j in js]).tolist()
+    agree = sum(a == b for a, b in pairs)
     frac = agree / args.seeds
     results = {
         "n": args.n,
@@ -685,10 +686,12 @@ def _battery(seed: int, report: CheckReport) -> None:
     dev = devices.biased(0.98)
     spec4 = boolfn.wht(boolfn.random_function(4, make_rng(seed, 113)))
     agree = 0
-    for j in range(40):
-        a, b = entropy.derandomize(dev, spec4, derive64(seed, 114, j), 5000,
-                                   [make_rng(seed, 115, j), make_rng(seed, 116, j)])
-        agree += int(a == b)
+    for start, count in blocks(40, entropy.seed_block(2, spec4.size, 5000)):
+        js = range(start, start + count)
+        out = entropy.derandomize(
+            dev, spec4, [derive64(seed, 114, j) for j in js], 5000,
+            [[make_rng(seed, 115, j), make_rng(seed, 116, j)] for j in js])
+        agree += int(np.count_nonzero(out[:, 0] == out[:, 1]))
     report.add("derandomize-constancy", agree >= 36,
                f"{agree}/40 shared-seed reruns agreed")
     two = entropy.OutcomeDistribution(np.array([0.98, 0.02]))

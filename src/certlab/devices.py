@@ -12,9 +12,12 @@ Each kind's output law has a closed form in the integer spectrum, so
 min_entropy_rows is exact rather than estimated.
 
 Every biased call tosses one coin per answer the same way (`_biased_split`):
-it reads 2*count raw Philox words at once, coins then answers, the words of
-two `rng.random` draws (the digests pin them), and searches only the answers
-whose coin is >= p.
+it reads 2*count raw Philox words, coins then answers, the words of two
+`rng.random` draws (the digests pin them), and searches only the answers
+whose coin is >= p.  `coin_bounds` reads the coin half alone and bounds
+each run's tally by it; the answer half is read only for the runs whose
+bounds do not decide the caller's question, and every other generator is
+moved past it as reading it would move it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from .boolfn import FourierSpectrum
 from .fouriersample import fourier_rows, fourier_sample_many, honest_sampler
+from .rng import skip_raw
 
 KINDS = ("honest", "uniform", "argmax", "biased")
 
@@ -77,22 +81,67 @@ class DeviceModel:
         out[keep] = fourier_sample_many(spec, u)
         return out
 
-    def sample_counts(self, spec: FourierSpectrum, count: int, rng) -> np.ndarray:
-        """Length-N int64 tally of `sample_many`'s answers, from its draws."""
-        if self.kind != "biased":
-            return np.bincount(self.sample_many(spec, count, rng), minlength=spec.size)
-        _, u = self._biased_split(count, rng)
-        counts = np.bincount(fourier_sample_many(spec, u), minlength=spec.size)
-        counts[argmax_index(spec)] += count - u.size
-        return counts
+    def sample_counts(self, spec: FourierSpectrum, count: int, rngs) -> np.ndarray:
+        """(len(rngs), N) int64 tallies of `sample_many`'s answers, row i from
+        `count` draws of rngs[i], the generators drawn in list order.
+
+        Honest and biased rows share one build of the spectrum's cumulative
+        mass and one search, and one bincount tallies every row.
+        """
+        if self.kind == "biased":
+            u = [self._biased_split(count, g)[1] for g in rngs]
+            return _kept_tallies(spec, count, u)
+        if self.kind == "honest":
+            u = np.concatenate([g.random(count) for g in rngs])
+            answers = fourier_sample_many(spec, u)
+        else:
+            answers = np.concatenate([self.sample_many(spec, count, g) for g in rngs])
+        return _tally(spec.size, answers, [count] * len(rngs))
+
+    def coin_bounds(self, spec: FourierSpectrum, count: int, rngs):
+        """Bounds lo <= c <= hi on each biased run's `sample_counts` row from
+        its coin words alone, and `answer`, which finishes the runs' draws.
+
+        Each generator gives its first `count` raw words here, the coin half
+        of `_biased_split`'s draw.  With `kept` coins >= p, c lies in
+        count - kept .. count at the argmax and in 0 .. kept elsewhere.
+        `answer(need)` reads the answer words of the runs where the boolean
+        mask `need` holds and returns their exact rows, as `sample_counts`
+        gives them; every other generator is moved past its answer words
+        exactly as reading them would move it (`rng.skip_raw`).  The
+        generators must be distinct objects: a shared one would give its
+        coins and answers in another order than `sample_counts` reads them.
+        """
+        keep = [self._coins(g.bit_generator.random_raw(count)) for g in rngs]
+        kept = np.array([np.count_nonzero(mask) for mask in keep], dtype=np.int64)
+        z = argmax_index(spec)
+        lo = np.zeros((len(rngs), spec.size), dtype=np.int64)
+        lo[:, z] = count - kept
+        hi = np.repeat(kept[:, None], spec.size, axis=1)
+        hi[:, z] = count
+
+        def answer(need):
+            u = []
+            for g, mask, read in zip(rngs, keep, need):
+                if read:
+                    u.append(_uniforms(g.bit_generator.random_raw(count)[mask]))
+                else:
+                    skip_raw(g.bit_generator, count)
+            return _kept_tallies(spec, count, u)
+
+        return lo, hi, answer
+
+    def _coins(self, words):
+        """Coin mask of raw words: rng.random's (w >> 11) * 2^-53 is >= p iff
+        w >= ceil(p 2^53) 2^11."""
+        return words >= math.ceil(self.p * 2**53) << 11
 
     def _biased_split(self, count, rng):
         """Coin mask and the kept answers' uniforms from 2*count raw words,
-        coins first; rng.random's (w >> 11) * 2^-53 is >= p iff
-        w >= ceil(p 2^53) 2^11."""
+        coins first."""
         w = rng.bit_generator.random_raw(2 * count)
-        keep = w[:count] >= math.ceil(self.p * 2**53) << 11
-        return keep, (w[count:][keep] >> np.uint64(11)) * 2.0**-53
+        keep = self._coins(w[:count])
+        return keep, _uniforms(w[count:][keep])
 
     def sample_rows(
         self, scaled_rows: np.ndarray, rng: np.random.Generator, peak=None
@@ -133,6 +182,29 @@ class DeviceModel:
         if self.kind == "biased":
             pmax = self.p + (1.0 - self.p) * pmax
         return -np.log2(pmax)
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """rng.random's doubles from its raw words: (w >> 11) * 2^-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _tally(size: int, answers: np.ndarray, lengths) -> np.ndarray:
+    """(len(lengths), size) int64 tallies of `answers`, whose first
+    lengths[0] entries are row 0's, the next lengths[1] row 1's, and so on."""
+    rows = len(lengths)
+    at = np.repeat(np.arange(rows, dtype=np.int64) * size, lengths) + answers
+    return np.bincount(at, minlength=rows * size).reshape(rows, size)
+
+
+def _kept_tallies(spec: FourierSpectrum, count: int, u) -> np.ndarray:
+    """Tallies of runs whose kept answers' uniforms are u[i], the other
+    count - len(u[i]) answers of run i going to the argmax."""
+    lengths = [x.size for x in u]
+    answers = fourier_sample_many(spec, np.concatenate(u or [np.empty(0)]))
+    counts = _tally(spec.size, answers, lengths)
+    counts[:, argmax_index(spec)] += count - np.array(lengths, dtype=np.int64)
+    return counts
 
 
 def honest() -> DeviceModel:

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import BooleanFunction, FourierSpectrum, p_set
-from .rng import make_rng
+from .rng import blocks, make_rng
 from .stats import wilson_halfwidth
 
 _REJ_TAG = 0x72656A  # stream tag for rejection-walk draws
+_BLOCK_ELEMS = 1 << 20  # elements a block of seeds may hold (`seed_block`)
 
 
 class EmptyDistribution(ValueError):
@@ -103,34 +104,56 @@ def statistical_distance(d: OutcomeDistribution, d2: OutcomeDistribution) -> flo
     return 0.5 * float(np.abs(d.probs - d2.probs).sum())
 
 
-def rejsamp(laws: np.ndarray, seed: int) -> np.ndarray:
-    """First x_i on seed's stream whose y_i falls under each law's mass at x_i.
+def _chunk(size: int) -> int:
+    """Points drawn per walk round on a domain of `size`."""
+    return min(max(64, 2 * size), 1 << 20)
 
-    `laws` is a (k, N) float array, one law per row; `seed` is a 64-bit
-    int.  The stream of points (x_i, y_i), x uniform over 0..N-1 and y
-    uniform in [0, 1), is a pure function of (seed, N), drawn in chunks
-    of xs then ys, and the k laws share one walk of it: row i's answer is
-    the index a walk for that row alone returns.  Over random seeds a
-    law's answer is distributed exactly as the law (uniform proposal,
-    acceptance d(x), expected attempts N).
+
+def seed_block(k: int, size: int, budget: int) -> int:
+    """Seeds per `rejsamp` or `derandomize` call for k runs a seed on a
+    domain of `size`, each from `budget` device draws (0 for fixed laws):
+    the most that keep S * k * max(N, chunk, budget) within _BLOCK_ELEMS.
+    Answers do not depend on it."""
+    return max(1, _BLOCK_ELEMS // (k * max(size, _chunk(size), budget)))
+
+
+def rejsamp(seeds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """First x_i on each seed's stream whose y_i falls under each law's mass
+    at x_i, the laws given by bounds lo <= law <= hi.
+
+    `seeds` holds S 64-bit ints; `lo` and `hi` are (S, k, N) float stacks,
+    k laws a seed, and the exact walk is the case lo = hi.  Seed s's stream
+    of points (x_i, y_i), x uniform over 0..N-1 and y uniform in [0, 1),
+    is a pure function of (s, N), drawn in chunks of xs then ys, and its k
+    laws share one walk of it: each law's answer is the index a walk for
+    that law alone returns.  A round draws one chunk for every seed with a
+    law still walking and tests them all at once.  With bounds, y < lo is
+    a hit and y >= hi a miss, which is the exact walk's verdict for any
+    law between them; the first step between the bounds ends that law's
+    walk with -1 (undecided).  Over random seeds a law's answer is
+    distributed exactly as the law (uniform proposal, acceptance d(x),
+    expected attempts N).
     """
-    laws = np.asarray(laws, dtype=np.float64)
-    k, size = laws.shape
-    g = make_rng(seed, _REJ_TAG)
-    chunk = min(max(64, 2 * size), 1 << 20)
-    out = np.empty(k, dtype=np.int64)
-    left = np.arange(k)  # rows still walking; a missed row's out is rewritten
-    while True:
-        xs = g.integers(0, size, size=chunk)
-        ys = g.random(chunk)
-        hits = ys < laws[:, xs]
-        out[left] = xs[hits.argmax(axis=1)]
-        missed = ~hits.any(axis=1)
-        if not missed.any():
-            return out
-        left, laws = left[missed], laws[missed]
-        if not np.all(laws.max(axis=1) > 0.0):  # would walk forever
-            raise EmptyDistribution("every law needs some mass")
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    seeds_n, k, size = lo.shape
+    lo, hi = lo.reshape(seeds_n * k, size), hi.reshape(seeds_n * k, size)
+    if not np.all(hi.max(axis=1) > 0.0):  # would walk forever
+        raise EmptyDistribution("every law needs some mass")
+    gens = [make_rng(s, _REJ_TAG) for s in seeds]
+    chunk = _chunk(size)
+    out = np.empty(seeds_n * k, dtype=np.int64)
+    left = np.arange(seeds_n * k)  # laws still walking; a missed law's out is rewritten
+    while left.size:
+        walking, row = np.unique(left // k, return_inverse=True)
+        xs = np.stack([gens[s].integers(0, size, size=chunk) for s in walking])
+        ys = np.stack([gens[s].random(chunk) for s in walking])
+        x, y = xs[row], ys[row]
+        maybe = y < hi[left[:, None], x]  # every step before the first True is a miss
+        first = (np.arange(left.size), maybe.argmax(axis=1))
+        out[left] = np.where(y[first] < lo[left, x[first]], x[first], -1)
+        left = left[~maybe.any(axis=1)]
+    return out.reshape(seeds_n, k)
 
 
 def coupling_rate_disjoint(delta: float) -> float:
@@ -180,16 +203,18 @@ def coupling_disagreement(
     rng: np.random.Generator,
 ) -> CouplingResult:
     """Replay both laws on `trials` shared streams, one walk per stream, and
-    count disagreements."""
+    count disagreements; the streams are walked a `seed_block` at a time."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if d.size != d2.size:
         raise ValueError("distributions live on different domains")
-    laws = np.stack([d.probs, d2.probs])
+    seeds = rng.integers(0, 1 << 63, size=trials).tolist()
+    pair = np.stack([d.probs, d2.probs])
     bad = 0
-    for s in rng.integers(0, 1 << 63, size=trials).tolist():
-        a, b = rejsamp(laws, s)
-        bad += int(a != b)
+    for start, count in blocks(trials, seed_block(2, d.size, 0)):
+        laws = np.broadcast_to(pair, (count, 2, d.size))
+        out = rejsamp(seeds[start:start + count], laws, laws)
+        bad += int(np.count_nonzero(out[:, 0] != out[:, 1]))
     delta = statistical_distance(d, d2)
     return CouplingResult(
         rate=bad / trials,
@@ -251,21 +276,42 @@ def degree_ratio(N: int) -> float:
 def derandomize(
     device,
     spec: FourierSpectrum,
-    seed: int,
+    seeds,
     budget: int,
     rngs,
 ) -> np.ndarray:
-    """Replay a sampling device through one shared stream, once per generator.
+    """Replay a sampling device through shared streams, once per generator.
 
-    For each generator in `rngs`, step 1 estimates the device's law on spec
-    as count/budget from `device.sample_counts` over `budget` fresh draws;
-    step 2 replays every such law on seed's stream, a pure function of
-    (seed, N), in one walk (`rejsamp`).  Returns one index per generator.
-    The marginal over (device randomness, seed) is exactly the device's own
-    law; for a sufficiently deterministic device and a generous budget the
-    answers are almost always one function of the seed alone.
+    `seeds` holds S seeds and rngs[s] the k generators replayed on seed s.
+    Each generator's run estimates the device's law on spec as
+    count/budget from `device.sample_counts` over `budget` fresh draws, and
+    a seed's k laws are replayed on its stream, a pure function of (seed,
+    N), in one walk (`rejsamp`).  Returns the (S, k) indices.  A biased
+    device with distinct generators is squeezed: each run's coin words
+    bound its tally (`coin_bounds`), the walk runs against the bounds
+    (division by the fixed budget is monotone, so a decided step is the
+    exact walk's), and only runs the bounds leave undecided read their
+    answer words and walk again exactly; every generator ends where
+    `sample_counts` would leave it.  The marginal over (device randomness,
+    seed) is exactly the device's own law; for a sufficiently deterministic
+    device and a generous budget the answers are almost always one
+    function of the seed alone.
     """
     if budget < 1:
         raise BudgetZero("derandomization needs at least one device sample")
-    laws = np.stack([device.sample_counts(spec, budget, g) for g in rngs]) / budget
-    return rejsamp(laws, seed)
+    flat = [g for run in rngs for g in run]
+    shape = (len(seeds), -1, spec.size)
+    if device.kind != "biased" or len({id(g) for g in flat}) < len(flat):
+        laws = device.sample_counts(spec, budget, flat).reshape(shape) / budget
+        return rejsamp(seeds, laws, laws)
+    lo, hi, answer = device.coin_bounds(spec, budget, flat)
+    lo = lo.reshape(shape) / budget
+    hi = hi.reshape(shape) / budget
+    out = rejsamp(seeds, lo, hi)
+    need = out < 0
+    lo[need] = hi[need] = answer(need.ravel()) / budget
+    again = np.flatnonzero(need.any(axis=1))
+    if again.size:
+        rows = slice(None) if again.size == len(seeds) else again  # a view when all
+        out[rows] = rejsamp([seeds[i] for i in again], lo[rows], hi[rows])
+    return out

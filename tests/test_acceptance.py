@@ -240,7 +240,7 @@ def test_08_derandomizer_contracts(criterion):
     rng = make_rng(SEED, 11)
     counts = np.zeros(16)
     for j in range(2000):
-        counts[derandomize(dev, spec, derive64(SEED, 12, j), 500, [rng])[0]] += 1
+        counts[derandomize(dev, spec, [derive64(SEED, 12, j)], 500, [[rng]])[0, 0]] += 1
     support = probs > 0
     leak = counts[~support].sum()
     _, pvalue = chisquare(counts[support], 2000 * probs[support])
@@ -249,8 +249,8 @@ def test_08_derandomizer_contracts(criterion):
     dev98 = biased(0.98)
     constant_seeds = 0
     for j in range(100):
-        outs = derandomize(dev98, spec, derive64(SEED, 13, j), 10000,
-                           [make_rng(SEED, 14, j, rep) for rep in range(20)])
+        outs = derandomize(dev98, spec, [derive64(SEED, 13, j)], 10000,
+                           [[make_rng(SEED, 14, j, rep) for rep in range(20)]])[0]
         constant_seeds += int(len(set(outs.tolist())) == 1)
     ok = criterion(
         "8 derandomizer marginal + constancy at n=4",

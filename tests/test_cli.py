@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import certlab
+from certlab import entropy
 from certlab.cli import main
 from certlab.llqsv import from_llq1
 
@@ -215,6 +216,23 @@ def test_derandomize_check(tmp_path):
     assert run("derandomize", "--device", "biased:0.98", "--n", "4",
                "--budget", "3000", "--seeds", "20", "--seed", "6",
                "--check", "--out", "/dev/null") == 0
+
+
+@pytest.mark.parametrize("device", ["biased:0.98", "honest"])
+def test_derandomize_bytes_ignore_the_seed_block(device, tmp_path, monkeypatch):
+    # the default block holds all 20 seeds; blocks of 1 and 7 give the same bytes
+    argv = ["derandomize", "--device", device, "--n", "4", "--budget", "3000",
+            "--seeds", "20", "--seed", "8"]
+    assert entropy.seed_block(2, 16, 3000) >= 20
+    outs = []
+    for size in (None, 1, 7):
+        if size is not None:
+            monkeypatch.setattr(entropy, "seed_block",
+                                lambda k, n, budget, size=size: size)
+        path = tmp_path / f"{size}.json"
+        assert run(*argv, "--out", str(path)) == 0
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_llqsv_writes_parseable_binary(tmp_path):

@@ -251,7 +251,7 @@ def assert_counts_match(dev, spec, count, reference, seed):
     # sample_counts against np.bincount of the reference answers, from the
     # same generator state, and both generators' next draw
     got_rng, ref_rng = make_rng(*seed), make_rng(*seed)
-    got = dev.sample_counts(spec, count, got_rng)
+    got = dev.sample_counts(spec, count, [got_rng])[0]
     want = np.bincount(reference(spec, count, ref_rng), minlength=spec.size)
     assert got.dtype == want.dtype == np.int64
     assert got.shape == (spec.size,) and int(got.sum()) == count
@@ -268,6 +268,27 @@ def test_biased_sample_counts_match_draw_all_reference(p, n):
             biased(p), spec, count,
             lambda s, c, g: draw_all_then_overwrite_many(p, s, c, g),
             (75, n, count))
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+@pytest.mark.parametrize("p", BIASED_P)
+def test_coin_bounds_hold_and_answer_finishes_the_eager_draw(p, n):
+    # coin_bounds brackets each run's eager tally (count 1 puts the one kept
+    # answer off the argmax, where the bound kept is met); answer() gives
+    # the exact rows of the runs it reads and leaves every generator, read
+    # or moved past its answer words, in the state the eager draw leaves
+    spec = wht(random_function(n, make_rng(77, n)))
+    for count in COUNTS:
+        tags = [(77, n, count, j) for j in range(6)]
+        got, ref = [make_rng(*t) for t in tags], [make_rng(*t) for t in tags]
+        lo, hi, answer = biased(p).coin_bounds(spec, count, got)
+        want = biased(p).sample_counts(spec, count, ref)
+        assert lo.shape == hi.shape == want.shape == (6, spec.size)
+        assert np.all(lo <= want) and np.all(want <= hi)
+        need = np.arange(6) % 2 == 0
+        np.testing.assert_array_equal(answer(need), want[need])
+        for g, h in zip(got, ref):
+            assert repr(g.bit_generator.state) == repr(h.bit_generator.state)
 
 
 class WordStream:
@@ -298,7 +319,7 @@ def test_biased_coin_test_on_raw_words_holds_at_ties(p):
     got = biased(p).sample_many(spec, 6, WordStream(words))
     want = draw_all_then_overwrite_many(p, spec, 6, WordStream(words))
     np.testing.assert_array_equal(got, want)
-    counts = biased(p).sample_counts(spec, 6, WordStream(words))
+    counts = biased(p).sample_counts(spec, 6, [WordStream(words)])[0]
     np.testing.assert_array_equal(counts, np.bincount(want, minlength=16))
 
 

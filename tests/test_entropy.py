@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from certlab import entropy
 from certlab.boolfn import character_values, random_function, wht
 from certlab.devices import argmax_index, biased, honest, parse_device, uniform_cheat
 from certlab.entropy import (
@@ -101,29 +102,64 @@ def law_stack(k, size, rng, shift):
 @pytest.mark.parametrize("size", [2, 3, 16, 100])
 @pytest.mark.parametrize("k", [1, 2, 20])
 def test_rejsamp_stack_matches_lone_walks(k, size):
+    # one seed a call, then blocks of 2 and 7 seeds, each seed with its
+    # own k laws; every law gets its lone walk's index on its seed
     rng = make_rng(67, k, size)
-    for shift in range(6):
-        laws = law_stack(k, size, rng, shift)
-        seed = int(rng.integers(0, 1 << 63))
-        got = rejsamp(laws, seed)
-        assert got.tolist() == [lone_walk(law, seed) for law in laws]
+    shift = 0
+    for seeds_n in (1, 1, 1, 1, 1, 1, 2, 7):
+        laws, seeds = [], []
+        for _ in range(seeds_n):
+            laws.append(law_stack(k, size, rng, shift))
+            seeds.append(int(rng.integers(0, 1 << 63)))
+            shift += 1
+        got = rejsamp(seeds, np.stack(laws), np.stack(laws))
+        assert got.shape == (seeds_n, k)
+        assert got.tolist() == [[lone_walk(law, seed) for law in stack]
+                                for seed, stack in zip(seeds, laws)]
+
+
+@pytest.mark.parametrize("size", [2, 16, 100])
+def test_rejsamp_bounds_decide_as_the_exact_walk(size):
+    # bounds lo <= law <= hi: a law's answer is its lone walk's index or -1
+    # (undecided), and a law between equal bounds is always decided
+    rng = make_rng(69, size)
+    undecided = 0
+    for _ in range(5):
+        laws = np.stack([law_stack(6, size, rng, s) for s in range(4)])
+        lo, hi = laws * rng.random(laws.shape), laws + 0.1 * rng.random(laws.shape)
+        exact = rng.random((4, 6)) < 0.3
+        lo[exact], hi[exact] = laws[exact], laws[exact]
+        seeds = rng.integers(0, 1 << 63, size=4).tolist()
+        got = rejsamp(seeds, lo, hi)
+        for s, seed in enumerate(seeds):
+            for i, law in enumerate(laws[s]):
+                assert got[s, i] in (-1, lone_walk(law, seed))
+        assert np.all(got[exact] >= 0)
+        undecided += int(np.count_nonzero(got < 0))
+    assert undecided > 0
 
 
 def test_rejsamp_is_a_pure_function_of_seed():
-    law = np.array([[0.2, 0.5, 0.3]])
-    assert rejsamp(law, 777)[0] == rejsamp(law, 777)[0]
-    outs = {int(rejsamp(law, s)[0]) for s in range(30)}
+    law = np.array([[[0.2, 0.5, 0.3]]])
+    assert rejsamp([777], law, law)[0, 0] == rejsamp([777], law, law)[0, 0]
+    outs = {int(rejsamp([s], law, law)[0, 0]) for s in range(30)}
     assert outs.issubset({0, 1, 2}) and len(outs) > 1
 
 
 def test_rejsamp_point_mass_always_returns_it():
-    law = OutcomeDistribution.point_mass(16, 11).probs[None, :]
-    assert all(rejsamp(law, s)[0] == 11 for s in range(20))
+    law = np.broadcast_to(OutcomeDistribution.point_mass(16, 11).probs, (20, 1, 16))
+    assert np.all(rejsamp(list(range(20)), law, law) == 11)
 
 
 def test_rejsamp_rejects_a_law_without_mass():
     with pytest.raises(EmptyDistribution):
-        rejsamp(np.array([[0.5, 0.5], [0.0, 0.0]]), 1)
+        law = np.array([[[0.5, 0.5], [0.0, 0.0]]])
+        rejsamp([1], law, law)
+    # a massless law of one seed inside a block of several
+    laws = np.full((3, 2, 2), 0.5)
+    laws[1, 1] = 0.0
+    with pytest.raises(EmptyDistribution):
+        rejsamp([1, 2, 3], laws, laws)
 
 
 def test_rejsamp_marginal_matches_distribution():
@@ -132,7 +168,7 @@ def test_rejsamp_marginal_matches_distribution():
     seeds = rng.integers(0, 1 << 63, size=20000)
     counts = np.zeros(4)
     for s in seeds:
-        counts[rejsamp(d.probs[None, :], int(s))[0]] += 1
+        counts[rejsamp([int(s)], d.probs[None, None], d.probs[None, None])[0, 0]] += 1
     from scipy.stats import chisquare
 
     _, pvalue = chisquare(counts, 20000 * d.probs)
@@ -188,6 +224,16 @@ def test_coupling_counts_the_two_lone_walks_of_each_seed():
     bad = sum(lone_walk(d1.probs, int(s)) != lone_walk(d2.probs, int(s))
               for s in seeds)
     assert res.rate == bad / 2000
+
+
+def test_coupling_result_ignores_the_seed_block(monkeypatch):
+    d1 = OutcomeDistribution(np.array([0.5, 0.3, 0.2, 0.0]))
+    d2 = OutcomeDistribution(np.array([0.4, 0.0, 0.3, 0.3]))
+    assert entropy.seed_block(2, 4, 0) > 300  # the default: one block
+    want = coupling_disagreement(d1, d2, 300, make_rng(61, 4))
+    for size in (1, 7):
+        monkeypatch.setattr(entropy, "seed_block", lambda k, n, budget, size=size: size)
+        assert coupling_disagreement(d1, d2, 300, make_rng(61, 4)) == want
 
 
 def test_coupling_result_reports_both_references():
@@ -257,33 +303,62 @@ def test_degree_ratio_rejects_odd_root():
 def test_derandomize_same_seed_same_output():
     device = biased(0.98)
     spec = wht(random_function(4, make_rng(63, 0)))
-    a, b = derandomize(device, spec, derive64(63, 1), 5000,
-                       [make_rng(63, 2), make_rng(63, 3)])
+    a, b = derandomize(device, spec, [derive64(63, 1)], 5000,
+                       [[make_rng(63, 2), make_rng(63, 3)]])[0]
     assert a == b
 
 
 def test_derandomize_budget_must_be_positive():
     with pytest.raises(BudgetZero):
         derandomize(honest(), wht(random_function(4, make_rng(63, 4))),
-                    1, 0, [make_rng(63, 5)])
+                    [1], 0, [[make_rng(63, 5)]])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("label", ["honest", "argmax", "biased:0.98"])
-def test_derandomize_matches_one_call_per_generator(label, seed):
+# (label, seed, budget, shared): the first nine are the original cases;
+# then every device kind at p in {0, 0.5, 0.98, 1}, budgets of each
+# residue mod 4 (Philox gives words four at a time), distinct generators
+# and one generator shared by every run
+DERANDOMIZE_CASES = (
+    [pytest.param(label, seed, 10000, False, id=f"{label}-{seed}")
+     for label in ("argmax", "biased:0.98", "honest") for seed in (0, 1, 2)]
+    + [pytest.param(label, 3, budget, shared,
+                    id=f"{label}-b{budget}-{'shared' if shared else 'distinct'}")
+       for label in ("honest", "uniform", "argmax", "biased:0", "biased:0.5",
+                     "biased:0.98", "biased:1")
+       for budget in (1000, 1001, 1002, 1003) for shared in (False, True)])
+
+
+@pytest.mark.parametrize("label, seed, budget, shared", DERANDOMIZE_CASES)
+def test_derandomize_matches_one_call_per_generator(label, seed, budget, shared):
     # the form derandomize replaced: each generator's draws become a law
-    # (counts over their total) that walks the shared stream on its own
+    # (counts over their total) that walks its seed's stream on its own,
+    # the generators drawn run after run; a squeezed call must give the
+    # same indices and leave every generator in the same state
     device = parse_device(label)
     spec = wht(random_function(4, make_rng(68, seed)))
-    r = derive64(68, 1, seed)
-    rngs = [make_rng(68, 2, seed), make_rng(68, 3, seed)]
-    got = derandomize(device, spec, r, 10000, rngs)
-    for j, g in enumerate([make_rng(68, 2, seed), make_rng(68, 3, seed)]):
-        counts = np.bincount(device.sample_many(spec, 10000, g), minlength=16)
-        law = counts.astype(np.float64) / float(counts.sum())
-        assert np.array_equal(counts / 10000, law)
-        assert got[j] == lone_walk(law, r)
-        assert rngs[j].random() == g.random()
+    seeds = [derive64(68, 1, seed)]
+    seeds += [derive64(68, 1, seed, budget, j) for j in range(4)]
+
+    def generators():
+        if shared:
+            g = make_rng(68, 2, seed, budget)
+            return [[g, g] for _ in seeds]
+        return [[make_rng(68, 2, seed, *tag), make_rng(68, 3, seed, *tag)]
+                for tag in [()] + [(budget, j) for j in range(4)]]
+
+    rngs, refs = generators(), generators()
+    got = derandomize(device, spec, seeds, budget, rngs)
+    assert got.shape == (len(seeds), 2)
+    for s, r in enumerate(seeds):
+        for j, g in enumerate(refs[s]):
+            counts = np.bincount(device.sample_many(spec, budget, g), minlength=16)
+            law = counts.astype(np.float64) / float(counts.sum())
+            assert np.array_equal(counts / budget, law)
+            assert got[s, j] == lone_walk(law, r)
+    for run, ref in zip(rngs, refs):
+        for g, h in zip(run, ref):
+            assert repr(g.bit_generator.state) == repr(h.bit_generator.state)
+            assert g.random() == h.random()
 
 
 def test_fully_biased_device_derandomizes_to_its_argmax():
@@ -293,7 +368,8 @@ def test_fully_biased_device_derandomizes_to_its_argmax():
     z = argmax_index(spec)
     rng = make_rng(65, 1)
     for j in range(300):
-        assert derandomize(biased(1.0), spec, derive64(65, 2, j), 100, [rng])[0] == z
+        out = derandomize(biased(1.0), spec, [derive64(65, 2, j)], 100, [[rng]])
+        assert out[0, 0] == z
 
 
 def test_derandomize_marginal_tracks_device():
@@ -303,7 +379,7 @@ def test_derandomize_marginal_tracks_device():
     rng = make_rng(64, 1)
     counts = np.zeros(8)
     for j in range(4000):
-        counts[derandomize(device, spec, derive64(64, 2, j), 200, [rng])[0]] += 1
+        counts[derandomize(device, spec, [derive64(64, 2, j)], 200, [[rng]])[0, 0]] += 1
     from scipy.stats import chisquare
 
     _, pvalue = chisquare(counts)
