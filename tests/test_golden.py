@@ -54,6 +54,10 @@ CASES = [
     ("perturb", ["perturb", "--n", "6", "--seed", "5"]),
     ("derandomize", ["derandomize", "--device", "biased:0.98", "--n", "4",
                      "--budget", "2000", "--seeds", "10", "--seed", "6"]),
+    ("derandomize-honest", ["derandomize", "--device", "honest", "--n", "4",
+                            "--budget", "500", "--seeds", "10", "--seed", "6"]),
+    ("derandomize-uniform", ["derandomize", "--device", "uniform", "--n", "4",
+                             "--budget", "500", "--seeds", "10", "--seed", "6"]),
     ("llqsv-fourier", ["llqsv", "--n", "5", "--t", "300", "--case", "fourier",
                        "--seed", "7"]),
     ("llqsv-uniform", ["llqsv", "--n", "5", "--t", "300", "--case", "uniform",
@@ -113,6 +117,10 @@ DIGESTS = {
         "37c31fb4f44a5b916ff42627b0cfa66f9208e2b592025b7d391dc419ff049456",
     "derandomize":
         "47ed4886d72928cbf4b3980984c7b529ac8d07454169387cb1dfd16bf887ba88",
+    "derandomize-honest":
+        "5fd923d7b40fe8634792d65600758f79a470bcd15c6bf4d08bd9ef369c01d8b1",
+    "derandomize-uniform":
+        "5c016100184e74020a495745d0dfcf43535f07901922642c9448ea26ba191e68",
     "llqsv-fourier":
         "8844b3cf1febdf795c2dc8a549fc83121deb7bdf8f312fc8f31550156188b90e",
     "llqsv-uniform":
