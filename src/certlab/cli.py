@@ -288,12 +288,12 @@ def cmd_sqforr(args) -> int:
 
 def cmd_rhog(args) -> int:
     params = sqf.DistParams(args.n, args.c)
+    device = devices.DeviceModel("uniform" if args.uniform_sampler else "honest")
 
     def worker(i, count):
         rng = make_rng(args.seed, _TAG_RHOG, i)
-        return rejection.rhog_values(params, count, rng,
-                                     uniform_pairs=args.uniform_pairs,
-                                     uniform_sampler=args.uniform_sampler)
+        return rejection.rhog_values(params, device, count, rng,
+                                     uniform_pairs=args.uniform_pairs)
 
     vals = np.concatenate(_fanout(args.trials, args.threads, worker))
     res = rejection.rhog_from_values(params, vals)
@@ -650,13 +650,14 @@ def _battery(seed: int, report: CheckReport) -> None:
                abs(dist[0] - geom) <= 1e-12
                and abs(float(dist.sum()) - 1.0) <= 1e-12,
                f"single-point mass {dist[0]:.6f} vs series {geom:.6f}")
-    res = rejection.rhog_score(params, 20000, make_rng(seed, 108))
+    res = rejection.rhog_score(params, devices.honest(), 20000,
+                               make_rng(seed, 108))
     report.add("rhog-signal",
                res.n_times_mean >= res.target
                and res.n_times_mean - res.ci99 > 1.0,
                f"N*mean {res.n_times_mean:.4f} vs target {res.target:.4f}")
-    resu = rejection.rhog_score(params, 10000, make_rng(seed, 109),
-                                uniform_sampler=True)
+    resu = rejection.rhog_score(params, devices.uniform_cheat(), 10000,
+                                make_rng(seed, 109))
     report.add("rhog-null", abs(resu.n_times_mean - 1.0) <= resu.ci99,
                f"N*mean {resu.n_times_mean:.4f} within ci of 1")
 
@@ -862,7 +863,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_int_in(2), default=100000)
     p.add_argument("--estimator", choices=("plain", "conditional"),
                    default="conditional")
-    p.add_argument("--uniform-pairs", action="store_true")
+    p.add_argument("--uniform-pairs", action="store_true",
+                   help="draw f and g as independent uniform functions "
+                        "(the null control)")
     p.add_argument("--threads", type=_COUNT, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
@@ -872,8 +875,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_N, default=8)
     p.add_argument("--c", type=float, default=20.0)
     p.add_argument("--trials", type=_int_in(2), default=100000)
-    p.add_argument("--uniform-pairs", action="store_true")
-    p.add_argument("--uniform-sampler", action="store_true")
+    p.add_argument("--uniform-pairs", action="store_true",
+                   help="draw f and g as independent uniform functions "
+                        "(the null control)")
+    p.add_argument("--uniform-sampler", action="store_true",
+                   help="answer with the uniform device, not the honest "
+                        "Fourier sampler (the null control)")
     p.add_argument("--threads", type=_COUNT, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)

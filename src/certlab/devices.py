@@ -11,10 +11,14 @@ Four kinds, all answering one challenge function with one index:
 Each kind's output law has a closed form in the integer spectrum, so
 min_entropy_rows is exact rather than estimated.
 
+This is the one place that chooses who answers a challenge: every driver
+(pgpb, rhog, llqsv, the protocol, derandomize) hands its challenges to a
+DeviceModel, and only the honest kind calls `honest_sampler`.
+
 Every biased call tosses one coin per answer the same way (`_biased_split`):
 it reads 2*count raw Philox words, coins then answers, the words of two
 `rng.random` draws (the digests pin them), and searches only the answers
-whose coin is >= p.  `coin_bounds` reads the coin half alone and bounds
+whose coin is >= p.  `count_bounds` reads the coin half alone and bounds
 each run's tally by it; the answer half is read only for the runs whose
 bounds do not decide the caller's question, and every other generator is
 moved past it as reading it would move it.
@@ -81,37 +85,26 @@ class DeviceModel:
         out[keep] = fourier_sample_many(spec, u)
         return out
 
-    def sample_counts(self, spec: FourierSpectrum, count: int, rngs) -> np.ndarray:
-        """(len(rngs), N) int64 tallies of `sample_many`'s answers, row i from
-        `count` draws of rngs[i], the generators drawn in list order.
+    def count_bounds(self, spec: FourierSpectrum, count: int, rngs):
+        """Bounds lo <= c <= hi on the (len(rngs), N) int64 tallies c of
+        `sample_many`'s answers, row i from `count` draws of rngs[i], and
+        `answer(need)`, which returns the exact rows where the boolean mask
+        `need` holds and leaves every generator where drawing each run's
+        `sample_many` in list order leaves it.
 
-        Honest and biased rows share one build of the spectrum's cumulative
-        mass and one search, and one bincount tallies every row.
+        Every kind but biased, and a biased call that repeats a generator
+        (whose coins and answers would otherwise leave it out of that
+        order), makes that eager draw here, so lo = hi = c.  Otherwise each
+        generator gives its first `count` raw words, the coin half of
+        `_biased_split`'s draw: with `kept` coins >= p, c lies in
+        count - kept .. count at the argmax and in 0 .. kept elsewhere, and
+        `answer` reads the answer words of the runs it needs and moves
+        every other generator past them (`rng.skip_raw`).
         """
-        if self.kind == "biased":
-            u = [self._biased_split(count, g)[1] for g in rngs]
-            return _kept_tallies(spec, count, u)
-        if self.kind == "honest":
-            u = np.concatenate([g.random(count) for g in rngs])
-            answers = fourier_sample_many(spec, u)
-        else:
-            answers = np.concatenate([self.sample_many(spec, count, g) for g in rngs])
-        return _tally(spec.size, answers, [count] * len(rngs))
-
-    def coin_bounds(self, spec: FourierSpectrum, count: int, rngs):
-        """Bounds lo <= c <= hi on each biased run's `sample_counts` row from
-        its coin words alone, and `answer`, which finishes the runs' draws.
-
-        Each generator gives its first `count` raw words here, the coin half
-        of `_biased_split`'s draw.  With `kept` coins >= p, c lies in
-        count - kept .. count at the argmax and in 0 .. kept elsewhere.
-        `answer(need)` reads the answer words of the runs where the boolean
-        mask `need` holds and returns their exact rows, as `sample_counts`
-        gives them; every other generator is moved past its answer words
-        exactly as reading them would move it (`rng.skip_raw`).  The
-        generators must be distinct objects: a shared one would give its
-        coins and answers in another order than `sample_counts` reads them.
-        """
+        if self.kind != "biased" or len({id(g) for g in rngs}) < len(rngs):
+            answers = [self.sample_many(spec, count, g) for g in rngs]
+            c = _tally(spec.size, np.concatenate(answers), [count] * len(rngs))
+            return c, c, lambda need: c[need]
         keep = [self._coins(g.bit_generator.random_raw(count)) for g in rngs]
         kept = np.array([np.count_nonzero(mask) for mask in keep], dtype=np.int64)
         z = argmax_index(spec)

@@ -284,27 +284,22 @@ def derandomize(
 
     `seeds` holds S seeds and rngs[s] the k generators replayed on seed s.
     Each generator's run estimates the device's law on spec as
-    count/budget from `device.sample_counts` over `budget` fresh draws, and
-    a seed's k laws are replayed on its stream, a pure function of (seed,
-    N), in one walk (`rejsamp`).  Returns the (S, k) indices.  A biased
-    device with distinct generators is squeezed: each run's coin words
-    bound its tally (`coin_bounds`), the walk runs against the bounds
-    (division by the fixed budget is monotone, so a decided step is the
-    exact walk's), and only runs the bounds leave undecided read their
-    answer words and walk again exactly; every generator ends where
-    `sample_counts` would leave it.  The marginal over (device randomness,
-    seed) is exactly the device's own law; for a sufficiently deterministic
-    device and a generous budget the answers are almost always one
-    function of the seed alone.
+    count/budget over `budget` fresh draws, and a seed's k laws are
+    replayed on its stream, a pure function of (seed, N), in one walk
+    (`rejsamp`).  Returns the (S, k) indices.  The walk runs against the
+    device's bounds on each tally (`count_bounds`; division by the fixed
+    budget is monotone, so a decided step is the exact walk's), and only
+    the runs the bounds leave undecided are answered exactly and walk
+    again; `answer` is called even when none is, since it also leaves
+    every generator where the full draw would.  The marginal over (device
+    randomness, seed) is exactly the device's own law; for a sufficiently
+    deterministic device and a generous budget the answers are almost
+    always one function of the seed alone.
     """
     if budget < 1:
         raise BudgetZero("derandomization needs at least one device sample")
-    flat = [g for run in rngs for g in run]
     shape = (len(seeds), -1, spec.size)
-    if device.kind != "biased" or len({id(g) for g in flat}) < len(flat):
-        laws = device.sample_counts(spec, budget, flat).reshape(shape) / budget
-        return rejsamp(seeds, laws, laws)
-    lo, hi, answer = device.coin_bounds(spec, budget, flat)
+    lo, hi, answer = device.count_bounds(spec, budget, [g for run in rngs for g in run])
     lo = lo.reshape(shape) / budget
     hi = hi.reshape(shape) / budget
     out = rejsamp(seeds, lo, hi)

@@ -24,7 +24,7 @@ from .boolfn import (
     scaled_at,
     wht_rows,
 )
-from .fouriersample import honest_sampler
+from .devices import DeviceModel
 from .rng import blocks
 from .stats import wilson_halfwidth
 
@@ -119,24 +119,23 @@ def llqsv_instance(
     """Generate a long-list instance of the requested case.
 
     Rows are drawn in blocks of _BATCH: each block's sign tables from
-    random_functions_batch, then its honest Fourier samples ("fourier") or
-    uniform indices ("uniform").  Dense only: T * N beyond the in-memory
-    budget raises BudgetExceeded before anything is allocated.
+    random_functions_batch, then its answers from the honest device
+    ("fourier") or the uniform one ("uniform").  Dense only: T * N beyond
+    the in-memory budget raises BudgetExceeded before anything is
+    allocated.
     """
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}")
     if T < 0:
         raise ValueError("T must be nonnegative")
     _check_budget(n, T)
+    device = DeviceModel("honest" if case == "fourier" else "uniform")
     tables = np.empty((T, 1 << n), dtype=np.int8)
     s = np.empty(T, dtype=np.int64)
     for start, b in blocks(T, _BATCH):
         rows = tables[start:start + b]
         rows[...] = random_functions_batch(n, b, rng)
-        if case == "fourier":
-            s[start:start + b] = honest_sampler.sample_batch(wht_rows(rows), rng)
-        else:
-            s[start:start + b] = rng.integers(0, 1 << n, size=b, dtype=np.int64)
+        s[start:start + b] = device.sample_rows(wht_rows(rows), rng)
     return LongList(tables, s)
 
 

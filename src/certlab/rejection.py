@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import BooleanFunction, wht_rows
-from .fouriersample import honest_sampler
 from .rng import blocks
 from .sqforrelation import DistParams, pair_rows
 from .stats import mean_ci99
@@ -72,16 +71,16 @@ class RhogResult:
 
 def rhog_values(
     params: DistParams,
+    device,
     trials: int,
     rng: np.random.Generator,
     uniform_pairs: bool = False,
-    uniform_sampler: bool = False,
 ) -> np.ndarray:
     """Per-trial values of N * Pr[rejection sampler outputs x].
 
     Per trial: (f, g) drawn correlated (or independent uniform with
-    uniform_pairs=True), x Fourier-sampled from fhat^2 (or uniform with
-    uniform_sampler=True), scored as exact_distribution(g)[x].
+    uniform_pairs=True), x the `DeviceModel`'s answer to f (the honest
+    device Fourier-samples fhat^2), scored as exact_distribution(g)[x].
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -89,10 +88,7 @@ def rhog_values(
     vals = np.empty(trials)
     for done, b in blocks(trials, _BATCH):
         f_rows, g_rows = pair_rows(params, b, rng, uniform_pairs)
-        if uniform_sampler:
-            x = rng.integers(0, size, size=b)
-        else:
-            x = honest_sampler.sample_batch(wht_rows(f_rows), rng)
+        x = device.sample_rows(wht_rows(f_rows), rng)
         ones = np.count_nonzero(g_rows == 1, axis=1)
         hit = g_rows[np.arange(b), x] == 1
         vals[done:done + b] = size * _placement(ones, hit, params.n)
@@ -114,13 +110,13 @@ def rhog_from_values(params: DistParams, vals: np.ndarray) -> RhogResult:
 
 def rhog_score(
     params: DistParams,
+    device,
     trials: int,
     rng: np.random.Generator,
     uniform_pairs: bool = False,
-    uniform_sampler: bool = False,
 ) -> RhogResult:
     """Mean N-scaled placement probability over trials; see rhog_values."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    vals = rhog_values(params, trials, rng, uniform_pairs, uniform_sampler)
+    vals = rhog_values(params, device, trials, rng, uniform_pairs)
     return rhog_from_values(params, vals)

@@ -133,8 +133,9 @@ def test_03_truncation_and_balance_concentration(criterion):
 
 def test_04_rejection_score_beats_target(criterion):
     params = DistParams(8, 1.0)
-    res = rhog_score(params, 100000, make_rng(SEED, 6))
-    ctrl = rhog_score(params, 100000, make_rng(SEED, 7), uniform_pairs=True)
+    res = rhog_score(params, honest(), 100000, make_rng(SEED, 6))
+    ctrl = rhog_score(params, honest(), 100000, make_rng(SEED, 7),
+                      uniform_pairs=True)
     ok = criterion(
         "4 rejection-score lift at n=8, C=1 (1e5 trials)",
         res.n_times_mean >= res.target

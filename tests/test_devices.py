@@ -248,15 +248,31 @@ def test_biased_sample_rows_matches_draw_all_reference(p, n):
 
 
 def assert_counts_match(dev, spec, count, reference, seed):
-    # sample_counts against np.bincount of the reference answers, from the
-    # same generator state, and both generators' next draw
-    got_rng, ref_rng = make_rng(*seed), make_rng(*seed)
-    got = dev.sample_counts(spec, count, [got_rng])[0]
-    want = np.bincount(reference(spec, count, ref_rng), minlength=spec.size)
-    assert got.dtype == want.dtype == np.int64
-    assert got.shape == (spec.size,) and int(got.sum()) == count
-    np.testing.assert_array_equal(got, want)
-    assert got_rng.random() == ref_rng.random()
+    # count_bounds against np.bincount of the reference answers, drawn in
+    # list order from the same generator states, for three distinct
+    # generators and for one generator listed three times; every generator's
+    # next draw must match too.  The draw is eager, lo = hi = the tallies,
+    # for every kind but a biased device with distinct generators, whose
+    # bounds must hold and whose answer must give the tallies
+    for shared in (False, True):
+        if shared:
+            got, ref = [make_rng(*seed)] * 3, [make_rng(*seed)] * 3
+        else:
+            got = [make_rng(*seed, j) for j in range(3)]
+            ref = [make_rng(*seed, j) for j in range(3)]
+        lo, hi, answer = dev.count_bounds(spec, count, got)
+        want = np.array([np.bincount(reference(spec, count, g), minlength=spec.size)
+                         for g in ref])
+        assert lo.dtype == hi.dtype == want.dtype == np.int64
+        assert lo.shape == hi.shape == (3, spec.size)
+        assert np.all(want.sum(axis=1) == count)
+        if shared or dev.kind != "biased":
+            np.testing.assert_array_equal(lo, want)
+            np.testing.assert_array_equal(hi, want)
+        assert np.all(lo <= want) and np.all(want <= hi)
+        np.testing.assert_array_equal(answer(np.ones(3, dtype=bool)), want)
+        for g, h in zip(got, ref):
+            assert g.random() == h.random()
 
 
 @pytest.mark.parametrize("n", [1, 4, 8])
@@ -273,7 +289,7 @@ def test_biased_sample_counts_match_draw_all_reference(p, n):
 @pytest.mark.parametrize("n", [1, 4, 8])
 @pytest.mark.parametrize("p", BIASED_P)
 def test_coin_bounds_hold_and_answer_finishes_the_eager_draw(p, n):
-    # coin_bounds brackets each run's eager tally (count 1 puts the one kept
+    # count_bounds brackets each run's eager tally (count 1 puts the one kept
     # answer off the argmax, where the bound kept is met); answer() gives
     # the exact rows of the runs it reads and leaves every generator, read
     # or moved past its answer words, in the state the eager draw leaves
@@ -281,8 +297,9 @@ def test_coin_bounds_hold_and_answer_finishes_the_eager_draw(p, n):
     for count in COUNTS:
         tags = [(77, n, count, j) for j in range(6)]
         got, ref = [make_rng(*t) for t in tags], [make_rng(*t) for t in tags]
-        lo, hi, answer = biased(p).coin_bounds(spec, count, got)
-        want = biased(p).sample_counts(spec, count, ref)
+        lo, hi, answer = biased(p).count_bounds(spec, count, got)
+        want = np.array([np.bincount(biased(p).sample_many(spec, count, g),
+                                     minlength=spec.size) for g in ref])
         assert lo.shape == hi.shape == want.shape == (6, spec.size)
         assert np.all(lo <= want) and np.all(want <= hi)
         need = np.arange(6) % 2 == 0
@@ -319,8 +336,10 @@ def test_biased_coin_test_on_raw_words_holds_at_ties(p):
     got = biased(p).sample_many(spec, 6, WordStream(words))
     want = draw_all_then_overwrite_many(p, spec, 6, WordStream(words))
     np.testing.assert_array_equal(got, want)
-    counts = biased(p).sample_counts(spec, 6, [WordStream(words)])[0]
-    np.testing.assert_array_equal(counts, np.bincount(want, minlength=16))
+    lo, hi, answer = biased(p).count_bounds(spec, 6, [WordStream(words)])
+    counts = np.bincount(want, minlength=16)
+    assert np.all(lo[0] <= counts) and np.all(counts <= hi[0])
+    np.testing.assert_array_equal(answer(np.array([True]))[0], counts)
 
 
 def argmax_many_reference(spec, count, rng):

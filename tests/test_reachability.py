@@ -155,3 +155,17 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
     # a KEEP_PARAMS entry that is now passed, or no longer defined, shows
     # up here too
     assert unpassed == sorted(KEEP_PARAMS)
+
+
+def test_only_the_devices_choose_who_answers():
+    # the honest sampler is reached through the honest device alone, and
+    # the replay asks the device for its tallies without asking its kind
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    sampler = sorted(
+        module for module, tree in trees.items()
+        if any(getattr(node, field, None) in ("honest_sampler", "HonestSampler")
+               for node in ast.walk(tree) for field in ("id", "attr", "name")))
+    assert sampler == ["devices", "fouriersample"]
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "kind"
+                   for node in ast.walk(trees["entropy"]))

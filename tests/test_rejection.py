@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from certlab.boolfn import BooleanFunction, random_function, wht
+from certlab.devices import honest, uniform_cheat
 from certlab.fouriersample import tv_distance
 from certlab.rng import make_rng
 from certlab.rejection import (
@@ -135,7 +136,7 @@ def test_exact_law_tv_against_conditional_ideal():
 
 def test_rhog_signal_beats_target():
     params = DistParams(8, 1.0)
-    res = rhog_score(params, 20000, make_rng(52, 0))
+    res = rhog_score(params, honest(), 20000, make_rng(52, 0))
     assert res.target == pytest.approx(1 + params.epsilon ** 2 / 8)
     assert res.n_times_mean >= res.target
     assert res.n_times_mean - res.ci99 > 1.0
@@ -144,21 +145,22 @@ def test_rhog_signal_beats_target():
 
 def test_rhog_uniform_pair_control_is_flat():
     params = DistParams(8, 1.0)
-    res = rhog_score(params, 10000, make_rng(52, 1), uniform_pairs=True)
+    res = rhog_score(params, honest(), 10000, make_rng(52, 1),
+                     uniform_pairs=True)
     assert res.n_times_mean == pytest.approx(1.0, abs=4 * res.ci99)
 
 
 def test_rhog_uniform_sampler_control_is_flat():
     params = DistParams(8, 1.0)
-    res = rhog_score(params, 10000, make_rng(52, 2), uniform_sampler=True)
+    res = rhog_score(params, uniform_cheat(), 10000, make_rng(52, 2))
     assert res.n_times_mean == pytest.approx(1.0, abs=4 * res.ci99)
 
 
 def test_rhog_values_merge_matches_single_call():
     params = DistParams(6, 1.0)
-    vals = rhog_values(params, 500, make_rng(53, 0))
+    vals = rhog_values(params, honest(), 500, make_rng(53, 0))
     merged = rhog_from_values(params, vals)
-    whole = rhog_score(params, 500, make_rng(53, 0))
+    whole = rhog_score(params, honest(), 500, make_rng(53, 0))
     assert merged.n_times_mean == whole.n_times_mean
     assert merged.ci99 == whole.ci99
 
