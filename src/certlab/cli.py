@@ -8,10 +8,14 @@ reproduces the output byte for byte.  Execution-only flags (--threads,
 --check, --tol, --out, --format) are not part of the payload, so results
 are also identical across thread counts.
 
---check turns each command into a self-test: the command's contract is
-asserted within --tol and the process exits 1 on violation (2 remains the
-usage-error exit, 0 the success exit).  `check-all` runs a fast battery
-across every module and prints one PASS/FAIL line per check.
+Each command's claims are written once, in a `_<command>_contract`
+function that returns (name, ok, detail) records; its margin, where it has
+one, is the keyword default `tol`, which --tol replaces.  --check turns a
+command into a self-test: the records go to stderr as CHECK lines and the
+process exits 1 on violation (2 remains the usage-error exit, 0 the
+success exit).  `check-all` holds fixed-size runs to the same contracts,
+beside checks of its own, and prints one `<command>-<name>` PASS/FAIL line
+per record.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from . import __version__
 from . import boolfn, devices, entropy, fouriersample, llqsv, protocol, rejection
 from . import sqforrelation as sqf
 from .rng import MASK64, blocks, derive64, make_rng
-from .stats import Z99
+from .stats import mean_ci99
 
 # Trials per fan-out chunk, fixed so results ignore --threads; also the
 # challenge rows per chunk of the protocol writer.
@@ -123,17 +127,164 @@ class CheckReport:
         print(f"{self.prefix}{'PASS' if ok else 'FAIL'} {name}: {detail}",
               file=self.file)
 
+    def extend(self, command: str, records):
+        """Add a contract's records, each named `<command>-<name>`."""
+        for name, ok, detail in records:
+            self.add(f"{command}-{name}", ok, detail)
+
     @property
     def exit_code(self) -> int:
         return 1 if self.failed else 0
 
 
-def _check_result(checks) -> int:
-    """Report --check assertions to stderr as CHECK lines; 1 if any failed."""
+def _check(args, contract, *values) -> int:
+    """With --check, hold `values` to `contract` (with --tol as its margin
+    when given) and report the records to stderr as CHECK lines; 1 if any
+    failed, else 0."""
+    if not args.check:
+        return 0
+    margin = {} if getattr(args, "tol", None) is None else {"tol": args.tol}
     report = CheckReport("CHECK ", sys.stderr)
-    for name, ok, detail in checks:
+    for name, ok, detail in contract(*values, **margin):
         report.add(name, ok, detail)
     return report.exit_code
+
+
+# ---------------------------------------------------------------- contracts
+#
+# One function per claim, shared by the command's --check and by check-all.
+
+def _wht_contract(f, spec, *, tol=1e-12):
+    """Parseval in floats (within tol) and in integers, and the transform
+    applied twice gives f back."""
+    parseval = float(np.dot(spec.coeffs, spec.coeffs))
+    int_parseval = int(np.sum(spec.scaled.astype(np.int64) ** 2))
+    return [
+        ("parseval", abs(parseval - 1.0) <= tol,
+         f"|sum c^2 - 1| = {abs(parseval - 1.0):.3e} <= {tol}"),
+        ("double-transform", boolfn.spectrum_to_function(spec) == f,
+         "transform applied twice recovers f"),
+        ("integer-parseval", int_parseval == f.size * f.size,
+         f"sum W^2 = {int_parseval} == N^2"),
+    ]
+
+
+def _pgpb_contract(n, sampler, est, *, tol=0.02):
+    """Each sampled band rate within tol of the exact finite-N law, not the
+    Gaussian limit (only p_b for the uniform sampler)."""
+    exact = fouriersample.exact_band_rates(n, sampler)
+    if sampler == "honest":
+        named = zip(("p_b", "p_light4", "p_g"),
+                    (est.p_b, est.p_light4, est.p_g), exact)
+    else:
+        named = [("p_b_uniform", est.p_b, exact[0])]
+    return [(key, abs(got - ref) <= tol, f"|{got:.5f} - {ref:.5f}| <= {tol}")
+            for key, got, ref in named]
+
+
+def _hog_contract(spec, samples, target, *, tol=0.0):
+    """The score, mean fhat(s)^2 over the samples, within 3 ci99 + tol of
+    its target."""
+    est = mean_ci99(spec.coeffs[samples] ** 2)
+    margin = 3.0 * est.ci99 + tol
+    return [("score", abs(est.mean - target) <= margin,
+             f"|{est.mean:.6f} - {target:.6f}| <= 3 ci99 + {tol} = {margin:.6f}")]
+
+
+def _sqforr_contract(exp, *, tol=0.0):
+    """Mean phi reaches eps^2 (within tol) and its CI clears eps^2 / 2; with
+    uniform pairs it is 0 within ci99 + tol."""
+    if exp.uniform_pairs:
+        return [("phi-null", abs(exp.mean) <= exp.ci99 + tol,
+                 f"|{exp.mean:.3e}| <= ci99 {exp.ci99:.3e} + {tol}")]
+    e2 = exp.target_lower_bound
+    return [
+        ("phi-above-eps2", exp.mean + tol >= e2,
+         f"{exp.mean:.6f} + {tol} >= eps^2 = {e2:.6f}"),
+        ("phi-ci-excludes-half", exp.mean - exp.ci99 > e2 / 2.0,
+         f"{exp.mean:.6f} - {exp.ci99:.6f} > eps^2/2 = {e2 / 2:.6f}"),
+    ]
+
+
+def _rhog_contract(res, null, *, tol=0.0):
+    """N * mean reaches its target (within tol) and its CI clears 1; under a
+    null control it is 1 within ci99 + tol."""
+    if null:
+        return [("null", abs(res.n_times_mean - 1.0) <= res.ci99 + tol,
+                 f"|{res.n_times_mean:.5f} - 1| <= ci99 {res.ci99:.5f} + {tol}")]
+    return [
+        ("above-target", res.n_times_mean + tol >= res.target,
+         f"{res.n_times_mean:.5f} + {tol} >= {res.target:.5f}"),
+        ("ci-above-one", res.n_times_mean - res.ci99 > 1.0,
+         f"{res.n_times_mean:.5f} - {res.ci99:.5f} > 1"),
+    ]
+
+
+def _tv_bound(size: int) -> float:
+    """2 N^(-1/8), the perturbation's bound on the sampling law's move."""
+    return 2.0 * size ** (-1.0 / 8.0)
+
+
+def _perturb_contract(spec, spec2, z, tv):
+    """The scaled coefficient W(z) = N fhat(z) moves exactly sqrt(N) toward
+    zero, and the sampling law at most _tv_bound in TV."""
+    before, after = int(spec.scaled[z]), int(spec2.scaled[z])
+    root = math.isqrt(spec.size)
+    step = before - (root if before > 0 else -root)
+    bound = _tv_bound(spec.size)
+    return [
+        ("exact-step", after == step, f"W {before} -> {after} == {step}"),
+        ("tv-bound", tv <= bound, f"tv {tv:.5f} <= 2 N^(-1/8) = {bound:.5f}"),
+    ]
+
+
+def _derandomize_contract(frac, *, tol=0.1):
+    """Shared-seed reruns agree on at least 1 - tol of the seeds."""
+    return [("constancy", frac >= 1.0 - tol,
+             f"agree fraction {frac:.3f} >= {1.0 - tol:.3f}")]
+
+
+def _marginal_stat(inst) -> float:
+    """N mean_i fhat_i(s_i)^2 over a nonempty long list."""
+    size = inst.tables.shape[1]
+    c = boolfn.scaled_at(inst.tables, inst.s) / size
+    return float(np.mean(c * c)) * size
+
+
+def _llqsv_contract(inst, blob, case, stat, *, tol=0.5):
+    """The list survives LLQ1, and its _marginal_stat is within tol of
+    (3N - 2)/N for the fourier case, 1 for the uniform one."""
+    back = llqsv.from_llq1(blob)
+    same = np.array_equal(back.tables, inst.tables) and np.array_equal(back.s, inst.s)
+    size = inst.tables.shape[1]
+    expected = (3.0 * size - 2.0) / size if case == "fourier" else 1.0
+    return [
+        ("roundtrip", same, f"{len(back)} entries survive LLQ1"),
+        ("marginal-stat", abs(stat - expected) <= tol,
+         f"|{stat:.4f} - {expected:.4f}| <= {tol}"),
+    ]
+
+
+def _protocol_contract(transcript, config, device, claimed):
+    """verify_score agrees with the recorded verdict; an honest device
+    passes the score test and a uniform one fails it; an argmax device
+    claimed as argmax collides on every challenge."""
+    threshold = protocol.score_threshold(config)
+    records = [
+        ("score-recompute",
+         protocol.verify_score(transcript, config) == transcript.score_pass,
+         "verify_score agrees with the recorded verdict"),
+    ]
+    if device.kind == "honest":
+        records.append(("honest-pass", transcript.score_pass,
+                        f"S = {transcript.S:.4f} >= {threshold:.4f}"))
+    elif device.kind == "uniform":
+        records.append(("uniform-fail", not transcript.score_pass,
+                        f"S = {transcript.S:.4f} < {threshold:.4f}"))
+    if device.kind == "argmax" and claimed == "argmax":
+        records.append(("argmax-collides", transcript.V == config.T,
+                        f"V = {transcript.V} == T"))
+    return records
 
 
 # ---------------------------------------------------------------- commands
@@ -161,18 +312,7 @@ def cmd_wht(args) -> int:
     rows = [(z, float(spec.coeffs[z]), int(spec.scaled[z]))
             for z in range(f.size)]
     _emit(args, "wht", results, rows=rows, header=["z", "coeff", "scaled"])
-    if args.check:
-        tol = args.tol if args.tol is not None else 1e-12
-        back = boolfn.spectrum_to_function(spec)
-        int_parseval = int(np.sum(spec.scaled.astype(np.int64) ** 2))
-        return _check_result([
-            ("parseval", abs(parseval - 1.0) <= tol,
-             f"|sum c^2 - 1| = {abs(parseval - 1.0):.3e} <= {tol}"),
-            ("double-transform", back == f, "transform applied twice recovers f"),
-            ("integer-parseval", int_parseval == f.size * f.size,
-             f"sum W^2 = {int_parseval} == N^2"),
-        ])
-    return 0
+    return _check(args, _wht_contract, f, spec)
 
 
 def cmd_pgpb(args) -> int:
@@ -201,21 +341,7 @@ def cmd_pgpb(args) -> int:
     _emit(args, "pgpb", results, rows=rows,
           header=["p_b", "p_light4", "p_g", "ci99_p_b", "ci99_p_light4",
                   "ci99_p_g", "trials", "seed"])
-    if args.check:
-        # a finite-n sample is held to the exact finite-N law, not the
-        # Gaussian limit in `reference`
-        tol = args.tol if args.tol is not None else 0.02
-        exact = fouriersample.exact_band_rates(args.n, args.sampler)
-        if args.sampler == "honest":
-            named = zip(("p_b", "p_light4", "p_g"),
-                        (est.p_b, est.p_light4, est.p_g), exact)
-        else:
-            named = [("p_b_uniform", est.p_b, exact[0])]
-        return _check_result([
-            (key, abs(got - ref) <= tol, f"|{got:.5f} - {ref:.5f}| <= {tol}")
-            for key, got, ref in named
-        ])
-    return 0
+    return _check(args, _pgpb_contract, args.n, args.sampler, est)
 
 
 def cmd_hog(args) -> int:
@@ -233,13 +359,7 @@ def cmd_hog(args) -> int:
         "target": target,
     }
     _emit(args, "hog", results)
-    if args.check:
-        tol = args.tol if args.tol is not None else 0.01
-        return _check_result([
-            ("hog-score", abs(score - target) <= tol,
-             f"|{score:.6f} - {target:.6f}| <= {tol}"),
-        ])
-    return 0
+    return _check(args, _hog_contract, spec, samples, target)
 
 
 def cmd_sqforr(args) -> int:
@@ -268,22 +388,7 @@ def cmd_sqforr(args) -> int:
     _emit(args, "sqforr", results, rows=rows,
           header=["epsilon", "mean_phi", "ci99", "target_lower_bound",
                   "gprime_prediction", "trials", "estimator"])
-    if args.check:
-        tol = args.tol if args.tol is not None else 0.0
-        if args.uniform_pairs:
-            ok = abs(exp.mean) <= exp.ci99 + tol
-            return _check_result([
-                ("phi-null", ok,
-                 f"|{exp.mean:.3e}| <= ci99 {exp.ci99:.3e} + {tol}"),
-            ])
-        e2 = exp.target_lower_bound
-        return _check_result([
-            ("phi-above-eps2", exp.mean + tol >= e2,
-             f"{exp.mean:.6f} + {tol} >= eps^2 = {e2:.6f}"),
-            ("phi-ci-excludes-half", exp.mean - exp.ci99 > e2 / 2.0,
-             f"{exp.mean:.6f} - {exp.ci99:.6f} > eps^2/2 = {e2 / 2:.6f}"),
-        ])
-    return 0
+    return _check(args, _sqforr_contract, exp)
 
 
 def cmd_rhog(args) -> int:
@@ -309,21 +414,8 @@ def cmd_rhog(args) -> int:
     rows = [(res.n_times_mean, res.ci99, res.epsilon, res.target, res.trials)]
     _emit(args, "rhog", results, rows=rows,
           header=["n_times_mean", "ci99", "epsilon", "target", "trials"])
-    if args.check:
-        tol = args.tol if args.tol is not None else 0.0
-        if args.uniform_pairs or args.uniform_sampler:
-            ok = abs(res.n_times_mean - 1.0) <= res.ci99 + tol
-            return _check_result([
-                ("rhog-null", ok,
-                 f"|{res.n_times_mean:.5f} - 1| <= ci99 {res.ci99:.5f} + {tol}"),
-            ])
-        return _check_result([
-            ("rhog-above-target", res.n_times_mean + tol >= res.target,
-             f"{res.n_times_mean:.5f} + {tol} >= {res.target:.5f}"),
-            ("rhog-ci-above-one", res.n_times_mean - res.ci99 > 1.0,
-             f"{res.n_times_mean:.5f} - {res.ci99:.5f} > 1"),
-        ])
-    return 0
+    return _check(args, _rhog_contract, res,
+                  args.uniform_pairs or args.uniform_sampler)
 
 
 def cmd_perturb(args) -> int:
@@ -345,7 +437,6 @@ def cmd_perturb(args) -> int:
     after = float(spec2.coeffs[z])
     expected = before - sign / math.sqrt(f.size)
     tv = fouriersample.tv_distance(spec, spec2)
-    bound = 2.0 * f.size ** (-1.0 / 8.0)
     results = {
         "n": args.n,
         "z": int(z),
@@ -353,7 +444,7 @@ def cmd_perturb(args) -> int:
         "coeff_after": after,
         "coeff_expected": expected,
         "tv_distance": tv,
-        "tv_bound": bound,
+        "tv_bound": _tv_bound(f.size),
         "function_bfn1_hex": binascii.hexlify(boolfn.to_bfn1(f)).decode(),
         "perturbed_bfn1_hex": binascii.hexlify(boolfn.to_bfn1(f2)).decode(),
         "coefficients": [
@@ -366,15 +457,7 @@ def cmd_perturb(args) -> int:
             for zz in range(f.size)]
     _emit(args, "perturb", results, rows=rows,
           header=["z", "coeff_before", "coeff_after"])
-    if args.check:
-        tol = args.tol if args.tol is not None else 1e-12
-        return _check_result([
-            ("exact-step", abs(after - expected) <= tol,
-             f"|{after:.10f} - {expected:.10f}| <= {tol}"),
-            ("tv-bound", tv <= bound,
-             f"tv {tv:.5f} <= 2 N^(-1/8) = {bound:.5f}"),
-        ])
-    return 0
+    return _check(args, _perturb_contract, spec, spec2, z, tv)
 
 
 def cmd_derandomize(args) -> int:
@@ -403,25 +486,7 @@ def cmd_derandomize(args) -> int:
     rows = [(j, p[0], p[1]) for j, p in enumerate(pairs)]
     _emit(args, "derandomize", results, rows=rows,
           header=["seed_index", "run_a", "run_b"])
-    if args.check:
-        tol = args.tol if args.tol is not None else 0.1
-        return _check_result([
-            ("constancy", frac >= 1.0 - tol,
-             f"agree fraction {frac:.3f} >= {1.0 - tol:.3f}"),
-        ])
-    return 0
-
-
-def _sampled_power(inst) -> float:
-    """mean_i fhat_i(s_i)^2 over a long list (0.0 when it is empty)."""
-    if not len(inst):
-        return 0.0
-    c = boolfn.scaled_at(inst.tables, inst.s) / inst.tables.shape[1]
-    return float(np.mean(c * c))
-
-
-def _same_entries(a, b) -> bool:
-    return np.array_equal(a.tables, b.tables) and np.array_equal(a.s, b.s)
+    return _check(args, _derandomize_contract, frac)
 
 
 def cmd_llqsv(args) -> int:
@@ -433,21 +498,10 @@ def cmd_llqsv(args) -> int:
             fh.write(blob)
     else:
         sys.stdout.buffer.write(blob)
-    size = 1 << args.n
-    mean_stat = _sampled_power(inst) * size
+    mean_stat = _marginal_stat(inst)
     print(f"llqsv: wrote {len(inst)} entries (case={args.case}), "
           f"N*mean fhat(s)^2 = {mean_stat:.4f}", file=sys.stderr)
-    if args.check:
-        tol = args.tol if args.tol is not None else 0.5
-        back = llqsv.from_llq1(blob)
-        round_ok = _same_entries(back, inst)
-        expected = (3.0 * size - 2.0) / size if args.case == "fourier" else 1.0
-        return _check_result([
-            ("roundtrip", round_ok, f"{len(back)} entries survive LLQ1"),
-            ("marginal-stat", abs(mean_stat - expected) <= tol,
-             f"|{mean_stat:.4f} - {expected:.4f}| <= {tol}"),
-        ])
-    return 0
+    return _check(args, _llqsv_contract, inst, blob, args.case, mean_stat)
 
 
 # Stands in for `challenges` in the payload handed to json.dumps.  JSON
@@ -543,40 +597,16 @@ def cmd_protocol(args) -> int:
     results["device"] = device.label
     results["challenges"] = _CHALLENGES
     _write_transcript(args.out, _payload(args, "protocol", results), transcript)
-    if args.check:
-        checks = [
-            ("score-recompute",
-             protocol.verify_score(transcript, config) == transcript.score_pass,
-             "verify_score agrees with the recorded verdict"),
-        ]
-        if device.kind == "honest":
-            checks.append(("honest-pass", transcript.score_pass,
-                           f"S = {transcript.S:.4f} >= "
-                           f"{protocol.score_threshold(config):.4f}"))
-        elif device.kind == "uniform":
-            checks.append(("uniform-fail", not transcript.score_pass,
-                           f"S = {transcript.S:.4f} < "
-                           f"{protocol.score_threshold(config):.4f}"))
-        if device.kind == "argmax" and claimed == "argmax":
-            checks.append(("argmax-collides", transcript.V == config.T,
-                           f"V = {transcript.V} == T"))
-        return _check_result(checks)
-    return 0
+    return _check(args, _protocol_contract, transcript, config, device,
+                  claimed)
 
 
 # ---------------------------------------------------------------- check-all
 
 def _battery(seed: int, report: CheckReport) -> None:
     # -- transform basics
-    rng = make_rng(seed, 100)
-    f = boolfn.random_function(10, rng)
-    spec = boolfn.wht(f)
-    int_parseval = int(np.sum(spec.scaled.astype(np.int64) ** 2))
-    report.add("wht-integer-parseval", int_parseval == f.size ** 2,
-               f"sum W^2 = {int_parseval} vs N^2 = {f.size ** 2}")
-    report.add("wht-double-transform",
-               boolfn.spectrum_to_function(spec) == f,
-               "second transform recovers the sign table")
+    f = boolfn.random_function(10, make_rng(seed, 100))
+    report.extend("wht", _wht_contract(f, boolfn.wht(f)))
     known = boolfn.wht(boolfn.BooleanFunction(
         2, np.array([1, 1, 1, -1], dtype=np.int8)))
     report.add("wht-small-known",
@@ -592,44 +622,22 @@ def _battery(seed: int, report: CheckReport) -> None:
     # -- heaviness statistics
     est = fouriersample.estimate_pg_pb(
         10, devices.honest(), 20000, make_rng(seed, 101))
-    ref_b, ref_l4, ref_g = fouriersample.exact_band_rates(10)
-    report.add("pgpb-honest-windows",
-               abs(est.p_b - ref_b) <= 0.03
-               and abs(est.p_light4 - ref_l4) <= 0.03
-               and abs(est.p_g - ref_g) <= 0.03,
-               f"p_b={est.p_b:.4f} p_light4={est.p_light4:.4f} "
-               f"p_g={est.p_g:.4f} vs exact n=10 ({ref_b:.4f}, {ref_l4:.4f}, "
-               f"{ref_g:.4f})")
+    report.extend("pgpb", _pgpb_contract(10, "honest", est))
     estu = fouriersample.estimate_pg_pb(
         10, devices.uniform_cheat(), 10000, make_rng(seed, 102))
-    ref_u = fouriersample.exact_band_rates(10, "uniform")[0]
-    report.add("pgpb-uniform-sampler", abs(estu.p_b - ref_u) <= 0.03,
-               f"p_b={estu.p_b:.4f} vs exact n=10 mass {ref_u:.4f}")
-
+    report.extend("pgpb", _pgpb_contract(10, "uniform", estu))
     g = make_rng(seed, 103)
-    f8 = boolfn.random_function(8, g)
-    spec8 = boolfn.wht(f8)
+    spec8 = boolfn.wht(boolfn.random_function(8, g))
     samples = devices.honest().sample_many(spec8, 20000, g)
-    score = fouriersample.hog_score(spec8, samples)
-    fm = boolfn.fourth_moment(spec8)
-    c2 = spec8.coeffs[samples] ** 2
-    slack = Z99 * float(np.std(c2)) / math.sqrt(len(samples))
-    report.add("hog-matches-fourth-moment", abs(score - fm) <= 3 * slack,
-               f"score {score:.6f} vs fourth moment {fm:.6f} "
-               f"(3x ci99 {3 * slack:.6f})")
+    report.extend("hog", _hog_contract(spec8, samples,
+                                       boolfn.fourth_moment(spec8)))
 
     # -- correlated pairs
     params = sqf.DistParams(8, 1.0)
-    exp = sqf.mean_phi_experiment(params, 20000, "conditional",
-                                  make_rng(seed, 104))
-    e2 = exp.target_lower_bound
-    report.add("sqforr-signal",
-               exp.mean >= e2 and exp.mean - exp.ci99 > e2 / 2.0,
-               f"mean {exp.mean:.5f} vs eps^2 {e2:.5f} (ci {exp.ci99:.5f})")
-    null = sqf.mean_phi_experiment(params, 20000, "plain",
-                                   make_rng(seed, 105), uniform_pairs=True)
-    report.add("sqforr-null", abs(null.mean) <= null.ci99,
-               f"mean {null.mean:.2e} within ci99 {null.ci99:.2e}")
+    report.extend("sqforr", _sqforr_contract(sqf.mean_phi_experiment(
+        params, 20000, "conditional", make_rng(seed, 104))))
+    report.extend("sqforr", _sqforr_contract(sqf.mean_phi_experiment(
+        params, 20000, "plain", make_rng(seed, 105), uniform_pairs=True)))
     params20 = sqf.DistParams(10, 20.0)
     tail = sqf.row_sum_tail_check(params20, 5000, make_rng(seed, 106))
     report.add("row-sum-tail", tail.rate <= tail.bound + tail.ci99,
@@ -650,28 +658,18 @@ def _battery(seed: int, report: CheckReport) -> None:
                abs(dist[0] - geom) <= 1e-12
                and abs(float(dist.sum()) - 1.0) <= 1e-12,
                f"single-point mass {dist[0]:.6f} vs series {geom:.6f}")
-    res = rejection.rhog_score(params, devices.honest(), 20000,
-                               make_rng(seed, 108))
-    report.add("rhog-signal",
-               res.n_times_mean >= res.target
-               and res.n_times_mean - res.ci99 > 1.0,
-               f"N*mean {res.n_times_mean:.4f} vs target {res.target:.4f}")
-    resu = rejection.rhog_score(params, devices.uniform_cheat(), 10000,
-                                make_rng(seed, 109))
-    report.add("rhog-null", abs(resu.n_times_mean - 1.0) <= resu.ci99,
-               f"N*mean {resu.n_times_mean:.4f} within ci of 1")
+    report.extend("rhog", _rhog_contract(rejection.rhog_score(
+        params, devices.honest(), 20000, make_rng(seed, 108)), False))
+    report.extend("rhog", _rhog_contract(rejection.rhog_score(
+        params, devices.uniform_cheat(), 10000, make_rng(seed, 109)), True))
 
     # -- entropy tools
     f6 = boolfn.random_function(6, make_rng(seed, 110))
     spec6 = boolfn.wht(f6)
     z6 = devices.argmax_index(spec6)
-    f6p = entropy.perturb_make_light(f6, z6, make_rng(seed, 111))
-    w_before = int(spec6.scaled[z6])
-    w_after = int(boolfn.wht(f6p).scaled[z6])
-    root = math.isqrt(f6.size)
-    report.add("perturb-exact-step",
-               w_after == w_before - (root if w_before > 0 else -root),
-               f"scaled coeff {w_before} -> {w_after}")
+    spec6p = boolfn.wht(entropy.perturb_make_light(f6, z6, make_rng(seed, 111)))
+    report.extend("perturb", _perturb_contract(
+        spec6, spec6p, z6, fouriersample.tv_distance(spec6, spec6p)))
     report.add("degree-ratio",
                abs(entropy.degree_ratio(4) - 1.5) < 1e-12
                and abs(entropy.degree_ratio(64) - 58905 / 35960) < 1e-12
@@ -693,8 +691,7 @@ def _battery(seed: int, report: CheckReport) -> None:
             dev, spec4, [derive64(seed, 114, j) for j in js], 5000,
             [[make_rng(seed, 115, j), make_rng(seed, 116, j)] for j in js])
         agree += int(np.count_nonzero(out[:, 0] == out[:, 1]))
-    report.add("derandomize-constancy", agree >= 36,
-               f"{agree}/40 shared-seed reruns agreed")
+    report.extend("derandomize", _derandomize_contract(agree / 40))
     two = entropy.OutcomeDistribution(np.array([0.98, 0.02]))
     report.add("min-entropy-basics",
                entropy.min_entropy(entropy.OutcomeDistribution.point_mass(8, 3)) == 0.0
@@ -704,13 +701,8 @@ def _battery(seed: int, report: CheckReport) -> None:
 
     # -- long lists
     inst = llqsv.llqsv_instance(6, 2000, "fourier", make_rng(seed, 117))
-    back = llqsv.from_llq1(llqsv.to_llq1(inst))
-    report.add("llq1-roundtrip", _same_entries(back, inst),
-               f"{len(back)} entries round-trip")
-    stat = _sampled_power(inst) * 64
-    expected = (3 * 64 - 2) / 64
-    report.add("llqsv-fourier-stat", abs(stat - expected) <= 0.5,
-               f"N*mean fhat(s)^2 = {stat:.3f} vs {expected:.3f}")
+    report.extend("llqsv", _llqsv_contract(inst, llqsv.to_llq1(inst),
+                                           "fourier", _marginal_stat(inst)))
     adv = llqsv.advantage(llqsv.ScoreSumDistinguisher(), 6, 1000, 10,
                           make_rng(seed, 118))
     report.add("scoresum-advantage", adv.advantage >= 0.9,
@@ -737,21 +729,16 @@ def _battery(seed: int, report: CheckReport) -> None:
                "linear, fast path = naive, all-ones seed gives parity")
     cfgp = protocol.ProtocolConfig(n=6, T=4096, b=1.5, eps_hog=0.5,
                                    seed=seed)
-    th, tu, ta = protocol.run_protocol_arms(cfgp, [
-        (devices.honest(), "argmax"),
-        (devices.uniform_cheat(), "argmax"),
-        (devices.argmax_deterministic(), "argmax"),
-    ])
-    report.add("protocol-score-separation",
-               th.score_pass and not tu.score_pass,
-               f"honest S*N/T = {th.S * 64 / cfgp.T:.3f}, "
-               f"uniform {tu.S * 64 / cfgp.T:.3f}, bar {cfgp.b - 0.25}")
-    report.add("protocol-collisions",
-               ta.V == cfgp.T
-               and th.entropy_verdict is protocol.Verdict.QUANTUM_LIKE
+    arms = [(devices.honest(), "argmax"), (devices.uniform_cheat(), "argmax"),
+            (devices.argmax_deterministic(), "argmax")]
+    th, tu, ta = transcripts = protocol.run_protocol_arms(cfgp, arms)
+    for (device, claimed), tr in zip(arms, transcripts):
+        report.extend(f"protocol-{device.label}",
+                      _protocol_contract(tr, cfgp, device, claimed))
+    report.add("protocol-entropy-verdicts",
+               th.entropy_verdict is protocol.Verdict.QUANTUM_LIKE
                and tu.entropy_verdict is not protocol.Verdict.QUANTUM_LIKE,
-               f"argmax V=T, honest V={th.V}, uniform V={tu.V} "
-               f"(mu = {cfgp.T // 64})")
+               f"honest V={th.V}, uniform V={tu.V} (mu = {cfgp.T // 64})")
     report.add("protocol-extraction",
                len(th.extracted_bits) == 256
                and len(ta.extracted_bits) == 0,
@@ -818,7 +805,8 @@ def _add_common(p, tol=True):
                    help="assert this command's contract; exit 1 on failure")
     if tol:
         p.add_argument("--tol", type=_tolerance, default=None,
-                       help="tolerance for --check (command-specific default)")
+                       help="--check tolerance in place of the contract's "
+                            "default")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -892,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=int, default=None,
                    help="coefficient index (default: the argmax)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p)
+    _add_common(p, tol=False)
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("derandomize",

@@ -10,12 +10,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import certlab
-from certlab import entropy
+from certlab import boolfn, cli, devices, entropy
 from certlab.cli import main
 from certlab.llqsv import from_llq1
+from certlab.rng import make_rng
 
 
 def run(*argv):
@@ -54,7 +56,8 @@ def test_missing_subcommand_is_usage_error():
 
 
 # flags that a command would not read are not registered for it
-UNREAD_FLAGS = [["hog", "--format", "csv"], ["protocol", "--tol", "1"]]
+UNREAD_FLAGS = [["hog", "--format", "csv"], ["protocol", "--tol", "1"],
+                ["perturb", "--tol", "1"]]
 
 
 @pytest.mark.parametrize("argv", [
@@ -193,6 +196,30 @@ def test_hog_check(tmp_path):
                "--check", "--tol", "0.01", "--out", "/dev/null") == 0
 
 
+def test_hog_contract_rejects_uniform_answers_at_the_honest_target():
+    # hog's draws at n = 8, seed 0, answered by the uniform device: their
+    # score 0.0039 sits 0.0099 below the honest target sum fhat^4, inside
+    # a flat 0.01 window but far outside 3 ci99 of the sample
+    rng = make_rng(0, cli._TAG_HOG)
+    spec = boolfn.wht(boolfn.random_function(8, rng))
+    samples = devices.DeviceModel("uniform").sample_many(spec, 100000, rng)
+    target = boolfn.fourth_moment(spec)
+    assert abs(np.mean(spec.coeffs[samples] ** 2) - target) <= 0.01
+    [(name, ok, detail)] = cli._hog_contract(spec, samples, target)
+    assert name == "score" and not ok
+    assert float(detail.rsplit("= ", 1)[1]) < 0.001
+
+
+def test_check_and_check_all_call_the_same_contract(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_pgpb_contract",
+                        lambda *args, **kw: [("planted", False, "planted fault")])
+    assert run("pgpb", "--n", "6", "--trials", "500", "--check",
+               "--out", "/dev/null") == 1
+    assert "CHECK FAIL planted: planted fault" in capsys.readouterr().err.splitlines()
+    assert run("check-all") == 1
+    assert "FAIL pgpb-planted: planted fault" in capsys.readouterr().out.splitlines()
+
+
 def test_perturb_check_and_payload(tmp_path):
     out = tmp_path / "p.json"
     assert run("perturb", "--n", "6", "--seed", "5", "--check",
@@ -246,6 +273,16 @@ def test_llqsv_writes_parseable_binary(tmp_path):
     assert run("llqsv", "--n", "5", "--t", "300", "--case", "uniform",
                "--seed", "7", "--out", str(out2)) == 0
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_llqsv_check_lines_are_the_two_the_benchmark_reads(tmp_path, capsys):
+    # perfbench's `lists` oracle wants exactly two CHECK lines, both PASS
+    assert run("llqsv", "--n", "8", "--t", "10000", "--case", "fourier",
+               "--seed", "0", "--check", "--out", str(tmp_path / "l.llq1")) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines()
+             if ln.startswith("CHECK ")]
+    assert len(lines) == 2
+    assert all(ln.startswith("CHECK PASS") for ln in lines)
 
 
 def test_llqsv_past_dense_budget_is_one_line_error(capsys):
