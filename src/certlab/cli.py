@@ -460,19 +460,26 @@ def cmd_perturb(args) -> int:
     return _check(args, _perturb_contract, spec, spec2, z, tv)
 
 
+def _replay_pairs(device, spec, budget, seeds, seed, key, run_a, run_b):
+    """`entropy.derandomize` on seed indices 0..seeds-1: seed j's key is
+    derive64(seed, *key, j) and its runs draw from make_rng(seed, *run_a, j)
+    and make_rng(seed, *run_b, j).  Returns the (seeds, 2) outputs."""
+    out = []
+    for start, count in blocks(seeds, entropy.seed_block(2, spec.size, budget)):
+        js = range(start, start + count)
+        out.append(entropy.derandomize(
+            device, spec, [derive64(seed, *key, j) for j in js], budget,
+            [[make_rng(seed, *run_a, j), make_rng(seed, *run_b, j)] for j in js]))
+    return np.concatenate(out)
+
+
 def cmd_derandomize(args) -> int:
     device = devices.parse_device(args.device)
     f = boolfn.random_function(args.n, make_rng(args.seed, _TAG_DERAND, 0))
     spec = boolfn.wht(f)
-    pairs = []
-    block = entropy.seed_block(2, spec.size, args.budget)
-    for start, count in blocks(args.seeds, block):
-        js = range(start, start + count)
-        pairs += entropy.derandomize(
-            device, spec, [derive64(args.seed, _TAG_DERAND, 1, j) for j in js],
-            args.budget, [[make_rng(args.seed, _TAG_DERAND, 2, j),
-                           make_rng(args.seed, _TAG_DERAND, 3, j)]
-                          for j in js]).tolist()
+    pairs = _replay_pairs(device, spec, args.budget, args.seeds, args.seed,
+                          (_TAG_DERAND, 1), (_TAG_DERAND, 2),
+                          (_TAG_DERAND, 3)).tolist()
     agree = sum(a == b for a, b in pairs)
     frac = agree / args.seeds
     results = {
@@ -684,13 +691,8 @@ def _battery(seed: int, report: CheckReport) -> None:
                f"rate {coup.rate:.4f} vs 2d/(1+d) = {coup.disjoint_rate:.4f}")
     dev = devices.biased(0.98)
     spec4 = boolfn.wht(boolfn.random_function(4, make_rng(seed, 113)))
-    agree = 0
-    for start, count in blocks(40, entropy.seed_block(2, spec4.size, 5000)):
-        js = range(start, start + count)
-        out = entropy.derandomize(
-            dev, spec4, [derive64(seed, 114, j) for j in js], 5000,
-            [[make_rng(seed, 115, j), make_rng(seed, 116, j)] for j in js])
-        agree += int(np.count_nonzero(out[:, 0] == out[:, 1]))
+    out = _replay_pairs(dev, spec4, 5000, 40, seed, (114,), (115,), (116,))
+    agree = int(np.count_nonzero(out[:, 0] == out[:, 1]))
     report.extend("derandomize", _derandomize_contract(agree / 40))
     two = entropy.OutcomeDistribution(np.array([0.98, 0.02]))
     report.add("min-entropy-basics",

@@ -7,6 +7,7 @@ code with the implementation they check.
 * `band_rates(n)`: the honest sampler's (p_B, p_light4, p_G) on a uniform
   random function at N = 2^n.  `gaussian_reference()` is only their
   large-n limit.  `uniform_band_rates(n)`: the same for a uniform index.
+* `gaussian_limits()`: that limit in closed form, in floats from `math`.
 * `balance_tail(n)`: the probability that a Binomial(N, 1/2) ones count
   leaves the (1 +- N^(-1/3)) N/2 band.  The 5/N^2 allowance holds for it
   only from n = 16 on.
@@ -49,6 +50,21 @@ def uniform_band_rates(n: int) -> tuple[Fraction, Fraction, Fraction]:
         return Fraction(inside, 1 << size)
 
     p_b, p_light4 = mass(1), mass(4)
+    return p_b, p_light4, p_light4 - p_b
+
+
+def gaussian_limits() -> tuple[float, float, float]:
+    """Large-n (p_B, p_light4, p_G): the chi-square(3) masses below 1 and 4.
+
+    sqrt(N) fhat at an honest sample tends to u with density
+    u^2 exp(-u^2/2)/sqrt(2 pi), and integrating by parts gives
+    int_{-a}^{a} = erf(a/sqrt(2)) - a sqrt(2/pi) exp(-a^2/2).
+    """
+    def mass(a):
+        return (math.erf(a / math.sqrt(2))
+                - a * math.sqrt(2 / math.pi) * math.exp(-a * a / 2))
+
+    p_b, p_light4 = mass(1), mass(2)
     return p_b, p_light4, p_light4 - p_b
 
 

@@ -31,16 +31,36 @@ def test_version_flag_exits_zero(capsys):
     assert "certlab" in capsys.readouterr().out
 
 
-def test_import_leaves_scipy_integrate_and_stats_unloaded():
+# small versions of the four benchmark workloads' commands
+COLD_START_COMMANDS = [
+    ["pgpb", "--n", "8", "--trials", "2048", "--threads", "2"],
+    ["protocol", "--n", "6", "--t", "4096"],
+    ["rhog", "--n", "8", "--c", "1", "--trials", "4096"],
+    ["llqsv", "--n", "8", "--t", "1000"],
+    ["derandomize", "--device", "biased:0.98", "--n", "4", "--budget", "1000",
+     "--seeds", "50"],
+]
+
+
+def test_import_leaves_scipy_integrate_and_stats_unloaded(tmp_path):
     # both are imported inside the functions that need them: loading them
-    # at import time costs every CLI start most of a second
+    # at import time costs every CLI start most of a second.  A run without
+    # --check loads no scipy module at all; pgpb --check and check-all
+    # still load scipy.stats, for exact_band_rates' binomial masses.
     src = os.path.dirname(os.path.dirname(certlab.__file__))
-    code = ("import sys, certlab.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))")
+    code = ("import json, sys, certlab.cli\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))\n"
+            "for i, argv in enumerate(json.loads(sys.argv[2])):\n"
+            "    out = f'{sys.argv[1]}/{i}.out'\n"
+            "    assert certlab.cli.main(argv + ['--out', out]) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path),
+                          json.dumps(COLD_START_COMMANDS)], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert out.splitlines() == ["[]", "[]"]
+    assert len(list(tmp_path.iterdir())) == len(COLD_START_COMMANDS)
 
 
 def test_unknown_flag_is_usage_error(capsys):

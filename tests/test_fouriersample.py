@@ -2,7 +2,9 @@
 
 Oracles: the Gaussian band masses are chi-square CDF identities
 (integral of u^2 exp(-u^2/2)/sqrt(2pi) over [-a, a] equals
-chi2.cdf(a^2, df=3)), the exact finite-N band law (`exact_laws.py`) is
+chi2.cdf(a^2, df=3)); the pinned `gaussian_reference()` bits are held to
+the closed form (`exact_laws.gaussian_limits`) and to a quadrature; the
+exact finite-N band law (`exact_laws.py`) is
 checked against enumeration of every function at n=1..3 (and
 certlab's float form `exact_band_rates` against it), and the
 sampler itself is checked by a goodness-of-fit test against the exact
@@ -21,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as sps
 
 from certlab.boolfn import (
@@ -49,7 +52,7 @@ from certlab.fouriersample import (
 )
 from certlab.devices import honest, uniform_cheat
 from certlab.rng import make_rng
-from exact_laws import band_rates, uniform_band_rates
+from exact_laws import band_rates, gaussian_limits, uniform_band_rates
 
 # chi-square identities for the band masses of a standard normal weighted
 # by u^2 (frozen; recomputed in test_gaussian_reference_identities)
@@ -66,6 +69,19 @@ def test_gaussian_reference_identities():
     assert p_b == pytest.approx(P_B_REF, abs=1e-10)
     assert p_light4 == pytest.approx(P_LIGHT4_REF, abs=1e-10)
     assert p_g == pytest.approx(P_G_REF, abs=1e-10)
+
+
+def test_gaussian_reference_matches_closed_form_and_quadrature():
+    # the library returns pinned bits; the closed form (math only) and a
+    # quadrature of the size-biased normal density both recompute them
+    def density(u):
+        return u * u * np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+
+    p_b, _ = integrate.quad(density, -1.0, 1.0, epsabs=1e-12, epsrel=1e-12)
+    p_light4, _ = integrate.quad(density, -2.0, 2.0, epsabs=1e-12, epsrel=1e-12)
+    ref = gaussian_reference()
+    assert ref == pytest.approx(gaussian_limits(), rel=0, abs=1e-15)
+    assert ref == pytest.approx((p_b, p_light4, p_light4 - p_b), rel=0, abs=1e-15)
 
 
 def test_band_law_matches_enumeration():
