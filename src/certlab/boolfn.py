@@ -178,11 +178,13 @@ def _kron_transform(a: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return spare
 
 
-def wht_rows(rows: np.ndarray) -> np.ndarray:
+def wht_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized transform of each row of a (B, N) array.
 
     Row z of the result is sum_x rows[x] (-1)^{z.x}; applying it twice
-    multiplies a row by N.  A 1-d input is one row.
+    multiplies a row by N.  A 1-d input is one row.  `out`, when given, is
+    a (B, N) array of the result dtype that receives the result; it may be
+    `rows` itself, since each block is copied out before it is written.
 
     Rows of both dtypes go through one Kronecker-factored BLAS product
     (`_kron_transform`), in blocks of about _BLOCK elements through two work
@@ -212,7 +214,8 @@ def wht_rows(rows: np.ndarray) -> np.ndarray:
                              "(max |x| * N > 2^53)")
         dtype = np.int16 if bound < 1 << 15 else np.int64
         work = np.float32 if bound <= 1 << 24 else np.float64
-    out = np.empty((nrows, size), dtype=dtype)
+    if out is None:
+        out = np.empty((nrows, size), dtype=dtype)
     a = np.empty((step, size), dtype=work)
     spare = np.empty_like(a)
     for i, m in blocks(nrows, step):

@@ -5,8 +5,12 @@ Every subcommand takes a 64-bit --seed and emits a structured result
 payload contains the package version and the full scientific
 configuration, and never a timestamp — rerunning with identical flags
 reproduces the output byte for byte.  Execution-only flags (--threads,
---check, --tol, --out, --format) are not part of the payload, so results
-are also identical across thread counts.
+--check, --tol, --out, --format) are not part of the payload.
+
+pgpb, sqforr and rhog cut their trials into fixed chunks and run them on
+--threads worker threads, by default as many as the CPUs the process may
+run on.  Each worker holds one batch of trials at a time, so memory grows
+with the thread count; the output bytes never depend on it.
 
 Each command's claims are written once, in a `_<command>_contract`
 function that returns (name, ok, detail) records; its margin, where it has
@@ -27,6 +31,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -54,19 +59,29 @@ _TAG_WHT = 17
 
 # ---------------------------------------------------------------- plumbing
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the default of --threads."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _fanout(total: int, threads: int, worker):
     """Run worker(chunk_index, count) over fixed-size chunks of `total`.
 
     The chunk layout depends only on `total`, never on `threads`, and
     results are returned in chunk order — so merged outputs are identical
-    for any thread count.
+    for any thread count.  The pool has min(threads, chunks) workers, and
+    a single worker runs on the calling thread.
     """
     counts = [c for _, c in blocks(total, _CHUNK)]
-    if threads <= 1:
+    workers = min(threads, len(counts))
+    if workers <= 1:
         return list(map(worker, range(len(counts)), counts))
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, range(len(counts)), counts))
 
 
@@ -811,6 +826,14 @@ def _add_common(p, tol=True):
                             "default")
 
 
+def _add_threads(p):
+    p.add_argument("--threads", type=_COUNT, default=_usable_cpus(),
+                   help="worker threads, each holding one batch of trials "
+                        "(default: the CPUs this process may run on, "
+                        "%(default)s here); the output bytes never depend "
+                        "on it")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="certlab",
@@ -834,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_COUNT, default=100000)
     p.add_argument("--sampler", choices=("honest", "uniform"),
                    default="honest")
-    p.add_argument("--threads", type=_COUNT, default=1)
+    _add_threads(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
     p.set_defaults(func=cmd_pgpb)
@@ -856,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--uniform-pairs", action="store_true",
                    help="draw f and g as independent uniform functions "
                         "(the null control)")
-    p.add_argument("--threads", type=_COUNT, default=1)
+    _add_threads(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
     p.set_defaults(func=cmd_sqforr)
@@ -871,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--uniform-sampler", action="store_true",
                    help="answer with the uniform device, not the honest "
                         "Fourier sampler (the null control)")
-    p.add_argument("--threads", type=_COUNT, default=1)
+    _add_threads(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
     p.set_defaults(func=cmd_rhog)

@@ -36,6 +36,8 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# Uniform pairs per block of `gaussians`: its two work buffers stay in cache.
+_GAUSS_BLOCK = 1 << 14
 
 
 def mix64(z: int) -> int:
@@ -125,25 +127,35 @@ def gaussians(rng: np.random.Generator, count: int, sigma: float = 1.0) -> np.nd
 
     Uses log1p(-u) so u = 0 is safe and the argument of the log is never
     exactly zero.  Pairs are interleaved (cos, sin) to keep the stream
-    layout obvious.
+    layout obvious: the first (count + 1) // 2 uniforms give the radii and
+    the next as many the angles.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     pairs = (count + 1) // 2
-    r = rng.random(pairs)
-    theta = rng.random(pairs)
-    # in place, the same IEEE operations in the same order as
-    # r = sqrt(-2 log1p(-u1)), theta = 2 pi u2, out = (r cos, r sin)
-    np.negative(r, out=r)
-    np.log1p(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    theta *= 2.0 * math.pi
     out = np.empty(2 * pairs)
-    np.cos(theta, out=out[0::2])
-    np.sin(theta, out=out[1::2])
-    out[0::2] *= r
-    out[1::2] *= r
-    if sigma != 1.0:
-        out *= sigma
+    # The radius uniforms wait in the upper half of `out`; block i's pairs
+    # are written below every radius not yet read, so no array but `out` is
+    # batch-sized.  Each block runs, on contiguous buffers, the IEEE
+    # operations of r = sqrt(-2 log1p(-u1)), theta = 2 pi u2,
+    # out = (r cos, r sin) * sigma in the same order; doubles drawn in
+    # consecutive blocks are the stream one whole draw gives.
+    radii = rng.random(out=out[pairs:])
+    even, odd = out[0::2], out[1::2]
+    step = max(1, min(pairs, _GAUSS_BLOCK))
+    r, theta = np.empty(step), np.empty(step)
+    for i, m in blocks(pairs, step):
+        ri, ti = r[:m], theta[:m]
+        ri[...] = radii[i:i + m]
+        np.negative(ri, out=ri)
+        np.log1p(ri, out=ri)
+        ri *= -2.0
+        np.sqrt(ri, out=ri)
+        rng.random(out=ti)
+        ti *= 2.0 * math.pi
+        for half, trig in ((even[i:i + m], np.cos), (odd[i:i + m], np.sin)):
+            trig(ti, out=half)
+            half *= ri
+            if sigma != 1.0:
+                half *= sigma
     return out[:count]

@@ -32,6 +32,11 @@ from .stats import mean_ci99, wilson_halfwidth
 
 DEFAULT_C = 20.0
 _BATCH = 4096
+# Entries per step of the blocked loops below.  Their work buffers are this
+# small, so a batch holds no second array of its own size; and a step is
+# this large, so the numpy calls per batch (each one a lock hand-off between
+# --threads workers) stay few.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -66,23 +71,53 @@ class DistParams:
         return 1.0 / (self.C * math.log(self.size))
 
 
+def _gaussian_rows(
+    params: DistParams, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """X: `count` rows of N iid N(0, eps) draws."""
+    size = params.size
+    sigma = math.sqrt(params.epsilon)
+    return gaussians(rng, count * size, sigma=sigma).reshape(count, size)
+
+
+def _yp_rows(params: DistParams, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Yp = (HX)^2 - eps, written into `out` (which may be X itself)."""
+    Y = wht_rows(X, out=out)
+    Y /= math.sqrt(params.size)
+    Y *= Y
+    Y -= params.epsilon
+    return Y
+
+
 def sample_gprime_rows(
     params: DistParams, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """`count` independent draws as two (count, N) arrays (X, Yp)."""
-    size = params.size
-    eps = params.epsilon
-    X = gaussians(rng, count * size, sigma=math.sqrt(eps)).reshape(count, size)
-    Y = wht_rows(X)
-    Y /= math.sqrt(size)
-    Y *= Y
-    Y -= eps
-    return X, Y
+    X = _gaussian_rows(params, count, rng)
+    return X, _yp_rows(params, X, out=np.empty_like(X))
 
 
-def trnc(v: np.ndarray) -> np.ndarray:
-    """Elementwise clamp to [-1, 1]."""
-    return np.clip(np.asarray(v, dtype=np.float64), -1.0, 1.0)
+def _round_rows(t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """+-1 int8 rows shaped like t: +1 where a fresh uniform lies below
+    (1 + clamp(t))/2, one uniform per entry in row-major order.
+
+    Rounds _BLOCK entries at a time through two small reused buffers and
+    leaves t as it is.  rng.random's doubles drawn in consecutive pieces
+    are the stream one whole draw gives, so the pieces change no bit.
+    """
+    flat = t.reshape(-1)
+    out = np.empty(flat.size, dtype=np.int8)
+    step = max(1, min(flat.size, _BLOCK))
+    c, u = np.empty(step), np.empty(step)
+    for i, m in blocks(flat.size, step):
+        np.clip(flat[i:i + m], -1.0, 1.0, out=c[:m])
+        c[:m] += 1.0
+        c[:m] /= 2.0
+        o = out[i:i + m]
+        np.less(rng.random(out=u[:m]), c[:m], out=o.view(np.bool_))
+        o *= 2
+        o -= 1
+    return out.reshape(t.shape)
 
 
 def pair_rows(
@@ -93,32 +128,35 @@ def pair_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`count` pairs (f, g) as two (count, N) int8 arrays of +-1 sign rows.
 
-    Correlated pairs are Gaussian draws (sample_gprime_rows), clamped to
-    [-1, 1], and each coordinate c rounded to +1 with probability
-    (1 + c)/2: one uniform per coordinate, the f rows first.  With
-    uniform_pairs=True they are independent uniform sign tables, the f
-    rows drawn before the g rows.
+    Correlated pairs draw X as sample_gprime_rows does, round f from X,
+    then transform X in place into Yp and round g from it: each coordinate
+    c, clamped to [-1, 1], becomes +1 with probability (1 + c)/2, one
+    uniform per coordinate, the f rows' uniforms first.  The stream is
+    sample_gprime_rows' followed by those uniforms, with one batch-sized
+    float array alive instead of two.  With uniform_pairs=True they are
+    independent uniform sign tables, the f rows drawn before the g rows.
     """
     if uniform_pairs:
         rows = random_functions_batch(params.n, 2 * count, rng)
         return rows[:count], rows[count:]
-    X, Yp = sample_gprime_rows(params, count, rng)
-    for t in (X, Yp):  # (1 + trnc(t))/2, in place on the private draws
-        np.clip(t, -1.0, 1.0, out=t)
-        t += 1.0
-        t /= 2.0
-    u = np.empty(X.shape)
-    f = np.less(rng.random(out=u), X).view(np.int8) * 2 - 1
-    g = np.less(rng.random(out=u), Yp).view(np.int8) * 2 - 1
-    return f, g
+    X = _gaussian_rows(params, count, rng)
+    f = _round_rows(X, rng)
+    return f, _round_rows(_yp_rows(params, X, out=X), rng)
 
 
 def phi_rows(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
     """phi(f, g) = sum_z fhat(z)^2 g(z) for each of a batch of pairs given
-    as (count, N) sign rows, computed exactly on scaled integers."""
-    W = wht_rows(f_rows).astype(np.int64)
-    size = f_rows.shape[1]
-    num = np.sum(W * W * g_rows.astype(np.int64), axis=1)
+    as (count, N) sign rows, computed exactly on scaled integers, a block
+    of rows at a time."""
+    W = wht_rows(f_rows)
+    count, size = W.shape
+    num = np.empty(count, dtype=np.int64)
+    step = max(1, min(count, _BLOCK // size))
+    for i, m in blocks(count, step):
+        w = W[i:i + m].astype(np.int64)
+        w *= w
+        w *= g_rows[i:i + m]
+        num[i:i + m] = np.sum(w, axis=1)
     return num / float(size * size)
 
 
@@ -130,13 +168,26 @@ def phi_conditional_rows(X: np.ndarray, Yp: np.ndarray) -> np.ndarray:
     and s = sum_j (1 - t_j^2):  E[phi | Z] = (1/N^2) sum_i (A_i^2 + s) u_i.
     Pairs (j, k) with j != k contribute t_j t_k, the diagonal contributes
     1 regardless of rounding, which is exactly A^2 - sum t^2 + N.
+
+    Works in place: X and Yp are clamped where they lie and X is then
+    overwritten, so pass draws that are not needed again.  s is summed in
+    row blocks; each row's sum is its own, so the blocks change no bit.
     """
-    t = trnc(X)
-    u = trnc(Yp)
-    A = wht_rows(t)
-    s = np.sum(1.0 - t * t, axis=1)
-    size = X.shape[1]
-    return np.sum((A * A + s[:, None]) * u, axis=1) / float(size * size)
+    t = np.clip(X, -1.0, 1.0, out=X)
+    u = np.clip(Yp, -1.0, 1.0, out=Yp)
+    count, size = t.shape
+    s = np.empty(count)
+    step = max(1, min(count, _BLOCK // size))
+    sq = np.empty((step, size))
+    for i, m in blocks(count, step):
+        np.multiply(t[i:i + m], t[i:i + m], out=sq[:m])
+        np.subtract(1.0, sq[:m], out=sq[:m])
+        s[i:i + m] = np.sum(sq[:m], axis=1)
+    A = wht_rows(t, out=t)
+    A *= A
+    A += s[:, None]
+    A *= u
+    return np.sum(A, axis=1) / float(size * size)
 
 
 @dataclass(frozen=True)
@@ -175,8 +226,9 @@ def phi_values(
     vals = np.empty(trials)
     for done, b in blocks(trials, _BATCH):
         if estimator == "conditional" and not uniform_pairs:
-            X, Yp = sample_gprime_rows(params, b, rng)
-            vals[done:done + b] = phi_conditional_rows(X, Yp)
+            # the draws are this loop's own, so they may be overwritten
+            vals[done:done + b] = phi_conditional_rows(
+                *sample_gprime_rows(params, b, rng))
         else:
             # uniform signs are already +-1, so conditional == plain there
             vals[done:done + b] = phi_rows(*pair_rows(params, b, rng,

@@ -5,10 +5,12 @@ All invocations go through cli.main in-process; exit code 0 is success,
 argparse usage error (unknown flag, out-of-range count or n).
 """
 
+import concurrent.futures
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -162,12 +164,69 @@ def test_rerun_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_results_independent_of_threads(tmp_path):
-    one, four = tmp_path / "t1.json", tmp_path / "t4.json"
-    argv = ["pgpb", "--n", "8", "--trials", "20000", "--seed", "12"]
-    assert run(*argv, "--threads", "1", "--out", str(one)) == 0
-    assert run(*argv, "--threads", "4", "--out", str(four)) == 0
-    assert one.read_bytes() == four.read_bytes()
+# every command that fans out, at 20000 trials: chunks of 8192, 8192 and 3616
+@pytest.mark.parametrize("argv", [
+    ["pgpb", "--n", "8", "--seed", "12"],
+    ["sqforr", "--n", "6", "--c", "1", "--estimator", "plain", "--seed", "4"],
+    ["sqforr", "--n", "6", "--c", "1", "--estimator", "conditional", "--seed", "4"],
+    ["rhog", "--n", "6", "--c", "1", "--seed", "3"],
+], ids=["pgpb", "sqforr-plain", "sqforr-conditional", "rhog"])
+def test_results_independent_of_threads(argv, tmp_path):
+    outs = {k: tmp_path / f"{k}.json" for k in ("t1", "t3", "default")}
+    argv = argv + ["--trials", "20000"]
+    assert run(*argv, "--threads", "1", "--out", str(outs["t1"])) == 0
+    assert run(*argv, "--threads", "3", "--out", str(outs["t3"])) == 0
+    assert run(*argv, "--out", str(outs["default"])) == 0
+    assert (outs["t1"].read_bytes() == outs["t3"].read_bytes()
+            == outs["default"].read_bytes())
+
+
+def test_threads_default_to_the_usable_cpus(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+        for command in ("pgpb", "sqforr", "rhog"):
+            assert cli.build_parser().parse_args([command]).threads == cpus
+    # where the affinity call is missing, os.cpu_count stands in, then 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert cli.build_parser().parse_args(["rhog"]).threads == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli.build_parser().parse_args(["rhog"]).threads == 1
+
+
+class CountingPool(concurrent.futures.ThreadPoolExecutor):
+    """A ThreadPoolExecutor that records the worker count it was given."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        CountingPool.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+@pytest.mark.parametrize("chunks,threads,workers", [(2, 8, 2), (3, 2, 2), (1, 8, 0)])
+def test_fanout_pool_is_no_larger_than_the_chunk_count(monkeypatch, chunks,
+                                                       threads, workers):
+    # 8 threads on 2 chunks start a pool of 2; one chunk starts none and
+    # runs on the calling thread
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(CountingPool, "sizes", [])
+    ran = []
+
+    def worker(i, count):
+        ran.append((i, count, threading.get_ident()))
+        return i
+
+    total = (chunks - 1) * cli._CHUNK + 5
+    assert cli._fanout(total, threads, worker) == list(range(chunks))
+    assert CountingPool.sizes == ([workers] if workers else [])
+    assert sorted((i, c) for i, c, _ in ran) == [
+        (i, cli._CHUNK if i < chunks - 1 else 5) for i in range(chunks)]
+    idents = {t for _, _, t in ran}
+    if workers:
+        assert len(idents) <= workers
+    else:
+        assert idents == {threading.get_ident()}
 
 
 def test_sqforr_threads_and_check(tmp_path):

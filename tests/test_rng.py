@@ -8,6 +8,7 @@ vectorized mixer is held to it word for word.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,7 +114,8 @@ def gaussians_reference(rng, count, sigma):
     return out[:count]
 
 
-@pytest.mark.parametrize("count", [0, 1, 7, 2**20 + 1])
+# 32768 and 32769 end on and just past a block of 16384 pairs
+@pytest.mark.parametrize("count", [0, 1, 7, 32768, 32769, 2**20 + 1])
 @pytest.mark.parametrize("sigma", [1.0, 0.3])
 def test_gaussians_match_out_of_place_box_muller(count, sigma):
     rng = make_rng(5, 2)
@@ -194,3 +196,17 @@ def test_skip_raw_draws_the_words_of_other_bit_generators():
     want.random_raw(7)
     skip_raw(got, 7)
     assert repr(got.state) == repr(want.state)
+
+
+def test_gaussians_hold_one_output_sized_array():
+    # the radius uniforms wait in the output's cos slots and every other
+    # buffer is one block: the peak is the output plus a few blocks
+    # (three output-sized arrays out of place)
+    count = 2**20
+    tracemalloc.start()
+    try:
+        gaussians(make_rng(5, 3), count, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * count * 8

@@ -8,6 +8,7 @@ Monte Carlo run on one frozen real-valued draw.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from certlab.sqforrelation import (
     phi_values,
     row_sum_tail_check,
     sample_gprime_rows,
-    trnc,
     truncation_rate,
 )
 from exact_laws import balance_tail
@@ -41,6 +41,12 @@ def orthonormal_entry(n: int, i: int, j: int) -> float:
 def phi(f: BooleanFunction, g: BooleanFunction) -> float:
     """phi of one pair, through phi_rows with one row."""
     return float(phi_rows(f.values[None, :], g.values[None, :])[0])
+
+
+def trnc(v: np.ndarray) -> np.ndarray:
+    """Elementwise clamp to [-1, 1], as a copy: the out-of-place oracles'
+    clamp."""
+    return np.clip(np.asarray(v, dtype=np.float64), -1.0, 1.0)
 
 
 def round_to_boolean(X, Yp, u):
@@ -117,14 +123,18 @@ def test_trnc_clamps_to_unit_interval():
 
 
 def test_pair_rows_rounding_marginal(monkeypatch):
-    # P[+1] = (1 + c) / 2 per coordinate: 0.75 for the f half at c = 0.5,
-    # 0.25 for the g half at c = -0.5 (the real draw is frozen there)
-    monkeypatch.setattr(sqforrelation, "sample_gprime_rows",
-                        lambda params, count, rng: (np.full((count, 512), 0.5),
-                                                    np.full((count, 512), -0.5)))
-    f, g = pair_rows(DistParams(9, 2.0), 500, make_rng(41, 0))
+    # P[+1] = (1 + c) / 2 per coordinate.  With X frozen at 0.5, the f half
+    # sits at c = 0.5, so 0.75.  Yp = (HX)^2 - eps is then 128 - eps at
+    # z = 0, clamped to 1, and -eps elsewhere, so g is +1 at z = 0 and +1
+    # with probability (1 - eps)/2 at the other 511 coordinates.
+    monkeypatch.setattr(sqforrelation, "_gaussian_rows",
+                        lambda params, count, rng: np.full((count, 512), 0.5))
+    params = DistParams(9, 2.0)
+    f, g = pair_rows(params, 500, make_rng(41, 0))
     assert float(np.mean(f == 1)) == pytest.approx(0.75, abs=0.01)
-    assert float(np.mean(g == 1)) == pytest.approx(0.25, abs=0.01)
+    assert np.all(g[:, 0] == 1)
+    assert float(np.mean(g[:, 1:] == 1)) == pytest.approx(
+        (1.0 - params.epsilon) / 2.0, abs=0.01)
 
 
 def pair_rows_reference(params, count, rng, uniform_pairs=False):
@@ -161,7 +171,9 @@ def test_pair_rows_match_out_of_place_rounding(n, C, count, uniform_pairs):
 
 def test_gprime_callers_see_untouched_draws(monkeypatch):
     # phi_conditional_rows (through phi_values), truncation_rate and
-    # row_sum_tail_check get the raw draws, unclamped, and leave them as drawn
+    # row_sum_tail_check get the raw draws, unclamped.  truncation_rate and
+    # row_sum_tail_check leave them as drawn; phi_values owns its draws and
+    # lets phi_conditional_rows clamp and overwrite them in place.
     seen = []
     real = sqforrelation.sample_gprime_rows
 
@@ -177,14 +189,49 @@ def test_gprime_callers_see_untouched_draws(monkeypatch):
     row_sum_tail_check(params, 300, make_rng(46, 2))
     assert len(seen) == 3
     for k, (X, Yp, X0, Yp0) in enumerate(seen):
-        assert np.array_equal(X.view(np.uint64), X0.view(np.uint64))
-        assert np.array_equal(Yp.view(np.uint64), Yp0.view(np.uint64))
-        assert np.abs(X).max() > 1.0  # eps = 0.24: a clamp would show
+        if k > 0:
+            assert np.array_equal(X.view(np.uint64), X0.view(np.uint64))
+            assert np.array_equal(Yp.view(np.uint64), Yp0.view(np.uint64))
+        assert np.abs(X0).max() > 1.0  # eps = 0.24: a clamp would show
         rng = make_rng(46, k)
         ref = gaussians(rng, 300 * 64, math.sqrt(params.epsilon)).reshape(300, 64)
         Y = wht_rows(ref) / math.sqrt(64)
         assert np.array_equal(X0, ref)
         assert np.array_equal(Yp0, Y * Y - params.epsilon)
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes tracemalloc sees allocated while fn() runs (numpy
+    reports its array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_rows_hold_one_batch_sized_float_array():
+    # X is rounded into f in small pieces, then transformed into Yp in its
+    # own place: the peak is X, f and small buffers, about 1.3 X (3.38 X
+    # out of place)
+    params = DistParams(8, 1.0)
+    x_bytes = 4096 * params.size * 8
+    peak = peak_bytes(lambda: pair_rows(params, 4096, make_rng(50, 0)))
+    assert peak <= 2.5 * x_bytes
+
+
+@pytest.mark.parametrize("estimator", ["conditional", "plain"])
+def test_phi_values_work_in_place(estimator):
+    # conditional: the draw's X and Yp are the peak, and the estimator adds
+    # only small blocks and the transform's work buffers (7.0 X out of
+    # place).  plain: pair_rows' peak, then phi in blocks of rows (3.38 X)
+    params = DistParams(8, 1.0)
+    x_bytes = 4096 * params.size * 8
+    peak = peak_bytes(lambda: phi_values(params, 4096, estimator,
+                                         make_rng(50, 1)))
+    bound = 3.5 if estimator == "conditional" else 2.5
+    assert peak <= bound * x_bytes
 
 
 # ---------------------------------------------------------------- phi
@@ -241,11 +288,43 @@ def test_phi_conditional_is_conditional_expectation():
     # and compare with the closed-form conditional value
     params = DistParams(5, 1.0)
     X, Yp = sample_gprime_rows(params, 1, make_rng(44, 0))
-    cond = float(phi_conditional_rows(X, Yp)[0])
+    cond = float(phi_conditional_rows(X.copy(), Yp.copy())[0])
     f, g = round_to_boolean(X, Yp, make_rng(44, 1).random((4000, 64)))
     vals = phi_rows(f, g)
     err = 2.5758 * float(vals.std()) / math.sqrt(4000)
     assert float(vals.mean()) == pytest.approx(cond, abs=max(err, 1e-3))
+
+
+@pytest.mark.parametrize("n,count", [(2, 999), (8, 300), (15, 3)])
+def test_phi_rows_match_whole_batch_sum(n, count):
+    # the row blocks (256 rows at n = 8) sum the same integers as one
+    # whole-batch int64 expression
+    f, g = pair_rows(DistParams(n, 1.0), count, make_rng(52, n))
+    W = wht_rows(f).astype(np.int64)
+    want = np.sum(W * W * g.astype(np.int64), axis=1) / float(4 ** n)
+    assert np.array_equal(phi_rows(f, g), want)
+
+
+def phi_conditional_reference(X, Yp):
+    """phi_conditional_rows written out of place, on clamped copies."""
+    t = trnc(X)
+    u = trnc(Yp)
+    A = wht_rows(t)
+    s = np.sum(1.0 - t * t, axis=1)
+    size = X.shape[1]
+    return np.sum((A * A + s[:, None]) * u, axis=1) / float(size * size)
+
+
+# counts past one row block (256 rows at n = 8) and short of it; C = 1 at
+# n = 2 puts eps near 1, so the clamp binds often
+@pytest.mark.parametrize("n,C,count", [(1, 2.0, 3), (2, 1.0, 999), (8, 1.0, 300),
+                                       (10, 1.0, 70), (15, 1.0, 3)])
+def test_phi_conditional_rows_match_out_of_place(n, C, count):
+    params = DistParams(n, C)
+    X, Yp = sample_gprime_rows(params, count, make_rng(51, n))
+    want = phi_conditional_reference(X, Yp)
+    got = phi_conditional_rows(X, Yp)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_mean_phi_experiment_fields_and_signal():
