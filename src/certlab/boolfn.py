@@ -198,8 +198,9 @@ def wht_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     Other rows are cast as astype(np.float64) casts them and come back as
     float64: the exact transform up to rounding, and the same bits for a
-    given numpy/BLAS build and CPU kernel (the last bits may differ under
-    another BLAS kernel, whose summation order differs).
+    given numpy/BLAS build, CPU kernel and numpy SIMD dispatch (the last
+    bits may differ under another BLAS kernel, whose summation order
+    differs, or under another SIMD target of numpy's own float loops).
     """
     rows = np.atleast_2d(rows)
     nrows, size = rows.shape

@@ -537,29 +537,43 @@ _CHALLENGES = "\0challenges\0"
 _ROW_TEXT = ('      {\n        "key": ', ',\n        "p": ', ',\n        "s": ',
              "\n      },\n")
 _KEY_DIGITS = 20  # decimal digits of 2^64 - 1
-# Two decimal digits per 2-byte ASCII word, in three runs of 100 by the
-# pair's place in its number: [0] left of the first digit (NUL NUL), [1] the
-# pair holding the first digit (a leading 0 as NUL), [2] right of it.
-_PAIR_TEXT = np.frombuffer(
-    ("\0\0" * 100
-     + "".join(f"{i:2d}" for i in range(100)).replace(" ", "\0")
-     + "".join(f"{i:02d}" for i in range(100))).encode(), dtype=np.uint16)
+_LIMB = 10**8  # 8 decimal digits, held in uint32
+_GROUP = 10**4  # 4 decimal digits, written as one ASCII uint32 word
+
+
+def _group_text() -> np.ndarray:
+    """Four decimal digits per 4-byte ASCII word, in three runs of _GROUP by
+    the group's place in its number: [0] left of the first digit (NUL), [1]
+    the group holding the first digit (leading 0s as NUL, 0 as "0"), [2]
+    right of it."""
+    place = 10 ** np.arange(3, -1, -1)
+    i = np.arange(_GROUP)[:, None]
+    text = (i // place % 10 + ord("0")).astype(np.uint8)
+    first = np.where((i >= place) | (place == 1), text, 0)
+    return np.concatenate([np.zeros_like(text), first, text]).view(np.uint32).ravel()
+
+
+_GROUP_TEXT = _group_text()
 
 
 def _digits(values: np.ndarray, width: int) -> np.ndarray:
     """Decimal digits of nonnegative integers below 10^width, as ASCII in a
-    (len, width) uint8 matrix; leading zeros are NUL, and 0 is "0"."""
-    pairs = np.empty((values.size, (width + 1) // 2), dtype=np.uint16)
+    (len, width) uint8 matrix; leading zeros are NUL, and 0 is "0".  Each
+    8-digit uint32 limb is written as two 4-digit groups of _GROUP_TEXT."""
+    limbs = -(-width // 8)
+    words = np.empty((values.size, 2 * limbs), dtype=np.uint32)
     v = values.astype(np.uint64)
-    last = pairs.shape[1] - 1
-    for j in range(last, -1, -1):
-        q = v // 100  # np.divmod is several times slower
-        idx = (v - q * 100).astype(np.intp)
-        idx += 100 * (q > 0)
-        idx += 100 * (v > 0) if j < last else 100  # 0 is written "0"
-        pairs[:, j] = _PAIR_TEXT[idx]
-        v = q
-    return pairs.view(np.uint8)[:, width % 2:]
+    for k in range(limbs - 1, -1, -1):
+        q = v // _LIMB if k else 0
+        limb = (v - q * _LIMB).astype(np.uint32)
+        v, left = q, q > 0  # a digit left of the limb is not 0
+        hi = limb // _GROUP
+        lo = limb - hi * _GROUP
+        lead = left | (hi > 0)  # a digit left of the low group is not 0
+        words[:, 2 * k] = _GROUP_TEXT[hi + _GROUP * left + _GROUP * lead]
+        mark = True if k == limbs - 1 else lead | (lo > 0)  # 0 is "0"
+        words[:, 2 * k + 1] = _GROUP_TEXT[lo + _GROUP * lead + _GROUP * mark]
+    return words.view(np.uint8)[:, -width:]
 
 
 def _challenges_json(transcript):
@@ -567,16 +581,24 @@ def _challenges_json(transcript):
     what json.dumps writes for one {"key", "p", "s"} dict per challenge at
     the payload's depth.
 
-    Each chunk of _CHUNK rows is one (rows, width) uint8 matrix: the text
-    of _ROW_TEXT around the key and s digits (`_digits`) and the p text.
-    p = w^2/N^2 takes few distinct values; each is formatted once with
-    float.__repr__, which is json's float format (numpy's is not).  Every
-    field is padded with NUL, and dropping the NULs leaves the rows.
+    Each chunk of _CHUNK rows fills one (rows, width) uint8 matrix, kept
+    for every chunk: the text of _ROW_TEXT around the key and s digits
+    (`_digits`) and the p text.  p = w^2/N^2 exactly, so its index is
+    |w| = rint(sqrt(p) N), and ValueError is raised for a p off that grid;
+    each |w| that occurs is formatted once with float.__repr__, which is
+    json's float format (numpy's is not).  Every field is padded with NUL,
+    and dropping the NULs leaves the rows.
     """
-    values, index = np.unique(transcript.probs, return_inverse=True)
+    size, probs = transcript.config.size, transcript.probs
+    w = np.rint(np.sqrt(np.fmin(np.fmax(probs, 0.0), 1.0)) * size).astype(np.intp)
+    present = np.bincount(w) > 0
+    values = np.flatnonzero(present) ** 2 / float(size * size)
+    index = (np.cumsum(present) - 1)[w]
+    if not np.array_equal(values[index], probs):
+        raise ValueError("a challenge's p is not w^2/N^2 for an integer w")
     p_text = np.array([float.__repr__(v).encode() for v in values.tolist()])
     p_table = p_text.view(np.uint8).reshape(values.size, -1)  # NUL-padded
-    s_digits = len(str(transcript.config.size - 1))
+    s_digits = len(str(size - 1))
     widths = (_KEY_DIGITS, p_table.shape[1], s_digits, 0)
     template = "".join(t + "\0" * w for t, w in zip(_ROW_TEXT, widths))
     template = np.frombuffer(template.encode(), dtype=np.uint8)
@@ -584,14 +606,16 @@ def _challenges_json(transcript):
     key_at, p_at, s_at = (slice(e - w, e) for e, w in zip(ends, widths[:3]))
     keys, samples = transcript.challenge_keys, transcript.samples
     T = samples.size
+    M = np.repeat(template[None, :], min(T, _CHUNK), axis=0)
+    keep = np.empty(M.shape, dtype=bool)
     yield "[\n"
     for start, count in blocks(T, _CHUNK):
         stop = start + count
-        M = np.repeat(template[None, :], count, axis=0)
-        M[:, key_at] = _digits(keys[start:stop], _KEY_DIGITS)
-        M[:, p_at] = p_table[index[start:stop]]
-        M[:, s_at] = _digits(samples[start:stop], s_digits)
-        chunk = M[M != 0].tobytes().decode("ascii")
+        M[:count, key_at] = _digits(keys[start:stop], _KEY_DIGITS)
+        M[:count, p_at] = p_table[index[start:stop]]
+        M[:count, s_at] = _digits(samples[start:stop], s_digits)
+        np.not_equal(M[:count], 0, out=keep[:count])
+        chunk = M[:count][keep[:count]].tobytes().decode("ascii")
         yield chunk if stop < T else chunk[:-2]  # no ",\n" after the last row
     yield "\n    ]"
 

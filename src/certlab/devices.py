@@ -46,10 +46,18 @@ def argmax_index(spec: FourierSpectrum) -> int:
 def argmax_rows(scaled_rows: np.ndarray) -> np.ndarray:
     """Row-wise first argmax of |W|, the same index as the first argmax of W^2.
 
-    |W| is taken in the input dtype, which holds it: a scaled spectrum has
-    |W| <= N, and `wht_rows` returns int16 only when N < 2^15.
+    A scaled spectrum has |W| <= N, so the key |W| N + (N - 1 - j) is
+    distinct per entry j, orders the entries by |W| and then by smallest j,
+    and fits in int16 up to N = 128, int32 up to 2^15 and int64 above.  One
+    row max of it gives the index N - 1 - (max mod N); on a column-major
+    block that max reduces contiguous rows.
     """
-    return np.argmax(np.abs(scaled_rows), axis=1).astype(np.int64)
+    size = scaled_rows.shape[1]
+    kt = np.int16 if size <= 128 else np.int32 if size <= 1 << 15 else np.int64
+    key = np.abs(scaled_rows, dtype=kt)
+    key *= size
+    key += np.arange(size - 1, -1, -1, dtype=kt)
+    return size - 1 - (key.max(axis=1) % size).astype(np.int64)
 
 
 @dataclass(frozen=True)

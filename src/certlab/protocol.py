@@ -29,6 +29,7 @@ import numpy as np
 
 from .boolfn import BooleanFunction, wht_rows
 from .devices import DeviceModel, argmax_rows
+from .fouriersample import _NARROW
 from .rng import GOLDEN, MASK64, blocks, derive64, make_rng, mix64_array
 
 _TAG_CHALLENGES = 1
@@ -166,11 +167,11 @@ def collision_verdict(V: int, T: int, N: int, eps_hog: float) -> Verdict:
 
 
 def index_bits(samples: np.ndarray, n: int) -> np.ndarray:
-    """Concatenate each index's n bits (LSB-first) into one uint8 bit array."""
-    s = np.asarray(samples, dtype=np.uint64)
-    shifts = np.arange(n, dtype=np.uint64)
-    bits = (s[:, None] >> shifts[None, :]) & np.uint64(1)
-    return bits.reshape(-1).astype(np.uint8)
+    """Each index's n bits (LSB-first), concatenated into one uint8 array:
+    the little-endian bytes of the narrowest uint holding n bits, unpacked."""
+    le = np.min_scalar_type((1 << n) - 1).newbyteorder("<")
+    b = np.asarray(samples).astype(le).view(np.uint8).reshape(-1, le.itemsize)
+    return np.unpackbits(b, axis=1, count=n, bitorder="little").reshape(-1)
 
 
 def toeplitz_extract_naive(
@@ -250,9 +251,12 @@ def run_protocol_arms(config: ProtocolConfig, arms) -> list[ProtocolTranscript]:
 
     The challenges are derived and transformed once per block, and their
     argmax (the argmax claim, and where the row max of |W| sits) is taken
-    once per block and shared by every arm.  Each arm draws from its own
-    make_rng(seed, _TAG_DEVICE) stream, so each transcript equals a lone
-    run_protocol's.  A claim other than None or "argmax" raises ValueError.
+    once per block and shared by every arm.  Blocks with N <= _NARROW are
+    held column-major, where the narrow scan and the argmax read contiguous
+    rows of W.T; longer rows stay row-major for the blocked search.  Each
+    arm draws from its own make_rng(seed, _TAG_DEVICE) stream, so each
+    transcript equals a lone run_protocol's.  A claim other than None or
+    "argmax" raises ValueError.
     """
     for _, claimed_Q in arms:
         if not (claimed_Q is None or claimed_Q == "argmax"):
@@ -267,6 +271,8 @@ def run_protocol_arms(config: ProtocolConfig, arms) -> list[ProtocolTranscript]:
     for done, b in blocks(T, _BATCH):
         keys[done:done + b] = kblk = _challenge_keys_block(config.seed, done, b)
         W = wht_rows(_signs_from_keys(kblk, n))
+        if size <= _NARROW:
+            W = np.ascontiguousarray(W.T).T
         peak = argmax_rows(W)
         for a, (device, claimed_Q) in enumerate(arms):
             s = np.asarray(device.sample_rows(W, rngs[a], peak), dtype=np.int64)

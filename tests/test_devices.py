@@ -100,22 +100,25 @@ def tied_rows(n, dtype, rng):
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int64])
-@pytest.mark.parametrize("n", [1, 2, 6, 7, 10])
+@pytest.mark.parametrize("n", [1, 2, 6, 7, 8, 10])
 def test_argmax_and_row_max_match_squared_oracle(n, dtype):
-    # the first argmax of |W| in the input dtype against the first argmax of
-    # W^2 in int64; min_entropy_rows against the row max of W^2, read at the
+    # the packed-key argmax (an int16 key up to n = 7, int32 from n = 8) of
+    # row-major and column-major rows against the first argmax of W^2 in
+    # int64; min_entropy_rows against the row max of W^2, read at the
     # shared peak
     rows = tied_rows(n, dtype, make_rng(72, n))
     w2 = rows.astype(np.int64) ** 2
     peak = np.argmax(w2, axis=1)
-    got = argmax_rows(rows)
-    assert got.dtype == np.int64
-    np.testing.assert_array_equal(got, peak)
     size = rows.shape[1]
     pmax = w2.max(axis=1) / float(size * size)
-    for dev, law in ((honest(), pmax), (biased(0.3), 0.3 + (1.0 - 0.3) * pmax)):
-        want = -np.log2(law)
-        np.testing.assert_array_equal(dev.min_entropy_rows(rows, got), want)
+    for r in (rows, np.asfortranarray(rows)):
+        got = argmax_rows(r)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, peak)
+        for dev, law in ((honest(), pmax),
+                         (biased(0.3), 0.3 + (1.0 - 0.3) * pmax)):
+            want = -np.log2(law)
+            np.testing.assert_array_equal(dev.min_entropy_rows(r, got), want)
 
 
 def test_sampling_follows_distribution(spec4):

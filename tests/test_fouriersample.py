@@ -186,14 +186,17 @@ def assert_matches_scan(rows, u):
 def test_fourier_rows_matches_whole_row_scan(n):
     # random rows on both sides of the one-block path (N <= 64), and at
     # n = 15 / 16 on both sides of the int32 square; u forced to 0.0 and to
-    # the largest float below 1 as well as drawn
+    # the largest float below 1 as well as drawn.  Rows with N <= 128 are
+    # also given column-major, as run_protocol_arms holds them
     rng = make_rng(32, n)
     count = max(8, min(512, (1 << 18) >> n))
     rows = wht_rows(random_functions_batch(n, count, rng))
+    layouts = [rows, np.asfortranarray(rows)] if n <= 7 else [rows]
     for u in (rng.random(count), np.zeros(count),
               np.full(count, np.nextafter(1.0, 0.0))):
-        got = assert_matches_scan(rows, u)
-        assert np.all((0 <= got) & (got < 1 << n))
+        for r in layouts:
+            got = assert_matches_scan(r, u)
+            assert np.all((0 <= got) & (got < 1 << n))
 
 
 @pytest.mark.parametrize("n", [7, 10, 12])

@@ -12,6 +12,7 @@ is also held to it on synthetic transcripts whose keys sit at every
 digit-count edge, which real seeds do not reach.
 """
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -219,9 +220,11 @@ def test_protocol_transcript_bytes(name, n, t, device, claimed_q, seed,
     assert sha(written) == DIGESTS["protocol-" + name]
 
 
-# Keys at each digit-count edge and both ends of 64 bits.  Real seeds give
-# keys of 18 to 20 digits, never 0 or one below 10^18.
-EDGE_KEYS = [0, 9, 10, 99, 100, 10**18 - 1, 10**18, 2**64 - 1]
+# Keys at digit-count edges, at the edges of the writer's 4-digit groups
+# (10^4) and 8-digit limbs (10^8, 10^16), and at both ends of 64 bits.  Real
+# seeds give keys of 18 to 20 digits, never 0 or one below 10^18.
+EDGE_KEYS = [0, 9, 10, 99, 100, 10**4 - 1, 10**4, 10**8 - 1, 10**8,
+             10**16 - 1, 10**16, 10**18 - 1, 10**18, 2**64 - 1]
 
 
 def synthetic_transcript(n, keys, samples):
@@ -249,10 +252,10 @@ def written_by_cli(tr, flags, label) -> bytes:
     return buf.getvalue().encode()
 
 
-@pytest.mark.parametrize("n", [1, 6, 12])
+@pytest.mark.parametrize("n", [1, 6, 12, 14])
 def test_challenges_writer_edge_values(n):
-    # every edge key with s = 0 and s = N - 1 at T = 1, then T one past a
-    # writer chunk, its last row alone in the last chunk
+    # every edge key with s = 0 and s = N - 1 (5 digits at n = 14) at T = 1,
+    # then T one past a writer chunk, its last row alone in the last chunk
     size = 1 << n
     flags = {"n": n, "seed": 0}
     for key in EDGE_KEYS:
@@ -262,8 +265,19 @@ def test_challenges_writer_edge_values(n):
                 tr, flags, "honest")
     T = cli._CHUNK + 1
     i = np.arange(T)
-    keys = np.array(EDGE_KEYS, dtype=np.uint64)[(i + 7) % len(EDGE_KEYS)]
+    keys = np.array(EDGE_KEYS, dtype=np.uint64)[(i - T) % len(EDGE_KEYS)]
     tr = synthetic_transcript(n, keys, np.where(i % 2 == 0, size - 1, 0))
     assert tr.challenge_keys[-1] == 2**64 - 1
     assert written_by_cli(tr, flags, "honest") == transcript_oracle(
         tr, flags, "honest")
+
+
+@pytest.mark.parametrize("p", [0.5, np.nextafter(9 / 4096, 1.0), -0.0625,
+                               1.5, float("nan")])
+def test_challenges_writer_refuses_p_off_the_grid(p):
+    # the writer indexes p by |w| = rint(sqrt(p) N); a p that is not
+    # w^2/N^2 for an integer w would be written as another value
+    tr = synthetic_transcript(6, [1, 2, 3], [0, 1, 2])
+    tr = dataclasses.replace(tr, probs=np.array([9 / 4096, p, 1.0]))
+    with pytest.raises(ValueError, match="w\\^2/N\\^2"):
+        list(cli._challenges_json(tr))

@@ -213,6 +213,12 @@ def test_arms_equal_lone_runs(i):
 def test_index_bits_lsb_first():
     out = index_bits(np.array([3, 1]), 2)
     assert out.tolist() == [1, 1, 1, 0]
+    # past one byte (uint16 at n = 12, uint32 at n = 24) against the shifts
+    for n in (8, 9, 12, 16, 17, 24):
+        s = make_rng(81, n).integers(0, 1 << n, size=100)
+        want = [(int(x) >> i) & 1 for x in s for i in range(n)]
+        got = index_bits(s, n)
+        assert got.dtype == np.uint8 and got.tolist() == want
 
 
 @given(st.integers(min_value=1, max_value=400),
