@@ -29,6 +29,10 @@ from .stats import wilson_halfwidth
 _BATCH = 512  # functions generated and transformed per vectorized block
 _SCAN_BLOCK = 64  # row entries summed per block in fourier_rows' search
 _NARROW = 128  # longest row fourier_rows scans whole, in int32 (N^3 <= 2^21)
+# Blocks per chunk of fourier_rows' wide search (2^16 elements): the chunk
+# stays in cache, and OpenBLAS runs its (1024, 64) @ ones(64) product on the
+# calling thread (2^19 elements woke its worker threads, when measured).
+_SCAN_CHUNK = 1024
 
 
 class EmptySamples(ValueError):
@@ -81,6 +85,14 @@ def fourier_sample_many(spec: FourierSpectrum, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(cs, t, side="left").astype(np.int64, copy=False)
 
 
+def _column_scan(sq: np.ndarray) -> np.ndarray:
+    """Cumulative sums down axis 0 of a C-ordered (N, B) array, in place:
+    N - 1 adds of whole rows, which beat np.cumsum down axis 0."""
+    for j in range(1, sq.shape[0]):
+        np.add(sq[j - 1], sq[j], out=sq[j])
+    return sq
+
+
 def fourier_rows(scaled_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One Fourier sample per row of scaled spectra, given one uniform per row.
 
@@ -93,30 +105,42 @@ def fourier_rows(scaled_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     Rows with N <= _NARROW (128) are scanned whole in int32, since |W| <= N
     bounds every cs by N^3 <= 2^21.  The squares are laid out transposed,
     so the cumulative sum is N - 1 adds of whole rows down axis 0.  Longer
-    rows are searched without building cs: W^2 goes into int32 when
-    N <= 2^15 (W^2 <= 2^30) and int64 above; the blocks of 64 whose
-    cumulative mass (summed in int64) lies below t are the blocks wholly
-    before the sample; and the cumulative sum is taken inside the next block
-    only.  The index equals the whole-row scan's on every row.
+    rows are searched without building cs: blocks of 64 are squared, one
+    chunk of _SCAN_CHUNK blocks at a time into one buffer, and summed by a
+    product with a ones vector.  With m = max |W|, every partial sum of a
+    block, in any order, is an integer <= 64 m^2, so this runs in float32
+    when 64 m^2 <= 2^24 (random +-1 spectra at n <= 12), float64 when
+    64 m^2 <= 2^53 and int64 above.  The blocks whose cumulative mass
+    (int64) lies below t are wholly before the sample, and the cumulative
+    sum is taken inside the next block only, in the same exact type.  The
+    index equals the whole-row scan's on every row.
     """
     rows, size = scaled_rows.shape
     if size <= _NARROW:
-        cs = np.square(scaled_rows.T, dtype=np.int32, order="C")
-        for j in range(1, size):  # row adds beat np.cumsum down axis 0
-            np.add(cs[j - 1], cs[j], out=cs[j])
+        cs = _column_scan(np.square(scaled_rows.T, dtype=np.int32, order="C"))
         t = _threshold(u, cs[-1])
         # a count is at most N <= 128, so it is summed in uint8
         return (cs < t).sum(axis=0, dtype=np.uint8).astype(np.int64)
-    sq = np.square(scaled_rows, dtype=np.int32 if size <= 1 << 15 else np.int64)
-    blocks = sq.reshape(rows, size // _SCAN_BLOCK, _SCAN_BLOCK)
-    mass = blocks.sum(axis=2, dtype=np.int64)
+    m = max(int(scaled_rows.max(initial=0)), -int(scaled_rows.min(initial=0)))
+    bound = _SCAN_BLOCK * m * m
+    work = (np.float32 if bound <= 1 << 24 else
+            np.float64 if bound <= 1 << 53 else np.int64)
+    cells = scaled_rows.reshape(rows, size // _SCAN_BLOCK, _SCAN_BLOCK)
+    flat = cells.reshape(-1, _SCAN_BLOCK)
+    buf = np.empty((min(flat.shape[0], _SCAN_CHUNK), _SCAN_BLOCK), dtype=work)
+    ones = np.ones(_SCAN_BLOCK, dtype=work)
+    mass = np.empty(flat.shape[0], dtype=work)
+    for i, c in blocks(flat.shape[0], _SCAN_CHUNK):
+        np.square(flat[i:i + c], out=buf[:c], dtype=work)
+        np.matmul(buf[:c], ones, out=mass[i:i + c])
+    mass = mass.astype(np.int64).reshape(cells.shape[:2])
     cb = np.cumsum(mass, axis=1)
     t = _threshold(u, cb[:, -1])
     k = (cb < t[:, None]).sum(axis=1)
     r = np.arange(rows)
-    rest = t - (cb[r, k] - mass[r, k])
-    inside = np.cumsum(blocks[r, k], axis=1, dtype=np.int64)
-    return k * _SCAN_BLOCK + (inside < rest[:, None]).sum(axis=1)
+    rest = (t - (cb[r, k] - mass[r, k])).astype(work)  # in 1..mass[r, k]
+    inside = _column_scan(np.square(cells[r, k].T, dtype=work, order="C"))
+    return k * _SCAN_BLOCK + (inside < rest).sum(axis=0, dtype=np.uint8)
 
 
 def hog_score(spec: FourierSpectrum, samples) -> float:

@@ -11,9 +11,11 @@ sampler itself is checked by a goodness-of-fit test against the exact
 squared-coefficient law.  The blocked search in `fourier_rows` is held
 index for index to the whole-row int64 scan (`scan_reference`), and its
 whole-row int32 path (N <= 128) to a binary search per row
-(`searchsorted_reference`).  The tie rule (index i owns u * total in
-[cs[i-1], cs[i])) is held to an exact-rational oracle (`fraction_oracle`),
-and both searches are held to each other on every exact tie.
+(`searchsorted_reference`); the blocked search is held to both at each
+bound of its exact work type and across chunk edges.  The tie rule (index
+i owns u * total in [cs[i-1], cs[i])) is held to an exact-rational oracle
+(`fraction_oracle`), and both searches are held to each other on every
+exact tie.
 """
 
 import itertools
@@ -275,6 +277,107 @@ def test_narrow_scan_matches_binary_search(n, dtype):
             np.testing.assert_array_equal(got, searchsorted_reference(block, u))
 
 
+# --------------------------------------- the wide search's exact work type
+
+def block_ties(rows, j):
+    """u = cb / total on the boundary after block j[i] of each row i (cb its
+    cumulative block mass; u = 0.0 where cb is the total), and the floats
+    beside it."""
+    cb = np.cumsum(np.square(rows.astype(np.int64)), axis=1)[:, 63::64]
+    pick = cb[np.arange(rows.shape[0]), j]
+    tie = np.where(pick < cb[:, -1], pick / cb[:, -1], 0.0)
+    return [tie, np.nextafter(tie, 0.0), np.nextafter(tie, 1.0)]
+
+
+def u_cases(rows, rng):
+    """Drawn u, u = 0.0, the largest float below 1, and the ties after a
+    random block of each row."""
+    count, size = rows.shape
+    return [rng.random(count), np.zeros(count),
+            np.full(count, np.nextafter(1.0, 0.0)),
+            *block_ties(rows, rng.integers(0, size // 64, size=count))]
+
+
+def assert_matches_oracles(rows, us):
+    for u in us:
+        got = assert_matches_scan(rows, u)
+        np.testing.assert_array_equal(got, searchsorted_reference(rows, u))
+
+
+# one 64-block of each row: 64 entries |W| = 512, mass exactly 2^24, the
+# largest the float32 work holds; |W| = 514 (float64 work); 63 entries 512
+# and one 513, mass 2^24 + 1025, odd, so no float32 holds it (float64); and
+# one entry 2^24 (64 m^2 = 2^54, int64 work; every cs stays below 2^53, so
+# the oracles' float comparison stays exact)
+PEAK_BLOCKS = {
+    "2^24": np.full(64, 512),
+    "514": np.full(64, 514),
+    "odd": np.r_[np.full(63, 512), 513],
+    "2^48": np.r_[1 << 24, np.zeros(63, dtype=np.int64)],
+}
+
+
+@pytest.mark.parametrize("name", PEAK_BLOCKS)
+def test_wide_search_exact_at_each_work_type_bound(name):
+    # n = 12 spectra with one block replaced, fed as int64 and (where they
+    # fit) int16 rows; u also on the boundaries just before and after the
+    # replaced block
+    rng = make_rng(38, len(name))
+    rows = wht_rows(random_functions_batch(12, 16, rng)).astype(np.int64)
+    j = rng.integers(1, 63, size=16)
+    for i in range(16):
+        signs = rng.choice([-1, 1], size=64)
+        rows[i, 64 * j[i]:64 * j[i] + 64] = signs * rng.permutation(PEAK_BLOCKS[name])
+    us = u_cases(rows, rng) + block_ties(rows, j - 1) + block_ties(rows, j)
+    assert_matches_oracles(rows, us)
+    if name != "2^48":
+        assert_matches_oracles(rows.astype(np.int16), us)
+
+
+@pytest.mark.parametrize("n", [9, 12, 13])
+def test_wide_search_with_a_character_row(n):
+    # one chi_z row (|W| = N) among random spectra: at n = 9 its 64 N^2 is
+    # exactly 2^24 and the call stays in float32; at n = 12 and 13 it moves
+    # the whole call to float64.  The random rows get the indices they get
+    # without it
+    size = 1 << n
+    rng = make_rng(39, n)
+    tables = random_functions_batch(n, 32, rng)
+    tables[17] = character_values(n, int(rng.integers(size)))
+    rows = wht_rows(tables)
+    assert_matches_oracles(rows, u_cases(rows, rng))
+    u = rng.random(32)
+    keep = np.arange(32) != 17
+    np.testing.assert_array_equal(fourier_rows(rows, u)[keep],
+                                  fourier_rows(rows[keep], u[keep]))
+
+
+@pytest.mark.parametrize("n, count", [(9, 1), (9, 15), (9, 17), (9, 4097),
+                                      (12, 0), (12, 1), (12, 15), (12, 17)])
+def test_wide_search_on_partial_chunks(n, count):
+    # a chunk is 1024 blocks of 64: 128 rows at n = 9 and 16 at n = 12, so
+    # no batch here is a whole number of chunks (an empty one, which the
+    # biased device passes when it keeps no row, has none)
+    rng = make_rng(40, n, count)
+    rows = wht_rows(random_functions_batch(n, count, rng))
+    assert_matches_oracles(rows, u_cases(rows, rng))
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_wide_search_rows_spanning_several_chunks(n):
+    # a row holds 2^(n-6) blocks, 2 or 4 chunks: random spectra (float64
+    # work at this n), the same with a character row, and small integer
+    # rows |W| <= 300 that take float32
+    size = 1 << n
+    rng = make_rng(41, n)
+    tables = random_functions_batch(n, 4, rng)
+    spectra = wht_rows(tables)
+    tables[2] = character_values(n, size - 65)
+    small = rng.integers(-300, 301, size=(4, size)).astype(np.int16)
+    for rows in (spectra, wht_rows(tables), small):
+        assert_matches_oracles(rows, u_cases(rows, rng))
+
+
 # ------------------------------------------------------------ the tie rule
 
 def fraction_oracle(w, u):
@@ -353,6 +456,24 @@ def test_fourier_rows_memory_stays_under_one_int64_copy():
     finally:
         tracemalloc.stop()
     assert peak < 512 * 4096 * 8
+
+
+@pytest.mark.parametrize("n, count, ratio", [(12, 512, 0.5), (8, 4096, 1.25)])
+def test_fourier_rows_peak_is_a_fraction_of_its_input(n, count, ratio):
+    # the wide search squares one chunk of 2^16 elements at a time, so its
+    # peak is the block masses and one (B, 64) tail block, not a (B, N)
+    # square: at n = 12 a quarter of the int16 input, at n = 8 about one
+    rng = make_rng(34, n)
+    rows = wht_rows(random_functions_batch(n, count, rng))
+    assert rows.dtype == np.int16
+    u = rng.random(count)
+    tracemalloc.start()
+    try:
+        fourier_rows(rows, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ratio * rows.nbytes
 
 
 def test_hog_score_is_mean_squared_coefficient():
