@@ -143,16 +143,21 @@ def _factor_bits(n: int) -> list[int]:
     return [n // k + (i < n % k) for i in range(k)]
 
 
-def _kron_transform(a: np.ndarray, spare: np.ndarray) -> np.ndarray:
+def _exact_work(bound: int):
+    """The first of float32, float64, int64 where integers |x| <= bound add exactly."""
+    return np.float32 if bound <= 2**24 else np.float64 if bound <= 2**53 else np.int64
+
+
+def _kron_transform(a: np.ndarray, spare: np.ndarray, last=True) -> np.ndarray:
     """Unnormalized transform of the rows of a float (B, N) array by GEMM.
 
     H_N = H_{d_1} (x) ... (x) H_{d_k} (Sylvester), so with the row viewed as
     a (d_1, ..., d_k) tensor the transform applies H_{d_j} along axis j.
     Every axis but the last is mixed by a stacked left multiply H_d @ x on
     (d, c) column blocks; the last, contiguous axis by x @ H_d on blocks of
-    c rows.  c is chosen so that each GEMM has M*N*K <= _GEMM_MAX.  The
-    factors ping-pong between `a` and `spare` (same shape, both clobbered);
-    the one returned holds the result.
+    c rows (skipped when `last` is false).  c is chosen so that each GEMM
+    has M*N*K <= _GEMM_MAX.  The factors ping-pong between `a` and `spare`
+    (same shape, both clobbered); the one returned holds the result.
     """
     bits = _factor_bits(a.shape[1].bit_length() - 1)
     inner = a.shape[1]
@@ -164,6 +169,8 @@ def _kron_transform(a: np.ndarray, spare: np.ndarray) -> np.ndarray:
         dst = spare.reshape(-1, d, inner // c, c).transpose(0, 2, 1, 3)
         np.matmul(_hadamard(b, a.dtype), src, out=dst)
         a, spare = spare, a
+    if not last:
+        return a
     b = bits[-1]
     h = _hadamard(b, a.dtype)
     src = a.reshape(-1, 1 << b)
@@ -214,7 +221,7 @@ def wht_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             raise ValueError("integer rows too large for an exact transform "
                              "(max |x| * N > 2^53)")
         dtype = np.int16 if bound < 1 << 15 else np.int64
-        work = np.float32 if bound <= 1 << 24 else np.float64
+        work = _exact_work(bound)
     if out is None:
         out = np.empty((nrows, size), dtype=dtype)
     a = np.empty((step, size), dtype=work)

@@ -13,7 +13,7 @@ min_entropy_rows is exact rather than estimated.
 
 This is the one place that chooses who answers a challenge: every driver
 (pgpb, rhog, llqsv, the protocol, derandomize) hands its challenges to a
-DeviceModel, and only the honest kind calls `honest_sampler`.
+DeviceModel; only the honest kind calls `honest_sampler` or `fourier_tables`.
 
 Every biased call tosses one coin per answer the same way (`_biased_split`):
 it reads 2*count raw Philox words, coins then answers, the words of two
@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import FourierSpectrum
-from .fouriersample import fourier_rows, fourier_sample_many, honest_sampler
+from .boolfn import FourierSpectrum, wht_rows
+from .fouriersample import (_NARROW, fourier_rows, fourier_sample_many,
+                            fourier_tables, honest_sampler)
 from .rng import skip_raw
 
 KINDS = ("honest", "uniform", "argmax", "biased")
@@ -62,7 +63,8 @@ def argmax_rows(scaled_rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DeviceModel:
-    """A challenge-answering device; see module docstring for the kinds."""
+    """A challenge-answering device; see module docstring for the kinds.
+    Challenges come as scaled spectra, or as sign tables (`answer_tables`)."""
 
     kind: str
     p: float = 0.0
@@ -165,6 +167,16 @@ class DeviceModel:
         out = peak.copy()
         out[keep] = fourier_rows(scaled_rows[keep], u)
         return out
+
+    def answer_tables(self, tables: np.ndarray, rng: np.random.Generator):
+        """(z, W(z)) as int64 per +-1 sign table row: a gather after
+        sample_rows(wht_rows(tables), rng), on the same stream.  Past the
+        narrow scan (N > 128) honest ones come off the partial transform."""
+        if self.kind == "honest" and tables.shape[1] > _NARROW:
+            return fourier_tables(tables, rng.random(tables.shape[0]))
+        scaled = wht_rows(tables)
+        z = self.sample_rows(scaled, rng)
+        return z, scaled[np.arange(len(z)), z].astype(np.int64)
 
     def min_entropy_rows(self, scaled_rows: np.ndarray, peak) -> np.ndarray:
         """Per-challenge min-entropy of the exact output law, in bits.

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import FourierSpectrum, random_functions_batch, wht_rows
+from .boolfn import (_BLOCK, FourierSpectrum, _exact_work, _factor_bits,
+                     _kron_transform, random_functions_batch, wht_rows)
 from .rng import blocks
 from .stats import wilson_halfwidth
 
@@ -105,15 +106,10 @@ def fourier_rows(scaled_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     Rows with N <= _NARROW (128) are scanned whole in int32, since |W| <= N
     bounds every cs by N^3 <= 2^21.  The squares are laid out transposed,
     so the cumulative sum is N - 1 adds of whole rows down axis 0.  Longer
-    rows are searched without building cs: blocks of 64 are squared, one
-    chunk of _SCAN_CHUNK blocks at a time into one buffer, and summed by a
-    product with a ones vector.  With m = max |W|, every partial sum of a
-    block, in any order, is an integer <= 64 m^2, so this runs in float32
-    when 64 m^2 <= 2^24 (random +-1 spectra at n <= 12), float64 when
-    64 m^2 <= 2^53 and int64 above.  The blocks whose cumulative mass
-    (int64) lies below t are wholly before the sample, and the cumulative
-    sum is taken inside the next block only, in the same exact type.  The
-    index equals the whole-row scan's on every row.
+    rows go to `_search_blocks`, their 64-entry blocks squared one chunk of
+    _SCAN_CHUNK blocks at a time into one buffer and summed by a product
+    with a ones vector, in the exact type of 64 m^2 (m = max |W|; float32
+    for random +-1 spectra at n <= 12), which bounds every partial sum.
     """
     rows, size = scaled_rows.shape
     if size <= _NARROW:
@@ -122,9 +118,7 @@ def fourier_rows(scaled_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         # a count is at most N <= 128, so it is summed in uint8
         return (cs < t).sum(axis=0, dtype=np.uint8).astype(np.int64)
     m = max(int(scaled_rows.max(initial=0)), -int(scaled_rows.min(initial=0)))
-    bound = _SCAN_BLOCK * m * m
-    work = (np.float32 if bound <= 1 << 24 else
-            np.float64 if bound <= 1 << 53 else np.int64)
+    work = _exact_work(_SCAN_BLOCK * m * m)
     cells = scaled_rows.reshape(rows, size // _SCAN_BLOCK, _SCAN_BLOCK)
     flat = cells.reshape(-1, _SCAN_BLOCK)
     buf = np.empty((min(flat.shape[0], _SCAN_CHUNK), _SCAN_BLOCK), dtype=work)
@@ -133,14 +127,63 @@ def fourier_rows(scaled_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     for i, c in blocks(flat.shape[0], _SCAN_CHUNK):
         np.square(flat[i:i + c], out=buf[:c], dtype=work)
         np.matmul(buf[:c], ones, out=mass[i:i + c])
-    mass = mass.astype(np.int64).reshape(cells.shape[:2])
-    cb = np.cumsum(mass, axis=1)
+    cb = mass.astype(np.int64).reshape(cells.shape[:2])
+    return _search_blocks(cb, u, lambda k: cells[np.arange(rows), k])[0]
+
+
+def _search_blocks(cb: np.ndarray, u: np.ndarray, block):
+    """(index, entry) per row by `_threshold`'s search over equal blocks:
+    `cb` (clobbered) holds the exact int64 (B, K) block masses, block(k)
+    the (B, L) entries of block k[i] of row i.  Blocks of cumulative mass
+    below t lie before the sample; inside the next, cumulative squares meet
+    t less the mass before it, in the exact type of the largest total."""
+    np.cumsum(cb, axis=1, out=cb)
     t = _threshold(u, cb[:, -1])
     k = (cb < t[:, None]).sum(axis=1)
-    r = np.arange(rows)
-    rest = (t - (cb[r, k] - mass[r, k])).astype(work)  # in 1..mass[r, k]
-    inside = _column_scan(np.square(cells[r, k].T, dtype=work, order="C"))
-    return k * _SCAN_BLOCK + (inside < rest).sum(axis=0, dtype=np.uint8)
+    r = np.arange(cb.shape[0])
+    work = _exact_work(int(cb[:, -1].max(initial=0)))
+    rest = (t - np.where(k > 0, cb[r, k - 1], 0)).astype(work)
+    cells = block(k)
+    inside = _column_scan(np.square(cells.T, dtype=work, order="C"))
+    j = (inside < rest).sum(axis=0, dtype=np.uint8)
+    return k * cells.shape[1] + j, cells[r, j]
+
+
+def fourier_tables(tables: np.ndarray, u: np.ndarray):
+    """(z, W(z)) per row of integer tables with N >= 64, given one uniform
+    per row: `fourier_rows(wht_rows(tables), u)` and the coefficient there.
+
+    With G the transform over every Kronecker factor but the last, H_d,
+    W(z_hi, .) = G(z_hi, .) H_d, so by Parseval a 64-entry block of W has
+    mass d sum G^2 over the same entries of G.  Each block of rows (about
+    _BLOCK elements) gets every stage but the last, its masses summed while
+    in cache; only each row's chosen block goes through H_d.  |G| <= m N/d
+    (m = max |x|) sets the stages' exact float type, G's narrowest integer
+    type (int16 at n = 12) and, as 64 (m N/d)^2, the masses' type.
+    """
+    rows, size = tables.shape
+    d = 1 << _factor_bits(size.bit_length() - 1)[-1]
+    reach = size // d * max(1, int(tables.max(initial=0)), -int(tables.min(initial=0)))
+    # the smallest signed type whose range holds -reach - 1 also holds reach
+    g = np.empty((rows, size // _SCAN_BLOCK, _SCAN_BLOCK),
+                 dtype=np.min_scalar_type(-reach - 1))
+    cb = np.empty(g.shape[:2], dtype=np.int64)
+    step = max(1, min(rows, _BLOCK // size))
+    a, spare = np.empty((2, step, size), dtype=_exact_work(reach))
+    sq = np.empty((step * size // _SCAN_BLOCK, _SCAN_BLOCK),
+                  dtype=_exact_work(_SCAN_BLOCK * reach * reach))
+    for i, m in blocks(rows, step):
+        a[:m] = tables[i:i + m]
+        part = _kron_transform(a[:m], spare[:m], last=False)
+        g[i:i + m] = part.reshape(m, -1, _SCAN_BLOCK)
+        c = m * size // _SCAN_BLOCK
+        np.square(part.reshape(c, -1), out=sq[:c])
+        mass = np.matmul(sq[:c].reshape(-1, min(c, _SCAN_CHUNK), _SCAN_BLOCK),
+                         np.ones(_SCAN_BLOCK, dtype=sq.dtype))
+        cb[i:i + m] = (d * mass).reshape(m, -1)  # exact: d is a power of 2
+    z, w = _search_blocks(cb, u, lambda k: wht_rows(
+        g[np.arange(rows), k].reshape(-1, d)).reshape(rows, _SCAN_BLOCK))
+    return z, w.astype(np.int64)
 
 
 def hog_score(spec: FourierSpectrum, samples) -> float:
@@ -168,9 +211,9 @@ def pgpb_counts(n: int, device, functions: int,
     """(Light count, Light-or-SlightlyHeavy count) over fresh functions.
 
     Each trial draws a new uniform function, lets the device answer it with
-    one index (`device.sample_rows(scaled_rows, rng)`, a `DeviceModel`), and
-    classifies the coefficient at that index by exact integer comparison on
-    the scaled spectrum.
+    one index and the scaled coefficient there
+    (`device.answer_tables(tables, rng)`, a `DeviceModel`), and classifies
+    that coefficient by exact integer comparison.
     """
     if functions < 0:
         raise ValueError("functions must be nonnegative")
@@ -178,9 +221,7 @@ def pgpb_counts(n: int, device, functions: int,
     n_light = 0
     n_light4 = 0
     for _, b in blocks(functions, _BATCH):
-        scaled = wht_rows(random_functions_batch(n, b, rng))
-        idx = device.sample_rows(scaled, rng)
-        w = scaled[np.arange(b), idx].astype(np.int64)
+        _, w = device.answer_tables(random_functions_batch(n, b, rng), rng)
         w2 = w * w
         n_light += int(np.count_nonzero(w2 <= size))
         n_light4 += int(np.count_nonzero(w2 <= 4 * size))

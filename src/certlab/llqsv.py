@@ -22,7 +22,6 @@ from .boolfn import (
     MAX_N,
     random_functions_batch,
     scaled_at,
-    wht_rows,
 )
 from .devices import DeviceModel
 from .rng import blocks
@@ -120,9 +119,9 @@ def llqsv_instance(
 
     Rows are drawn in blocks of _BATCH: each block's sign tables from
     random_functions_batch, then its answers from the honest device
-    ("fourier") or the uniform one ("uniform").  Dense only: T * N beyond
-    the in-memory budget raises BudgetExceeded before anything is
-    allocated.
+    ("fourier") or the uniform one ("uniform"), via `answer_tables`.
+    Dense only: T * N beyond the in-memory budget raises BudgetExceeded
+    before anything is allocated.
     """
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}")
@@ -135,7 +134,7 @@ def llqsv_instance(
     for start, b in blocks(T, _BATCH):
         rows = tables[start:start + b]
         rows[...] = random_functions_batch(n, b, rng)
-        s[start:start + b] = device.sample_rows(wht_rows(rows), rng)
+        s[start:start + b] = device.answer_tables(rows, rng)[0]
     return LongList(tables, s)
 
 

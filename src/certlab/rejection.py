@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, wht_rows
+from .boolfn import BooleanFunction
 from .rng import blocks
 from .sqforrelation import DistParams, pair_rows
 from .stats import mean_ci99
@@ -79,8 +79,9 @@ def rhog_values(
     """Per-trial values of N * Pr[rejection sampler outputs x].
 
     Per trial: (f, g) drawn correlated (or independent uniform with
-    uniform_pairs=True), x the `DeviceModel`'s answer to f (the honest
-    device Fourier-samples fhat^2), scored as exact_distribution(g)[x].
+    uniform_pairs=True), x the `DeviceModel`'s answer to f's table
+    (`answer_tables`; honest ones Fourier-sample fhat^2), scored as
+    exact_distribution(g)[x].
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -88,7 +89,7 @@ def rhog_values(
     vals = np.empty(trials)
     for done, b in blocks(trials, _BATCH):
         f_rows, g_rows = pair_rows(params, b, rng, uniform_pairs)
-        x = device.sample_rows(wht_rows(f_rows), rng)
+        x = device.answer_tables(f_rows, rng)[0]
         ones = np.count_nonzero(g_rows == 1, axis=1)
         hit = g_rows[np.arange(b), x] == 1
         vals[done:done + b] = size * _placement(ones, hit, params.n)

@@ -35,6 +35,7 @@ from certlab.boolfn import (
     wht,
     wht_rows,
 )
+from certlab.fouriersample import fourier_tables
 from certlab.rng import make_rng
 
 
@@ -192,12 +193,15 @@ def test_wht_rows_refuses_rows_past_exact_range():
 def test_transform_gemms_stay_under_blas_thread_threshold(monkeypatch):
     # OpenBLAS runs a GEMM with M*N*K <= 2^18 on the calling thread and
     # wakes its worker threads above that; no product may pass it, for
-    # integer rows and for float rows alike
+    # integer rows and for float rows alike, nor the partial transform's
+    # stages, block-mass sums (a vector b has N = 1) and chosen-block
+    # tails at the shapes rhog (n = 8, B = 4096), llqsv (n = 8, B = 2048)
+    # and pgpb (n = 12, B = 512) answer, and on a row longer than a block
     sizes = []
     real = np.matmul
 
     def spy(a, b, **kwargs):
-        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        sizes.append(a.shape[-2] * a.shape[-1] * (b.shape[-1] if b.ndim > 1 else 1))
         return real(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
@@ -207,6 +211,11 @@ def test_transform_gemms_stay_under_blas_thread_threshold(monkeypatch):
         wht_rows(make_rng(24, n).standard_normal((count, 1 << n)))
     f = random_function(16, make_rng(23, 0))
     assert spectrum_to_function(wht(f)) == f  # the float64 product
+    for n, count in ((8, 4096), (8, 2048), (12, 512), (20, 1)):
+        before = len(sizes)
+        fourier_tables(random_functions_batch(n, count, make_rng(23, n)),
+                       make_rng(24, n).random(count))
+        assert len(sizes) > before
     assert sizes and max(sizes) <= 1 << 18
 
 

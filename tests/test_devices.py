@@ -1,6 +1,7 @@
 """Device models: exact output laws and per-challenge entropy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,48 @@ def test_honest_and_uniform_devices_match_sampler_expressions(kind, n):
         assert got.dtype == ref.dtype == np.int64
         assert np.array_equal(got, ref)
         assert got_rng.random() == ref_rng.random()
+
+
+def answer_tables_reference(dev, tables, rng):
+    """The route every driver took before answer_tables: the full
+    transform, the device's answer to it, and the coefficient there."""
+    scaled = wht_rows(tables)
+    z = dev.sample_rows(scaled, rng)
+    return z, scaled[np.arange(len(z)), z]
+
+
+@pytest.mark.parametrize("dev", [honest(), uniform_cheat(),
+                                 argmax_deterministic(), biased(0.5),
+                                 biased(0.98)],
+                         ids=lambda dev: dev.label)
+@pytest.mark.parametrize("n", range(1, 13))
+def test_answer_tables_matches_transform_then_sample(dev, n):
+    # the honest kind at n > 7 answers from the partial transform; at
+    # n <= 7 (the narrow scan) and for every other kind it takes the
+    # reference route itself.  Same answers, same coefficients, same stream
+    for b in (0, 1, 300):
+        tables = random_functions_batch(n, b, make_rng(76, n, b))
+        got_rng, ref_rng = make_rng(76, n, b, 1), make_rng(76, n, b, 1)
+        z, w = dev.answer_tables(tables, got_rng)
+        ref_z, ref_w = answer_tables_reference(dev, tables, ref_rng)
+        assert z.dtype == w.dtype == np.int64
+        assert np.array_equal(z, ref_z) and np.array_equal(w, ref_w)
+        assert got_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("n, count, ratio", [(12, 512, 3.5), (8, 4096, 6.0)])
+def test_answer_tables_peak_is_a_few_inputs(n, count, ratio):
+    # the honest answer keeps G (int16 at n = 12, int8 at n = 8) and the
+    # block masses, not a full spectrum beside its search buffers
+    tables = random_functions_batch(n, count, make_rng(77, n))
+    rng = make_rng(77, n, 1)
+    tracemalloc.start()
+    try:
+        honest().answer_tables(tables, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ratio * tables.nbytes
 
 
 def draw_all_then_overwrite_many(p, spec, count, rng):

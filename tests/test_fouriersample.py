@@ -46,12 +46,14 @@ from certlab.fouriersample import (
     exact_band_rates,
     fourier_rows,
     fourier_sample_many,
+    fourier_tables,
     gaussian_reference,
     hog_score,
     pgpb_counts,
     pgpb_from_counts,
     tv_distance,
 )
+from certlab import fouriersample
 from certlab.devices import honest, uniform_cheat
 from certlab.rng import make_rng
 from exact_laws import band_rates, gaussian_limits, uniform_band_rates
@@ -279,11 +281,11 @@ def test_narrow_scan_matches_binary_search(n, dtype):
 
 # --------------------------------------- the wide search's exact work type
 
-def block_ties(rows, j):
-    """u = cb / total on the boundary after block j[i] of each row i (cb its
-    cumulative block mass; u = 0.0 where cb is the total), and the floats
-    beside it."""
-    cb = np.cumsum(np.square(rows.astype(np.int64)), axis=1)[:, 63::64]
+def block_ties(rows, j, width=64):
+    """u = cb / total on the boundary after block j[i] (of `width` entries)
+    of each row i (cb its cumulative block mass; u = 0.0 where cb is the
+    total), and the floats beside it."""
+    cb = np.cumsum(np.square(rows.astype(np.int64)), axis=1)[:, width - 1::width]
     pick = cb[np.arange(rows.shape[0]), j]
     tie = np.where(pick < cb[:, -1], pick / cb[:, -1], 0.0)
     return [tie, np.nextafter(tie, 0.0), np.nextafter(tie, 1.0)]
@@ -376,6 +378,126 @@ def test_wide_search_rows_spanning_several_chunks(n):
     small = rng.integers(-300, 301, size=(4, size)).astype(np.int16)
     for rows in (spectra, wht_rows(tables), small):
         assert_matches_oracles(rows, u_cases(rows, rng))
+
+
+# ------------------------------------------- the partial-transform sampler
+
+def last_factor(n):
+    """d of the transform's last Kronecker factor H_d: n split into the
+    fewest parts of at most 5 bits, sizes within one, the last the
+    smallest."""
+    return 1 << (n // -(-n // 5))
+
+
+def assert_tables_match_oracles(tables, us):
+    """fourier_tables' (z, W(z)) against both searches on the full
+    transform and the full transform's entry at z."""
+    W = wht_rows(tables)
+    r = np.arange(tables.shape[0])
+    for u in us:
+        z, w = fourier_tables(tables, u)
+        assert z.dtype == w.dtype == np.int64
+        want = scan_reference(W, u)
+        np.testing.assert_array_equal(z, want)
+        np.testing.assert_array_equal(z, searchsorted_reference(W, u))
+        np.testing.assert_array_equal(w, W[r, want])
+
+
+def table_u_cases(tables, rng):
+    """u_cases on the spectra, plus the ties after a random d-block (d the
+    last factor) of each row and the floats beside them."""
+    count, size = tables.shape
+    d = last_factor(size.bit_length() - 1)
+    W = wht_rows(tables)
+    return (u_cases(W, rng)
+            + block_ties(W, rng.integers(0, size // d, size=count), d))
+
+
+@pytest.mark.parametrize("n", range(6, 19))
+def test_fourier_tables_matches_full_transform(n):
+    # random tables, characters with z in the first and the last d-block
+    # and the first and last entry, and the constant tables; n = 6..18
+    # covers every last-factor size d = 8, 16, 32, and n = 6 a row that is
+    # a single 64-entry block
+    size = 1 << n
+    d = last_factor(n)
+    rng = make_rng(42, n)
+    count = max(12, min(256, (1 << 17) >> n))
+    tables = random_functions_batch(n, count, rng)
+    for i, z in enumerate(sorted({0, 1, d - 1, size - d, size - 1})):
+        tables[i] = character_values(n, z)
+    tables[-2:] = [[1], [-1]]
+    assert_tables_match_oracles(tables, table_u_cases(tables, rng))
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_fourier_tables_row_counts(n):
+    # no row, one row, and one below, at and above a row block of the
+    # transform (2^16 elements), and several blocks with a partial one
+    size = 1 << n
+    step = (1 << 16) // size
+    rng = make_rng(43, n)
+    for count in (0, 1, step - 1, step, step + 1, 3 * step + 5):
+        tables = random_functions_batch(n, count, rng)
+        assert_tables_match_oracles(tables, table_u_cases(tables, rng))
+        z, w = fourier_tables(tables, rng.random(count))
+        assert z.shape == w.shape == (count,)
+
+
+def near_character(z_hi):
+    """A +-1 table at n = 16 whose G (the transform over the first three
+    factors of 4 bits, on x = 16 x_hi + x_lo) is 4096 at (z_hi, 0) and 4094
+    at (z_hi, x_lo) for x_lo = 1..15: each slice x_lo is chi_{z_hi} on
+    x_hi, flipped at x_hi = 0 for x_lo > 0.  z_hi's 64-entry block of
+    squares sums to 268 189 936; summed in index order in float32, its
+    partial sums past 2^26 are 4 mod 8 and round (it ends 48 to 224 low)."""
+    table = np.repeat(character_values(12, z_hi), 16)
+    table[1:16] *= -1
+    return table
+
+
+@pytest.mark.parametrize("n", [14, 15, 16])
+def test_fourier_tables_masses_past_float32(n):
+    # a character row's |G| = N/d puts the bound 64 (N/d)^2 on a block's
+    # squares past 2^24 (2^26, 2^26 and 2^30), so the masses are summed in
+    # float64.  No +-1 table needs it at n = 14 or 15: within a slice x_lo
+    # every G / 2 has one parity, so a block sums to a multiple of 16 of at
+    # most 2^24 (n = 14) or 2^25 (n = 15), and each partial sum is a
+    # multiple of 4 no larger.  At n = 16 near-character rows make an
+    # index-order float32 sum round; with u on the ties of their blocks
+    # such a sum moves the sample
+    size = 1 << n
+    d = last_factor(n)
+    rng = make_rng(44, n)
+    tables = random_functions_batch(n, 12, rng)
+    heavy = [0, 5, size // d - 1]
+    for i, z_hi in enumerate(heavy):
+        tables[i] = character_values(n, z_hi * d + int(rng.integers(d)))
+    us = table_u_cases(tables, rng)
+    if n == 16:
+        for i, z_hi in enumerate(heavy):
+            tables[3 + i] = near_character(z_hi)
+        W = wht_rows(tables)
+        span = np.array([h * d // 64 for h in heavy] * 2 + [0] * 6)
+        us = table_u_cases(tables, rng) + block_ties(W, np.maximum(span - 1, 0)) \
+            + block_ties(W, span)
+    assert_tables_match_oracles(tables, us)
+
+
+def test_fourier_tables_transforms_no_whole_row(monkeypatch):
+    # the only full-length work is the stages before H_d: wht_rows, which
+    # runs every stage, sees only (B * 64 / d, d) rows of chosen blocks
+    seen = []
+    real = fouriersample.wht_rows
+
+    def spy(rows, *args, **kwargs):
+        seen.append(np.shape(rows))
+        return real(rows, *args, **kwargs)
+
+    monkeypatch.setattr(fouriersample, "wht_rows", spy)
+    tables = random_functions_batch(12, 40, make_rng(45, 0))
+    fourier_tables(tables, make_rng(45, 1).random(40))
+    assert seen == [(40 * 64 // 16, 16)]
 
 
 # ------------------------------------------------------------ the tie rule

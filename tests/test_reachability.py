@@ -158,14 +158,26 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
 
 
 def test_only_the_devices_choose_who_answers():
-    # the honest sampler is reached through the honest device alone, and
+    # the honest sampler and the partial-transform sampler are reached
+    # through the honest device alone; the drivers that answer sign tables
+    # hand them to the device whole, without transforming them first; and
     # the replay asks the device for its tallies without asking its kind
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
-    sampler = sorted(
-        module for module, tree in trees.items()
-        if any(getattr(node, field, None) in ("honest_sampler", "HonestSampler")
-               for node in ast.walk(tree) for field in ("id", "attr", "name")))
-    assert sampler == ["devices", "fouriersample"]
+
+    def naming(tree, names):
+        return any(getattr(node, field, None) in names
+                   for node in ast.walk(tree) for field in ("id", "attr", "name"))
+
+    for names in (("honest_sampler", "HonestSampler"), ("fourier_tables",)):
+        assert sorted(m for m, tree in trees.items()
+                      if naming(tree, names)) == ["devices", "fouriersample"]
+    drivers = {"fouriersample": "pgpb_counts", "rejection": "rhog_values",
+               "llqsv": "llqsv_instance"}
+    for module, name in drivers.items():
+        (fn,) = [s for s in trees[module].body
+                 if isinstance(s, ast.FunctionDef) and s.name == name]
+        assert naming(fn, ("answer_tables",))
+        assert not naming(fn, ("wht_rows", "sample_rows"))
     assert not any(isinstance(node, ast.Attribute) and node.attr == "kind"
                    for node in ast.walk(trees["entropy"]))
