@@ -5,15 +5,10 @@ the input string.  The spectrum is kept in two forms: float coefficients
 fhat(z) = (1/N) sum_x f(x) (-1)^{z.x}, and the scaled integers
 W(z) = N*fhat(z), which are exact (W always has the parity of N).  The
 inner product z.x is the parity of the bitwise AND of the two indices.
-
-Heaviness of a coefficient is judged against 1/sqrt(N) and 2/sqrt(N) with
-inclusive upper boundaries: |fhat| = 1/sqrt(N) is still Light and
-|fhat| = 2/sqrt(N) is still SlightlyHeavy.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import struct
 from dataclasses import dataclass
@@ -31,12 +26,6 @@ class SizeLimit(ValueError):
 
 class ZeroCoefficient(ValueError):
     """Raised when an operation needs sgn(fhat(z)) but fhat(z) = 0."""
-
-
-class HeavinessClass(enum.Enum):
-    LIGHT = "Light"
-    SLIGHTLY_HEAVY = "SlightlyHeavy"
-    VERY_HEAVY = "VeryHeavy"
 
 
 def _check_n(n: int) -> int:
@@ -245,16 +234,6 @@ def spectrum_to_function(spec: FourierSpectrum) -> BooleanFunction:
     if not np.all(np.abs(vals) == 1) or not np.all(buf == vals * spec.size):
         raise ValueError("spectrum is not the transform of a sign table")
     return BooleanFunction(spec.n, vals.astype(np.int8))
-
-
-def classify_scaled(w: int, N: int) -> HeavinessClass:
-    """Exact integer heaviness of a scaled coefficient W = N*fhat."""
-    w2 = int(w) * int(w)
-    if w2 <= N:
-        return HeavinessClass.LIGHT
-    if w2 <= 4 * N:
-        return HeavinessClass.SLIGHTLY_HEAVY
-    return HeavinessClass.VERY_HEAVY
 
 
 def character_values(n: int, z: int) -> np.ndarray:

@@ -1,5 +1,4 @@
-"""Min-entropy accounting, the heavy-to-light perturbation, and the
-seed-driven derandomizer.
+"""The heavy-to-light perturbation and the seed-driven derandomizer.
 
 The derandomizer story: any sampling device whose output distribution d is
 known (or estimated) can be replaced by the deterministic-given-r
@@ -9,8 +8,8 @@ so k laws on the same domain share one walk of it and each gets the index
 a walk of its own would give.  The output marginal over random r is
 exactly d, and two distributions at statistical distance delta disagree on
 a shared stream with probability at most 2 delta/(1 + delta) — with
-equality when the distributions differ on disjoint supports; the exact
-rate for the general case is implemented alongside.
+equality when the distributions differ on disjoint supports.  The tests
+hold the walk to the exact rate for the general case.
 
 The perturbation E(f) flips sqrt(N)/2 of the positions where f agrees
 with its (signed) character at z, which moves fhat(z) toward zero by
@@ -21,13 +20,11 @@ exactly 1/sqrt(N) while disturbing every other coefficient by at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .boolfn import BooleanFunction, FourierSpectrum, p_set
-from .rng import blocks, make_rng
-from .stats import wilson_halfwidth
+from .rng import make_rng
 
 _REJ_TAG = 0x72656A  # stream tag for rejection-walk draws
 _BLOCK_ELEMS = 1 << 20  # elements a block of seeds may hold (`seed_block`)
@@ -47,61 +44,6 @@ class SetTooSmall(ValueError):
 
 class BudgetZero(ValueError):
     """Raised when the derandomizer is given no device samples."""
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """A probability vector over indices 0..N-1.
-
-    Stored dense (desk-scale N keeps this cheap, and the exact device
-    distributions are dense anyway).  Probabilities must be nonnegative
-    and sum to 1 within 1e-9.
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64).copy()
-        if p.ndim != 1 or p.size == 0:
-            raise EmptyDistribution("need a nonempty 1-d probability vector")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-    @property
-    def size(self) -> int:
-        return self.probs.size
-
-    @classmethod
-    def uniform(cls, size: int) -> "OutcomeDistribution":
-        return cls(np.full(size, 1.0 / size))
-
-    @classmethod
-    def point_mass(cls, size: int, z: int) -> "OutcomeDistribution":
-        p = np.zeros(size)
-        p[z] = 1.0
-        return cls(p)
-
-    def max_prob(self) -> float:
-        return float(self.probs.max())
-
-
-def min_entropy(d: OutcomeDistribution) -> float:
-    """-log2 of the largest outcome probability."""
-    m = d.max_prob()
-    if m <= 0.0:
-        raise EmptyDistribution("distribution has no mass")
-    return -math.log2(m)
-
-
-def statistical_distance(d: OutcomeDistribution, d2: OutcomeDistribution) -> float:
-    """Half the L1 distance between two distributions on the same domain."""
-    if d.size != d2.size:
-        raise ValueError("distributions live on different domains")
-    return 0.5 * float(np.abs(d.probs - d2.probs).sum())
 
 
 def _chunk(size: int) -> int:
@@ -156,76 +98,6 @@ def rejsamp(seeds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out.reshape(seeds_n, k)
 
 
-def coupling_rate_disjoint(delta: float) -> float:
-    """Disagreement rate 2 delta/(1+delta) for disjoint-difference pairs."""
-    return 2.0 * delta / (1.0 + delta)
-
-
-def exact_coupling_rate(d: OutcomeDistribution, d2: OutcomeDistribution) -> float:
-    """Exact Pr over shared streams r that d and d2 replay to different points.
-
-    Conditioning on the first attempt accepted by either run: both accept
-    together with the overlap mass, one run pulls ahead with mass
-    |d - d2|, and a run that fell behind still finishes on the same point
-    x with probability min(d, d2)(x).  Collecting terms:
-
-        (2 delta - sum_x |d(x)-d2(x)| min(d(x), d2(x))) / (1 + delta).
-
-    This equals 2 delta/(1+delta) exactly when the two laws differ only on
-    points where one of them is zero.
-    """
-    if d.size != d2.size:
-        raise ValueError("distributions live on different domains")
-    delta = statistical_distance(d, d2)
-    if delta == 0.0:
-        return 0.0
-    diff = np.abs(d.probs - d2.probs)
-    cross = float(np.sum(diff * np.minimum(d.probs, d2.probs)))
-    return (2.0 * delta - cross) / (1.0 + delta)
-
-
-@dataclass(frozen=True)
-class CouplingResult:
-    """Empirical shared-stream disagreement rate with its references."""
-
-    rate: float
-    ci99: float
-    trials: int
-    delta: float
-    disjoint_rate: float  # 2 delta/(1+delta)
-    exact_rate: float     # exact closed form for this pair
-
-
-def coupling_disagreement(
-    d: OutcomeDistribution,
-    d2: OutcomeDistribution,
-    trials: int,
-    rng: np.random.Generator,
-) -> CouplingResult:
-    """Replay both laws on `trials` shared streams, one walk per stream, and
-    count disagreements; the streams are walked a `seed_block` at a time."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if d.size != d2.size:
-        raise ValueError("distributions live on different domains")
-    seeds = rng.integers(0, 1 << 63, size=trials).tolist()
-    pair = np.stack([d.probs, d2.probs])
-    bad = 0
-    for start, count in blocks(trials, seed_block(2, d.size, 0)):
-        laws = np.broadcast_to(pair, (count, 2, d.size))
-        out = rejsamp(seeds[start:start + count], laws, laws)
-        bad += int(np.count_nonzero(out[:, 0] != out[:, 1]))
-    delta = statistical_distance(d, d2)
-    return CouplingResult(
-        rate=bad / trials,
-        ci99=wilson_halfwidth(bad, trials),
-        trials=trials,
-        delta=delta,
-        disjoint_rate=coupling_rate_disjoint(delta),
-        exact_rate=exact_coupling_rate(d, d2),
-    )
-
-
 def perturb_make_light(
     f: BooleanFunction, z: int, rng: np.random.Generator
 ) -> BooleanFunction:
@@ -249,28 +121,6 @@ def perturb_make_light(
     vals = f.values.copy()
     vals[chosen] = -vals[chosen]
     return BooleanFunction(f.n, vals)
-
-
-def degree_ratio(N: int) -> float:
-    """binom(N/2 + sqrt(N)/2, sqrt(N)/2) / binom(N/2, sqrt(N)/2), log-space.
-
-    Monotone in N, at least (1 + 1/sqrt(N))^{sqrt(N)/2}, and increases
-    toward e^{1/2} = 1.6487... from below.
-    """
-    if N < 4:
-        raise ValueError("N must be at least 4")
-    root = math.isqrt(N)
-    if root * root != N or root % 2 != 0:
-        raise OddRoot(f"sqrt(N)/2 is not an integer for N = {N}")
-    r = root // 2
-    half = N // 2
-
-    def log_binom(a: int, b: int) -> float:
-        return (
-            math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
-        )
-
-    return math.exp(log_binom(half + r, r) - log_binom(half, r))
 
 
 def derandomize(

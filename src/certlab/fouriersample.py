@@ -5,7 +5,9 @@ sampler three ways:
 
 * heaviness statistics p_B (sampled coefficient Light), p_light4 (Light or
   SlightlyHeavy) and p_G = p_light4 - p_B, estimated over fresh random
-  functions with one draw each;
+  functions with one draw each.  A coefficient is Light up to
+  |fhat| = 1/sqrt(N) and SlightlyHeavy up to 2/sqrt(N), both boundaries
+  inclusive, judged exactly on the scaled integers as W^2 <= N, 4N;
 * the heavy-output score (mean fhat(s)^2 over returned samples), whose
   honest expectation is the spectrum's fourth moment;
 * total-variation distance between the output distributions of two

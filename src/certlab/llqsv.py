@@ -1,13 +1,10 @@
-"""Long-list instance generator, LLQ1 serialization, and a
-distinguisher-advantage harness.
+"""Long-list instance generator and LLQ1 serialization.
 
 A long-list instance is T pairs (f_i, s_i): every f_i is a fresh uniform
 function, and s_i is either a uniform index (the null case) or an exact
 Fourier sample from fhat_i^2 (the signal case).  Either way the marginal
 of each s_i alone is uniform, so telling the cases apart requires relating
-s_i to f_i.  Distinguishers get oracle-style indexed reads with a counter
-and never see the case label; the harness scores their advantage
-|Pr[accept | fourier] - Pr[accept | uniform]|.
+s_i to f_i.  Neither the list nor its LLQ1 encoding carries the case.
 """
 
 from __future__ import annotations
@@ -17,15 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import (
-    BFN1_MAGIC,
-    MAX_N,
-    random_functions_batch,
-    scaled_at,
-)
+from .boolfn import BFN1_MAGIC, MAX_N, random_functions_batch
 from .devices import DeviceModel
 from .rng import blocks
-from .stats import wilson_halfwidth
 
 CASES = ("uniform", "fourier")
 LLQ1_MAGIC = b"LLQ1"
@@ -50,7 +41,7 @@ class LongList:
     Row i of `tables` ((T, N) int8, entries +-1) is the sign table of f_i,
     and s[i] ((T,) int64, 0 <= s < N) is its sample index; both are kept
     as read-only views of the arrays passed in.  The list does not carry
-    its case; hand distinguishers a ListOracle, never this object.
+    its case.
     """
 
     tables: np.ndarray
@@ -87,31 +78,6 @@ class LongList:
         return self.tables.shape[1].bit_length() - 1
 
 
-class ListOracle:
-    """Indexed read access to a LongList with a read counter.
-
-    Distinguishers see only this interface; each f-read or s-read bumps
-    `reads`, enabling query-budget experiments.
-    """
-
-    def __init__(self, llist: LongList):
-        self._tables = llist.tables
-        self._s = llist.s
-        self.reads = 0
-
-    def __len__(self) -> int:
-        return len(self._s)
-
-    def read_f(self, i: int) -> np.ndarray:
-        """Sign table of f_i: a read-only int8 row of length N."""
-        self.reads += 1
-        return self._tables[i]
-
-    def read_s(self, i: int) -> int:
-        self.reads += 1
-        return int(self._s[i])
-
-
 def llqsv_instance(
     n: int, T: int, case: str, rng: np.random.Generator
 ) -> LongList:
@@ -136,76 +102,6 @@ def llqsv_instance(
         rows[...] = random_functions_batch(n, b, rng)
         s[start:start + b] = device.answer_tables(rows, rng)[0]
     return LongList(tables, s)
-
-
-@dataclass(frozen=True)
-class AdvantageResult:
-    """Distinguisher accept rates per case and their gap."""
-
-    advantage: float
-    ci99: float
-    accept_fourier: float
-    accept_uniform: float
-    trials: int
-
-
-def advantage(
-    distinguisher,
-    n: int,
-    T: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> AdvantageResult:
-    """|Pr[accept | fourier] - Pr[accept | uniform]| over fresh instances.
-
-    The distinguisher is called once per instance with a ListOracle; its
-    boolean return is tallied per case.  The reported ci99 combines the
-    two per-case Wilson half-widths in quadrature.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    accepts = {c: 0 for c in CASES}
-    for case in CASES:
-        for _ in range(trials):
-            inst = llqsv_instance(n, T, case, rng)
-            if distinguisher(ListOracle(inst)):
-                accepts[case] += 1
-    p_f = accepts["fourier"] / trials
-    p_u = accepts["uniform"] / trials
-    hw_f = wilson_halfwidth(accepts["fourier"], trials)
-    hw_u = wilson_halfwidth(accepts["uniform"], trials)
-    return AdvantageResult(
-        advantage=abs(p_f - p_u),
-        ci99=float(np.hypot(hw_f, hw_u)),
-        accept_fourier=p_f,
-        accept_uniform=p_u,
-        trials=trials,
-    )
-
-
-@dataclass(frozen=True)
-class ScoreSumDistinguisher:
-    """White-box baseline: threshold the total sampled squared coefficient.
-
-    Accepts when sum_i fhat_i(s_i)^2 > scale * T / N.  With scale between
-    1 (uniform mean) and about 3 (fourier mean) this separates the cases
-    almost perfectly once T is large — using full reads of every entry,
-    which is exactly the access pattern the query lower bounds rule out.
-    """
-
-    scale: float = 2.0
-
-    def __call__(self, oracle: ListOracle) -> bool:
-        T = len(oracle)
-        if T == 0:
-            return False
-        rows = np.stack([oracle.read_f(i) for i in range(T)])
-        s = np.array([oracle.read_s(i) for i in range(T)], dtype=np.int64)
-        W = scaled_at(rows, s)
-        size = rows.shape[1]
-        # sum_i fhat_i(s_i)^2 = sum_i W_i^2 / N^2, an exact integer sum
-        total = float(np.dot(W, W)) / (size * size)
-        return total > self.scale * T / size
 
 
 def _record_head(n: int) -> np.ndarray:

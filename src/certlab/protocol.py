@@ -174,31 +174,15 @@ def index_bits(samples: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(b, axis=1, count=n, bitorder="little").reshape(-1)
 
 
-def toeplitz_extract_naive(
-    samples: np.ndarray, extractor_seed: np.ndarray, k: int
-) -> np.ndarray:
-    """Reference GF(2) Toeplitz multiply: row i of the matrix is
-    seed[i : i+m] reversed.  Quadratic; kept as the oracle for the fast
-    path."""
-    x = np.asarray(samples, dtype=np.uint8)
-    seed = np.asarray(extractor_seed, dtype=np.uint8)
-    m = x.size
-    _check_extract_args(m, seed.size, k)
-    out = np.empty(k, dtype=np.uint8)
-    xr = x[::-1]
-    for i in range(k):
-        out[i] = int(np.bitwise_xor.reduce(seed[i:i + m] & xr)) & 1
-    return out
-
-
 def toeplitz_extract(
     samples: np.ndarray, extractor_seed: np.ndarray, k: int
 ) -> np.ndarray:
     """GF(2) Toeplitz extraction of k bits from m input bits.
 
-    Same matrix as the naive form, evaluated on packed words: output bit i
-    is the parity of AND(seed[i : i+m], reversed input), so eight
-    bit-shifted packed copies of the seed give every window alignment.
+    Row i of the matrix is seed[i : i+m] reversed, and the product is
+    evaluated on packed words: output bit i is the parity of
+    AND(seed[i : i+m], reversed input), so eight bit-shifted packed copies
+    of the seed give every window alignment.
     The input is zero-padded to whole uint64 words, so seed bits past the
     window drop out of the AND, and the popcount of the XOR of the ANDed
     words gives the parity.  Linear in (input, fixed seed).

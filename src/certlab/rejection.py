@@ -3,10 +3,10 @@
 The sampler makes up to K = 4 n^2 uniform attempts to hit the accepting
 set {x : g(x) = +1} (sign +1 plays the role of "g(x) = 1"); if none hits,
 it returns a fresh uniform element.  The package never simulates the
-attempts: exact_distribution gives the sampler's output law in closed
-form, and the score driver reads probabilities from it (same
-expectation, far less variance).  The tests hold that law to a literal
-simulation of the attempts.
+attempts: `_placement` gives the sampler's output law in closed form,
+and the score driver reads probabilities from it (same expectation, far
+less variance).  The tests hold that law to a literal simulation of the
+attempts.
 
 RHOG: draw a correlated pair (f, g), Fourier-sample x from fhat^2, and
 evaluate the rejection sampler's probability of landing on that same x.
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction
 from .rng import blocks
 from .sqforrelation import DistParams, pair_rows
 from .stats import mean_ci99
@@ -51,13 +50,6 @@ def _placement(ones, hit, n: int) -> np.ndarray:
     return np.where(ones == 0, 1.0 / size, np.where(hit, p_acc, p_rej))
 
 
-def exact_distribution(g: BooleanFunction) -> np.ndarray:
-    """The sampler's output law as a length-N probability vector (see
-    `_placement`); sums to 1 to 1e-12."""
-    accept = g.values == 1
-    return _placement(np.count_nonzero(accept), accept, g.n)
-
-
 @dataclass(frozen=True)
 class RhogResult:
     """N-scaled mean placement probability with context."""
@@ -80,8 +72,8 @@ def rhog_values(
 
     Per trial: (f, g) drawn correlated (or independent uniform with
     uniform_pairs=True), x the `DeviceModel`'s answer to f's table
-    (`answer_tables`; honest ones Fourier-sample fhat^2), scored as
-    exact_distribution(g)[x].
+    (`answer_tables`; honest ones Fourier-sample fhat^2), scored as the
+    sampler's closed-form probability of x on g (`_placement`).
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .boolfn import random_functions_batch, wht_rows
 from .rng import blocks, gaussians
-from .stats import mean_ci99, wilson_halfwidth
+from .stats import mean_ci99
 
 DEFAULT_C = 20.0
 _BATCH = 4096
@@ -270,78 +270,3 @@ def mean_phi_experiment(
         raise ValueError("need at least one trial")
     vals = phi_values(params, trials, estimator, rng, uniform_pairs)
     return phi_experiment_from_values(params, vals, estimator, uniform_pairs)
-
-
-@dataclass(frozen=True)
-class TailCheckResult:
-    """Empirical tail rate of |sum_i Yp_i| >= 3 sqrt(N) vs its bound."""
-
-    rate: float
-    bound: float
-    threshold: float
-    trials: int
-    ci99: float
-    epsilon: float
-
-
-def row_sum_tail_check(
-    params: DistParams, trials: int, rng: np.random.Generator
-) -> TailCheckResult:
-    """Fraction of draws with |sum_i Yp_i| >= 3 sqrt(N).
-
-    sum_i Yp_i = eps * (chi2_N - N), so the threshold sits hundreds of
-    standard deviations out for small eps; the bound is 2 exp(-1/eps).
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    size = params.size
-    threshold = 3.0 * math.sqrt(size)
-    hits = 0
-    for _, b in blocks(trials, _BATCH):
-        _, Yp = sample_gprime_rows(params, b, rng)
-        hits += int(np.count_nonzero(np.abs(Yp.sum(axis=1)) >= threshold))
-    eps = params.epsilon
-    return TailCheckResult(
-        rate=hits / trials,
-        bound=2.0 * math.exp(-1.0 / eps),
-        threshold=threshold,
-        trials=trials,
-        ci99=wilson_halfwidth(hits, trials),
-        epsilon=eps,
-    )
-
-
-def truncation_rate(
-    params: DistParams, trials: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """(empirical clamp rate, Wilson 99% half-width).
-
-    A trial counts when any coordinate of (X, Yp) leaves [-1, 1]; the
-    guarantee at C = 20 is rate <= 2/N^2.
-    """
-    hits = 0
-    for _, b in blocks(trials, _BATCH):
-        X, Yp = sample_gprime_rows(params, b, rng)
-        out = (np.abs(X).max(axis=1) > 1.0) | (np.abs(Yp).max(axis=1) > 1.0)
-        hits += int(np.count_nonzero(out))
-    return hits / trials, wilson_halfwidth(hits, trials)
-
-
-def hamming_balance_rate(
-    params: DistParams, trials: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """(rate of g-draws outside the (1 +- N^{-1/3}) N/2 ones-count band, CI99).
-
-    Counts draws of (f, g), made by pair_rows in blocks of _BATCH, whose g
-    has |{x : g(x) = +1}| outside [(1 - d) N/2, (1 + d) N/2], d = N^{-1/3}.
-    """
-    size = params.size
-    delta = size ** (-1.0 / 3.0)
-    lo = (1.0 - delta) * size / 2.0
-    hi = (1.0 + delta) * size / 2.0
-    hits = 0
-    for _, b in blocks(trials, _BATCH):
-        _, g_rows = pair_rows(params, b, rng)
-        ones = np.count_nonzero(g_rows == 1, axis=1)
-        hits += int(np.count_nonzero((ones < lo) | (ones > hi)))
-    return hits / trials, wilson_halfwidth(hits, trials)

@@ -1,8 +1,9 @@
-"""Exact finite-N laws for the rates the acceptance gate samples.
+"""Exact finite-N laws for the rates the acceptance gate samples, and the
+other closed forms the tests hold the package to.
 
-These are test oracles: closed forms in integer arithmetic (`math.comb`,
-`fractions.Fraction`) that import nothing from certlab, so they share no
-code with the implementation they check.
+These are test oracles: closed forms, in integer arithmetic (`math.comb`,
+`fractions.Fraction`) where the law is a count, that import nothing from
+certlab, so they share no code with the implementation they check.
 
 * `band_rates(n)`: the honest sampler's (p_B, p_light4, p_G) on a uniform
   random function at N = 2^n.  `gaussian_reference()` is only their
@@ -11,10 +12,19 @@ code with the implementation they check.
 * `balance_tail(n)`: the probability that a Binomial(N, 1/2) ones count
   leaves the (1 +- N^(-1/3)) N/2 band.  The 5/N^2 allowance holds for it
   only from n = 16 on.
+* `classify_scaled(w, N)`: the heaviness class of W = N fhat, judged on
+  integers, boundaries inclusive.
+* `min_entropy`, `statistical_distance`, `coupling_rate_disjoint` and
+  `exact_coupling_rate`: the entropy and shared-stream coupling laws of
+  probability vectors (plain float arrays).
+* `degree_ratio(N)`: the binomial ratio whose limit is e^{1/2}.
 """
 
+import enum
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def _band_mass(n: int, a: int) -> Fraction:
@@ -94,3 +104,79 @@ def _central_binomials(size: int, r: int):
     for k in range(lo, (size + r) // 2 + 1):
         yield k, c
         c = c * (size - k) // (k + 1)
+
+
+class HeavinessClass(enum.Enum):
+    LIGHT = "Light"
+    SLIGHTLY_HEAVY = "SlightlyHeavy"
+    VERY_HEAVY = "VeryHeavy"
+
+
+def classify_scaled(w: int, N: int) -> HeavinessClass:
+    """Exact integer heaviness of a scaled coefficient W = N*fhat: Light up
+    to |fhat| = 1/sqrt(N), SlightlyHeavy up to 2/sqrt(N), both inclusive."""
+    w2 = int(w) * int(w)
+    if w2 <= N:
+        return HeavinessClass.LIGHT
+    if w2 <= 4 * N:
+        return HeavinessClass.SLIGHTLY_HEAVY
+    return HeavinessClass.VERY_HEAVY
+
+
+def min_entropy(d: np.ndarray) -> float:
+    """-log2 of the largest outcome probability."""
+    return -math.log2(float(np.max(d)))
+
+
+def statistical_distance(d: np.ndarray, d2: np.ndarray) -> float:
+    """Half the L1 distance between two distributions on the same domain."""
+    if d.size != d2.size:
+        raise ValueError("distributions live on different domains")
+    return 0.5 * float(np.abs(d - d2).sum())
+
+
+def coupling_rate_disjoint(delta: float) -> float:
+    """Disagreement rate 2 delta/(1+delta) for disjoint-difference pairs."""
+    return 2.0 * delta / (1.0 + delta)
+
+
+def exact_coupling_rate(d: np.ndarray, d2: np.ndarray) -> float:
+    """Exact Pr over shared streams r that d and d2 replay to different points.
+
+    Conditioning on the first attempt accepted by either run: both accept
+    together with the overlap mass, one run pulls ahead with mass
+    |d - d2|, and a run that fell behind still finishes on the same point
+    x with probability min(d, d2)(x).  Collecting terms:
+
+        (2 delta - sum_x |d(x)-d2(x)| min(d(x), d2(x))) / (1 + delta).
+
+    This equals 2 delta/(1+delta) exactly when the two laws differ only on
+    points where one of them is zero.
+    """
+    delta = statistical_distance(d, d2)
+    if delta == 0.0:
+        return 0.0
+    cross = float(np.sum(np.abs(d - d2) * np.minimum(d, d2)))
+    return (2.0 * delta - cross) / (1.0 + delta)
+
+
+def degree_ratio(N: int) -> float:
+    """binom(N/2 + sqrt(N)/2, sqrt(N)/2) / binom(N/2, sqrt(N)/2), log-space.
+
+    Monotone in N, at least (1 + 1/sqrt(N))^{sqrt(N)/2}, and increases
+    toward e^{1/2} = 1.6487... from below.
+    """
+    if N < 4:
+        raise ValueError("N must be at least 4")
+    root = math.isqrt(N)
+    if root * root != N or root % 2 != 0:
+        raise ValueError(f"sqrt(N)/2 is not an integer for N = {N}")
+    r = root // 2
+    half = N // 2
+
+    def log_binom(a: int, b: int) -> float:
+        return (
+            math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+        )
+
+    return math.exp(log_binom(half + r, r) - log_binom(half, r))

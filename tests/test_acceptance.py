@@ -11,7 +11,8 @@ binomial band law (the Gaussian reference is only its limit and sits
 compares the n=10 balance misses with the exact binomial tail (1.6e-3,
 333x the 5 N^-2 allowance, which holds from n=16 on and is asserted
 there in closed form).  The exact laws live in `exact_laws.py` and
-import nothing from certlab.
+import nothing from certlab; the rate harnesses of gates 3 and 7 live in
+`rates.py`, and gate 9's advantage harness in `adversaries.py`.
 """
 
 import math
@@ -21,34 +22,23 @@ import numpy as np
 
 from certlab.boolfn import (
     BooleanFunction,
-    classify_scaled,
     coefficient_at,
     random_functions_batch,
     wht,
     wht_rows,
 )
 from certlab.devices import argmax_deterministic, biased, honest, uniform_cheat
-from certlab.entropy import (
-    OutcomeDistribution,
-    coupling_disagreement,
-    degree_ratio,
-    derandomize,
-    perturb_make_light,
-)
+from certlab.entropy import derandomize, perturb_make_light
 from certlab.fouriersample import estimate_pg_pb, gaussian_reference
-from certlab.llqsv import llqsv_instance, advantage
+from certlab.llqsv import llqsv_instance
 from certlab.protocol import ProtocolConfig, Verdict, run_protocol_arms
 from certlab.rejection import rhog_score
 from certlab.rng import derive64, make_rng
-from certlab.sqforrelation import (
-    DistParams,
-    hamming_balance_rate,
-    mean_phi_experiment,
-    truncation_rate,
-)
+from certlab.sqforrelation import DistParams, mean_phi_experiment
 from certlab.stats import mean_ci99
-from adversaries import s_only_parity
-from exact_laws import balance_tail, band_rates
+from adversaries import advantage, s_only_parity
+from exact_laws import balance_tail, band_rates, classify_scaled, degree_ratio
+from rates import coupling_disagreement, hamming_balance_rate, truncation_rate
 
 SEED = 20260823  # master seed for the whole gate; everything derives from it
 
@@ -213,8 +203,8 @@ def test_07_shared_seed_coupling_rate(criterion):
     details = []
     all_ok = True
     for j, delta in enumerate(deltas):
-        d1 = OutcomeDistribution(np.array([1 - delta, delta, 0.0]))
-        d2 = OutcomeDistribution(np.array([1 - delta, 0.0, delta]))
+        d1 = np.array([1 - delta, delta, 0.0])
+        d2 = np.array([1 - delta, 0.0, delta])
         res = coupling_disagreement(d1, d2, 100000, make_rng(SEED, 9, j))
         target = 2 * delta / (1 + delta)
         hit = abs(res.rate - target) <= res.ci99

@@ -19,11 +19,9 @@ from certlab.boolfn import (
     BFN1_MAGIC,
     BooleanFunction,
     FourierSpectrum,
-    HeavinessClass,
     SizeLimit,
     ZeroCoefficient,
     character_values,
-    classify_scaled,
     coefficient_at,
     fourth_moment,
     from_bfn1,
@@ -37,6 +35,7 @@ from certlab.boolfn import (
 )
 from certlab.fouriersample import fourier_tables
 from certlab.rng import make_rng
+from exact_laws import HeavinessClass, classify_scaled
 
 
 # ---------------------------------------------------------------- oracle

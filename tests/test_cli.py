@@ -5,7 +5,9 @@ All invocations go through cli.main in-process; exit code 0 is success,
 argparse usage error (unknown flag, out-of-range count or n).
 """
 
+import ast
 import concurrent.futures
+import inspect
 import json
 import os
 import subprocess
@@ -441,5 +443,23 @@ def test_check_all_battery_passes(tmp_path, capsys):
     assert "FAIL" not in stdout
     payload = json.loads(out.read_text())
     checks = payload["results"]["checks"]
-    assert len(checks) >= 20
+    assert len(checks) == 25
     assert all(c["ok"] for c in checks)
+    assert payload["results"]["summary"] == "25/25 checks passed"
+    # every line is a contract record, and every contract has lines
+    commands = sorted(name[1:-len("_contract")] for name in vars(cli)
+                      if name.startswith("_") and name.endswith("_contract"))
+    assert len(commands) == 9
+    owners = [[c for c in commands if check["name"].startswith(c + "-")]
+              for check in checks]
+    assert all(len(owner) == 1 for owner in owners)
+    assert sorted({owner[0] for owner in owners}) == commands
+
+
+def test_battery_adds_no_check_of_its_own():
+    # check-all holds runs to the command contracts and nothing else: a
+    # check of its own would be a unit test, which belongs in tests/
+    tree = ast.parse(inspect.getsource(cli._battery))
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "add"]

@@ -18,9 +18,9 @@ from certlab.devices import (
     uniform_cheat,
     argmax_deterministic,
 )
-from certlab.entropy import OutcomeDistribution, min_entropy
 from certlab.fouriersample import fourier_rows, fourier_sample_many
 from certlab.rng import make_rng
+from exact_laws import min_entropy
 
 
 def exact_law(dev, spec):
@@ -29,14 +29,14 @@ def exact_law(dev, spec):
     np.argmax(W*W) for argmax, and the p-mixture of the two for biased."""
     size = spec.size
     if dev.kind == "uniform":
-        return OutcomeDistribution(np.full(size, 1.0 / size))
+        return np.full(size, 1.0 / size)
     w = spec.scaled.astype(np.int64)
     top = np.zeros(size)
     top[np.argmax(w * w)] = 1.0
     if dev.kind == "argmax":
-        return OutcomeDistribution(top)
+        return top
     p = dev.p if dev.kind == "biased" else 0.0
-    return OutcomeDistribution((1.0 - p) * ((w * w) / float(size * size)) + p * top)
+    return (1.0 - p) * ((w * w) / float(size * size)) + p * top
 
 
 @pytest.fixture
@@ -50,19 +50,19 @@ def test_kind_list_is_fixed():
 
 def test_honest_distribution_is_squared_spectrum(spec4):
     d = exact_law(honest(), spec4)
-    assert np.allclose(d.probs, spec4.coeffs ** 2)
+    assert np.allclose(d, spec4.coeffs ** 2)
 
 
 def test_uniform_distribution_is_flat(spec4):
     d = exact_law(uniform_cheat(), spec4)
-    assert np.allclose(d.probs, 1 / 16)
+    assert np.allclose(d, 1 / 16)
 
 
 def test_argmax_distribution_is_point_mass(spec4):
     d = exact_law(argmax_deterministic(), spec4)
     z = argmax_index(spec4)
-    assert d.probs[z] == 1.0
-    assert float(d.probs.sum()) == 1.0
+    assert d[z] == 1.0
+    assert float(d.sum()) == 1.0
     assert min_entropy(d) == 0.0
 
 
@@ -72,7 +72,7 @@ def test_biased_distribution_is_the_stated_mixture(spec4):
     z = argmax_index(spec4)
     expected = (1 - p) * spec4.coeffs ** 2
     expected[z] += p
-    assert np.allclose(d.probs, expected)
+    assert np.allclose(d, expected)
 
 
 def test_biased_probability_validated():
@@ -130,9 +130,9 @@ def test_sampling_follows_distribution(spec4):
     counts = np.bincount(draws, minlength=16)
     from scipy.stats import chisquare
 
-    support = d.probs > 0
+    support = d > 0
     assert counts[~support].sum() == 0
-    _, pvalue = chisquare(counts[support], 20000 * d.probs[support])
+    _, pvalue = chisquare(counts[support], 20000 * d[support])
     assert pvalue > 1e-3
 
 

@@ -20,18 +20,19 @@ from certlab.entropy import (
     BudgetZero,
     EmptyDistribution,
     OddRoot,
-    OutcomeDistribution,
-    coupling_disagreement,
-    coupling_rate_disjoint,
-    degree_ratio,
     derandomize,
-    exact_coupling_rate,
-    min_entropy,
     perturb_make_light,
     rejsamp,
-    statistical_distance,
 )
 from certlab.rng import derive64, make_rng
+from exact_laws import (
+    coupling_rate_disjoint,
+    degree_ratio,
+    exact_coupling_rate,
+    min_entropy,
+    statistical_distance,
+)
+from rates import coupling_disagreement
 
 # closed form at N=64: C(36, 4) / C(32, 4) = 58905 / 35960
 DEGREE_RATIO_64 = 58905 / 35960
@@ -39,25 +40,15 @@ DEGREE_RATIO_64 = 58905 / 35960
 
 # ---------------------------------------------------------------- distributions
 
-def test_outcome_distribution_validation():
-    with pytest.raises(EmptyDistribution):
-        OutcomeDistribution(np.array([]))
-    with pytest.raises(ValueError):
-        OutcomeDistribution(np.array([0.5, 0.4]))  # does not sum to 1
-    with pytest.raises(ValueError):
-        OutcomeDistribution(np.array([1.5, -0.5]))
-
-
 def test_min_entropy_values():
-    assert min_entropy(OutcomeDistribution.point_mass(8, 3)) == 0.0
-    assert min_entropy(OutcomeDistribution.uniform(256)) == pytest.approx(8.0)
-    two = OutcomeDistribution(np.array([0.98, 0.02]))
-    assert min_entropy(two) == pytest.approx(-math.log2(0.98))
+    assert min_entropy(np.eye(8)[3]) == 0.0
+    assert min_entropy(np.full(256, 1 / 256)) == pytest.approx(8.0)
+    assert min_entropy(np.array([0.98, 0.02])) == pytest.approx(-math.log2(0.98))
 
 
 def test_statistical_distance_examples():
-    d1 = OutcomeDistribution(np.array([2 / 3, 1 / 3, 0.0]))
-    d2 = OutcomeDistribution(np.array([2 / 3, 0.0, 1 / 3]))
+    d1 = np.array([2 / 3, 1 / 3, 0.0])
+    d2 = np.array([2 / 3, 0.0, 1 / 3])
     assert statistical_distance(d1, d2) == pytest.approx(1 / 3)
     assert statistical_distance(d1, d1) == 0.0
 
@@ -147,7 +138,7 @@ def test_rejsamp_is_a_pure_function_of_seed():
 
 
 def test_rejsamp_point_mass_always_returns_it():
-    law = np.broadcast_to(OutcomeDistribution.point_mass(16, 11).probs, (20, 1, 16))
+    law = np.broadcast_to(np.eye(16)[11], (20, 1, 16))
     assert np.all(rejsamp(list(range(20)), law, law) == 11)
 
 
@@ -163,15 +154,15 @@ def test_rejsamp_rejects_a_law_without_mass():
 
 
 def test_rejsamp_marginal_matches_distribution():
-    d = OutcomeDistribution(np.array([0.1, 0.2, 0.3, 0.4]))
+    d = np.array([0.1, 0.2, 0.3, 0.4])
     rng = make_rng(60, 0)
     seeds = rng.integers(0, 1 << 63, size=20000)
     counts = np.zeros(4)
     for s in seeds:
-        counts[rejsamp([int(s)], d.probs[None, None], d.probs[None, None])[0, 0]] += 1
+        counts[rejsamp([int(s)], d[None, None], d[None, None])[0, 0]] += 1
     from scipy.stats import chisquare
 
-    _, pvalue = chisquare(counts, 20000 * d.probs)
+    _, pvalue = chisquare(counts, 20000 * d)
     assert pvalue > 1e-3
 
 
@@ -184,8 +175,8 @@ def test_disjoint_formula_values():
 
 
 def test_exact_rate_equals_disjoint_formula_when_disjoint():
-    d1 = OutcomeDistribution(np.array([2 / 3, 1 / 3, 0.0]))
-    d2 = OutcomeDistribution(np.array([2 / 3, 0.0, 1 / 3]))
+    d1 = np.array([2 / 3, 1 / 3, 0.0])
+    d2 = np.array([2 / 3, 0.0, 1 / 3])
     assert exact_coupling_rate(d1, d2) == pytest.approx(
         coupling_rate_disjoint(1 / 3), abs=1e-12
     )
@@ -195,40 +186,40 @@ def test_exact_rate_overlap_counterexample():
     # (1, 0) vs (2/3, 1/3): delta = 1/3 but the difference supports
     # overlap through the shared acceptance region, so the disagreement
     # rate is 1/3, not 2 delta/(1+delta) = 1/2
-    d1 = OutcomeDistribution(np.array([1.0, 0.0]))
-    d2 = OutcomeDistribution(np.array([2 / 3, 1 / 3]))
+    d1 = np.array([1.0, 0.0])
+    d2 = np.array([2 / 3, 1 / 3])
     assert exact_coupling_rate(d1, d2) == pytest.approx(1 / 3, abs=1e-12)
     assert exact_coupling_rate(d1, d2) < coupling_rate_disjoint(1 / 3)
 
 
 def test_identical_distributions_never_disagree():
-    d = OutcomeDistribution(np.array([0.4, 0.6]))
+    d = np.array([0.4, 0.6])
     res = coupling_disagreement(d, d, 500, make_rng(61, 0))
     assert res.rate == 0.0
     assert res.delta == 0.0
 
 
 def test_empirical_coupling_matches_exact_law():
-    d1 = OutcomeDistribution(np.array([1.0, 0.0]))
-    d2 = OutcomeDistribution(np.array([2 / 3, 1 / 3]))
+    d1 = np.array([1.0, 0.0])
+    d2 = np.array([2 / 3, 1 / 3])
     res = coupling_disagreement(d1, d2, 4000, make_rng(61, 1))
     assert res.exact_rate == pytest.approx(1 / 3, abs=1e-12)
     assert res.rate == pytest.approx(res.exact_rate, abs=res.ci99 + 0.01)
 
 
 def test_coupling_counts_the_two_lone_walks_of_each_seed():
-    d1 = OutcomeDistribution(np.array([2 / 3, 1 / 3, 0.0]))
-    d2 = OutcomeDistribution(np.array([2 / 3, 0.0, 1 / 3]))
+    d1 = np.array([2 / 3, 1 / 3, 0.0])
+    d2 = np.array([2 / 3, 0.0, 1 / 3])
     res = coupling_disagreement(d1, d2, 2000, make_rng(61, 3))
     seeds = make_rng(61, 3).integers(0, 1 << 63, size=2000)
-    bad = sum(lone_walk(d1.probs, int(s)) != lone_walk(d2.probs, int(s))
+    bad = sum(lone_walk(d1, int(s)) != lone_walk(d2, int(s))
               for s in seeds)
     assert res.rate == bad / 2000
 
 
 def test_coupling_result_ignores_the_seed_block(monkeypatch):
-    d1 = OutcomeDistribution(np.array([0.5, 0.3, 0.2, 0.0]))
-    d2 = OutcomeDistribution(np.array([0.4, 0.0, 0.3, 0.3]))
+    d1 = np.array([0.5, 0.3, 0.2, 0.0])
+    d2 = np.array([0.4, 0.0, 0.3, 0.3])
     assert entropy.seed_block(2, 4, 0) > 300  # the default: one block
     want = coupling_disagreement(d1, d2, 300, make_rng(61, 4))
     for size in (1, 7):
@@ -237,8 +228,8 @@ def test_coupling_result_ignores_the_seed_block(monkeypatch):
 
 
 def test_coupling_result_reports_both_references():
-    d1 = OutcomeDistribution(np.array([0.9, 0.1, 0.0]))
-    d2 = OutcomeDistribution(np.array([0.9, 0.0, 0.1]))
+    d1 = np.array([0.9, 0.1, 0.0])
+    d2 = np.array([0.9, 0.0, 0.1])
     res = coupling_disagreement(d1, d2, 1000, make_rng(61, 2))
     assert res.delta == pytest.approx(0.1)
     assert res.disjoint_rate == pytest.approx(2 * 0.1 / 1.1)
@@ -294,7 +285,7 @@ def test_degree_ratio_monotone_and_bounded():
 
 
 def test_degree_ratio_rejects_odd_root():
-    with pytest.raises(OddRoot):
+    with pytest.raises(ValueError, match="not an integer"):
         degree_ratio(8)  # sqrt(8) not an integer
 
 

@@ -126,12 +126,12 @@ DIGESTS = {
         "8844b3cf1febdf795c2dc8a549fc83121deb7bdf8f312fc8f31550156188b90e",
     "llqsv-uniform":
         "129196e7c1577cf2879069f43e8556ea827d515b7f365375dc16f3d0d36484eb",
-    # re-pinned when check-all began holding each command's run to that
-    # command's own --check contract: its lines are now named
-    # `<command>-<record>`, with the contracts' detail text, and where the
-    # two copies of a clause had drifted the stronger one is kept
+    # re-pinned when check-all came to run the nine command contracts and
+    # nothing else: its 25 `<command>-<record>` lines are the earlier ones,
+    # same text and order, without the 12 unit checks of its own it used
+    # to add (each is now a test in tests/)
     "check-all":
-        "d0e702fa427f0004d1cfb41f3e3686bd15c22906d622a854a36f92df0adad68f",
+        "216da6c02a170a26ac80eaa1b0a9c248a5568a41b97169be464d9129cb27bf33",
     "protocol-n1-t1-honest":
         "8468365759daad38a65099a6494d75d7a156e5032ad1b9454b64b595a0f16d51",
     "protocol-n1-t4097-honest-argmax":

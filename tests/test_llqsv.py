@@ -31,16 +31,19 @@ from certlab.llqsv import (
     CASES,
     LLQ1_MAGIC,
     BudgetExceeded,
-    ListOracle,
     LongList,
-    ScoreSumDistinguisher,
-    advantage,
     from_llq1,
     llqsv_instance,
     to_llq1,
 )
 from certlab.rng import make_rng
-from adversaries import constant_accept, s_only_parity
+from adversaries import (
+    ListOracle,
+    ScoreSumDistinguisher,
+    advantage,
+    constant_accept,
+    s_only_parity,
+)
 
 
 def entries(inst) -> list:

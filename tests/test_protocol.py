@@ -26,11 +26,25 @@ from certlab.protocol import (
     run_protocol_arms,
     score_threshold,
     toeplitz_extract,
-    toeplitz_extract_naive,
     transcript_to_dict,
     verify_score,
 )
 from certlab.rng import derive64, make_rng
+
+
+def toeplitz_extract_naive(
+    samples: np.ndarray, extractor_seed: np.ndarray, k: int
+) -> np.ndarray:
+    """Reference GF(2) Toeplitz multiply: row i of the matrix is
+    seed[i : i+m] reversed.  Quadratic; the oracle for the fast path."""
+    x = np.asarray(samples, dtype=np.uint8)
+    seed = np.asarray(extractor_seed, dtype=np.uint8)
+    m = x.size
+    out = np.empty(k, dtype=np.uint8)
+    xr = x[::-1]
+    for i in range(k):
+        out[i] = int(np.bitwise_xor.reduce(seed[i:i + m] & xr)) & 1
+    return out
 
 
 def small_config(**kw) -> ProtocolConfig:
@@ -141,6 +155,16 @@ def test_uniform_against_argmax_claim_reads_uniform():
     cfg = small_config(T=1 << 16)
     tr = run_protocol(cfg, uniform_cheat(), "argmax")
     assert tr.entropy_verdict is Verdict.UNIFORM_LIKE
+
+
+def test_honest_against_argmax_claim_reads_quantum_like():
+    # n = 6, T = 4096, seed 0: the honest arm collides with the claimed
+    # argmax far more often than the uniform arm beside it
+    cfg = small_config(T=4096, seed=0)
+    th, tu = run_protocol_arms(cfg, [(honest(), "argmax"),
+                                     (uniform_cheat(), "argmax")])
+    assert th.entropy_verdict is Verdict.QUANTUM_LIKE
+    assert tu.entropy_verdict is not Verdict.QUANTUM_LIKE
 
 
 def test_no_claim_means_no_collision_count():

@@ -4,8 +4,10 @@ defaulted parameter is passed by it.
 A function that only tests call either becomes an oracle in tests/ or
 goes.  This check parses src/certlab/*.py and requires each public
 top-level `def` or `class`, and each public method or property of a
-public class (dunders excluded), to be named (as a bare name or an
-attribute) somewhere in the package outside its own definition.  Likewise
+public class (dunders excluded), to be read (as a bare name or an
+attribute, in load context) somewhere in the package outside its own
+definition; a name that is only assigned, such as a dataclass field of
+the same name, is no use.  Likewise
 a parameter with a default that no call in the package passes is a knob
 only tests turn: it goes.  KEEP and KEEP_PARAMS list the exceptions, each
 with its reason; an entry that the package starts to use, or that is
@@ -22,7 +24,6 @@ KEEP = {
     "coefficient_at": "looked up by the benchmark's tracer (perfbench TARGETS)",
     "challenge_function": "regenerates a challenge from its key, for the "
                           "transcript verifier still to come",
-    "hamming_balance_rate": "the concentration statistic gate 3 measures",
 }
 
 KEEP_PARAMS = {
@@ -49,7 +50,7 @@ def owned_nodes(stmt):
 
 def definitions_and_uses():
     """({definition: module} of public top-level defs and of public
-    members of public classes, keyed `Class.member`; set of those named
+    members of public classes, keyed `Class.member`; set of those read
     somewhere outside their own definition)."""
     defined = {}
     uses = defaultdict(list)  # name -> [(module, owner)]
@@ -65,6 +66,8 @@ def definitions_and_uses():
                                 and not item.name.startswith("_")):
                             defined[f"{stmt.name}.{item.name}"] = module
             for owner, node in owned_nodes(stmt):
+                if not isinstance(getattr(node, "ctx", None), ast.Load):
+                    continue  # a field or variable assigned, not a use
                 if isinstance(node, ast.Name):
                     uses[node.id].append((module, owner))
                 elif isinstance(node, ast.Attribute):

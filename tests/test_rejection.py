@@ -19,7 +19,7 @@ from certlab.devices import honest, uniform_cheat
 from certlab.fouriersample import tv_distance
 from certlab.rng import make_rng
 from certlab.rejection import (
-    exact_distribution,
+    _placement,
     max_attempts,
     rhog_from_values,
     rhog_score,
@@ -29,6 +29,13 @@ from certlab.sqforrelation import DistParams
 
 # sum_{k<16} (3/4)^k (1/4) + (3/4)^16 / 4, frozen from exact rationals
 SINGLE_POINT_MASS = 0.9924830531817861
+
+
+def exact_distribution(g: BooleanFunction) -> np.ndarray:
+    """The sampler's output law on g as a length-N probability vector: the
+    package's closed form (`_placement`), read at every x."""
+    accept = g.values == 1
+    return _placement(np.count_nonzero(accept), accept, g.n)
 
 
 class RejectionOutcome(NamedTuple):

@@ -15,21 +15,19 @@ import pytest
 
 from certlab import sqforrelation
 from certlab.boolfn import BooleanFunction, character_values, random_function, wht_rows
-from certlab.rng import gaussians, make_rng
+from certlab.rng import blocks, gaussians, make_rng
 from certlab.sqforrelation import (
     DistParams,
-    hamming_balance_rate,
     mean_phi_experiment,
     pair_rows,
     phi_conditional_rows,
     phi_experiment_from_values,
     phi_rows,
     phi_values,
-    row_sum_tail_check,
     sample_gprime_rows,
-    truncation_rate,
 )
 from exact_laws import balance_tail
+from rates import hamming_balance_rate, truncation_rate
 
 
 def orthonormal_entry(n: int, i: int, j: int) -> float:
@@ -170,10 +168,10 @@ def test_pair_rows_match_out_of_place_rounding(n, C, count, uniform_pairs):
 
 
 def test_gprime_callers_see_untouched_draws(monkeypatch):
-    # phi_conditional_rows (through phi_values), truncation_rate and
-    # row_sum_tail_check get the raw draws, unclamped.  truncation_rate and
-    # row_sum_tail_check leave them as drawn; phi_values owns its draws and
-    # lets phi_conditional_rows clamp and overwrite them in place.
+    # phi_conditional_rows (through phi_values) and the tests' own
+    # truncation_rate get the raw draws, unclamped.  truncation_rate leaves
+    # them as drawn; phi_values owns its draws and lets
+    # phi_conditional_rows clamp and overwrite them in place.
     seen = []
     real = sqforrelation.sample_gprime_rows
 
@@ -186,8 +184,7 @@ def test_gprime_callers_see_untouched_draws(monkeypatch):
     params = DistParams(6, 1.0)
     phi_values(params, 300, "conditional", make_rng(46, 0))
     truncation_rate(params, 300, make_rng(46, 1))
-    row_sum_tail_check(params, 300, make_rng(46, 2))
-    assert len(seen) == 3
+    assert len(seen) == 2
     for k, (X, Yp, X0, Yp0) in enumerate(seen):
         if k > 0:
             assert np.array_equal(X.view(np.uint64), X0.view(np.uint64))
@@ -373,12 +370,19 @@ def test_truncation_is_rare():
     assert rate <= 2.0 / params.size ** 2 + ci
 
 
-def test_row_sum_tail_check_fields():
-    params = DistParams(10, 20.0)
-    res = row_sum_tail_check(params, 2000, make_rng(48, 1))
-    assert res.rate <= res.bound + res.ci99
-    assert res.threshold == pytest.approx(3 * math.sqrt(params.size))
-    assert res.bound == pytest.approx(2 * math.exp(-1 / params.epsilon))
+@pytest.mark.parametrize("n,C", [(10, 20.0), (8, 1.0)])
+def test_row_sums_follow_the_chi_square_law(n, C):
+    # Y = HX is again N(0, eps) iid, H being orthonormal, so
+    # sum_i Yp_i / eps + N = sum_i Y_i^2 / eps ~ chi2_N exactly
+    from scipy.stats import chi2, kstest
+
+    params = DistParams(n, C)
+    rng = make_rng(51, n)
+    sums = np.concatenate([sample_gprime_rows(params, b, rng)[1].sum(axis=1)
+                           for _, b in blocks(20000, 2000)])
+    _, pvalue = kstest(sums / params.epsilon + params.size,
+                       chi2(params.size).cdf)
+    assert pvalue > 1e-3
 
 
 def test_hamming_balance_rate_reports_fail_fraction():
