@@ -14,12 +14,14 @@ with the thread count; the output bytes never depend on it.
 
 Each command's claims are written once, in a `_<command>_contract`
 function that returns (name, ok, detail) records; its margin, where it has
-one, is the keyword default `tol`, which --tol replaces.  --check turns a
-command into a self-test: the records go to stderr as CHECK lines and the
-process exits 1 on violation (2 remains the usage-error exit, 0 the
-success exit).  `check-all` holds fixed-size runs of the nine commands to
-the same contracts, and nothing else, and prints one `<command>-<name>`
-PASS/FAIL line per record.
+one, is the keyword default `tol`, which --tol replaces.  Each
+`cmd_<command>` writes its payload and returns its contract's records,
+none without --check.  --check turns a command into a self-test: main
+reports the records to stderr as CHECK lines and exits 1 on violation (2
+remains the usage-error exit, 0 the success exit).  `check-all` runs each
+command at the fixed flags of `_CHECK_RUNS`, with --check, at its own
+--seed and with the payload sent to os.devnull, and prints one
+`<label>-<name>` PASS/FAIL line per record.
 """
 
 from __future__ import annotations
@@ -142,32 +144,33 @@ class CheckReport:
         print(f"{self.prefix}{'PASS' if ok else 'FAIL'} {name}: {detail}",
               file=self.file)
 
-    def extend(self, command: str, records):
-        """Add a contract's records, each named `<command>-<name>`."""
+    def extend(self, label: str, records):
+        """Add a contract's records, each named `<label>-<name>`."""
         for name, ok, detail in records:
-            self.add(f"{command}-{name}", ok, detail)
+            self.add(f"{label}-{name}", ok, detail)
 
     @property
     def exit_code(self) -> int:
         return 1 if self.failed else 0
 
 
-def _check(args, contract, *values) -> int:
-    """With --check, hold `values` to `contract` (with --tol as its margin
-    when given) and report the records to stderr as CHECK lines; 1 if any
-    failed, else 0."""
+class _UsageError(Exception):
+    """A command's own usage error: main prints its one line and exits 2."""
+
+
+def _check(args, contract, *values) -> list:
+    """With --check, the records of `contract` on `values` (with --tol as
+    its margin when given); without, none."""
     if not args.check:
-        return 0
+        return []
     margin = {} if getattr(args, "tol", None) is None else {"tol": args.tol}
-    report = CheckReport("CHECK ", sys.stderr)
-    for name, ok, detail in contract(*values, **margin):
-        report.add(name, ok, detail)
-    return report.exit_code
+    return contract(*values, **margin)
 
 
 # ---------------------------------------------------------------- contracts
 #
-# One function per claim, shared by the command's --check and by check-all.
+# One function per command; its --check reports the records, and check-all
+# runs the commands.
 
 def _wht_contract(f, spec, *, tol=1e-12):
     """Parseval in floats (within tol) and in integers, and the transform
@@ -304,15 +307,14 @@ def _protocol_contract(transcript, config, device, claimed):
 
 # ---------------------------------------------------------------- commands
 
-def cmd_wht(args) -> int:
+def cmd_wht(args) -> list:
     rng = make_rng(args.seed, _TAG_WHT)
     if args.infile:
         with open(args.infile, "rb") as fh:
             f = boolfn.from_bfn1(fh.read())
     else:
         if args.n is None:
-            print("wht: need --n when no --in file is given", file=sys.stderr)
-            return 2
+            raise _UsageError("wht: need --n when no --in file is given")
         f = boolfn.random_function(args.n, rng)
     spec = boolfn.wht(f)
     parseval = float(np.dot(spec.coeffs, spec.coeffs))
@@ -330,7 +332,7 @@ def cmd_wht(args) -> int:
     return _check(args, _wht_contract, f, spec)
 
 
-def cmd_pgpb(args) -> int:
+def cmd_pgpb(args) -> list:
     device = devices.DeviceModel(args.sampler)
 
     def worker(i, count):
@@ -359,7 +361,7 @@ def cmd_pgpb(args) -> int:
     return _check(args, _pgpb_contract, args.n, args.sampler, est)
 
 
-def cmd_hog(args) -> int:
+def cmd_hog(args) -> list:
     rng = make_rng(args.seed, _TAG_HOG)
     f = boolfn.random_function(args.n, rng)
     spec = boolfn.wht(f)
@@ -377,7 +379,7 @@ def cmd_hog(args) -> int:
     return _check(args, _hog_contract, spec, samples, target)
 
 
-def cmd_sqforr(args) -> int:
+def cmd_sqforr(args) -> list:
     params = sqf.DistParams(args.n, args.c)
 
     def worker(i, count):
@@ -406,7 +408,7 @@ def cmd_sqforr(args) -> int:
     return _check(args, _sqforr_contract, exp)
 
 
-def cmd_rhog(args) -> int:
+def cmd_rhog(args) -> list:
     params = sqf.DistParams(args.n, args.c)
     device = devices.DeviceModel("uniform" if args.uniform_sampler else "honest")
 
@@ -433,14 +435,11 @@ def cmd_rhog(args) -> int:
                   args.uniform_pairs or args.uniform_sampler)
 
 
-def cmd_perturb(args) -> int:
+def cmd_perturb(args) -> list:
     if args.n % 2 != 0:
-        print("perturb: --n must be even (sqrt(N)/2 integral)",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("perturb: --n must be even (sqrt(N)/2 integral)")
     if args.z is not None and not 0 <= args.z < 1 << args.n:
-        print(f"perturb: --z must be in 0..{(1 << args.n) - 1}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"perturb: --z must be in 0..{(1 << args.n) - 1}")
     rng = make_rng(args.seed, _TAG_PERTURB)
     f = boolfn.random_function(args.n, rng)
     spec = boolfn.wht(f)
@@ -475,26 +474,21 @@ def cmd_perturb(args) -> int:
     return _check(args, _perturb_contract, spec, spec2, z, tv)
 
 
-def _replay_pairs(device, spec, budget, seeds, seed, key, run_a, run_b):
-    """`entropy.derandomize` on seed indices 0..seeds-1: seed j's key is
-    derive64(seed, *key, j) and its runs draw from make_rng(seed, *run_a, j)
-    and make_rng(seed, *run_b, j).  Returns the (seeds, 2) outputs."""
-    out = []
-    for start, count in blocks(seeds, entropy.seed_block(2, spec.size, budget)):
-        js = range(start, start + count)
-        out.append(entropy.derandomize(
-            device, spec, [derive64(seed, *key, j) for j in js], budget,
-            [[make_rng(seed, *run_a, j), make_rng(seed, *run_b, j)] for j in js]))
-    return np.concatenate(out)
-
-
-def cmd_derandomize(args) -> int:
+def cmd_derandomize(args) -> list:
     device = devices.parse_device(args.device)
     f = boolfn.random_function(args.n, make_rng(args.seed, _TAG_DERAND, 0))
     spec = boolfn.wht(f)
-    pairs = _replay_pairs(device, spec, args.budget, args.seeds, args.seed,
-                          (_TAG_DERAND, 1), (_TAG_DERAND, 2),
-                          (_TAG_DERAND, 3)).tolist()
+    # seed j's key is derive64(seed, _TAG_DERAND, 1, j), and its two runs
+    # draw from make_rng(seed, _TAG_DERAND, 2, j) and (..., 3, j)
+    pairs = []
+    for start, count in blocks(args.seeds,
+                               entropy.seed_block(2, spec.size, args.budget)):
+        js = range(start, start + count)
+        pairs += entropy.derandomize(
+            device, spec, [derive64(args.seed, _TAG_DERAND, 1, j) for j in js],
+            args.budget, [[make_rng(args.seed, _TAG_DERAND, 2, j),
+                           make_rng(args.seed, _TAG_DERAND, 3, j)]
+                          for j in js]).tolist()
     agree = sum(a == b for a, b in pairs)
     frac = agree / args.seeds
     results = {
@@ -511,7 +505,7 @@ def cmd_derandomize(args) -> int:
     return _check(args, _derandomize_contract, frac)
 
 
-def cmd_llqsv(args) -> int:
+def cmd_llqsv(args) -> list:
     rng = make_rng(args.seed, _TAG_LLQSV)
     inst = llqsv.llqsv_instance(args.n, args.t, args.case, rng)
     blob = llqsv.to_llq1(inst)
@@ -607,15 +601,13 @@ def _challenges_json(transcript):
     keys, samples = transcript.challenge_keys, transcript.samples
     T = samples.size
     M = np.repeat(template[None, :], min(T, _CHUNK), axis=0)
-    keep = np.empty(M.shape, dtype=bool)
     yield "[\n"
     for start, count in blocks(T, _CHUNK):
         stop = start + count
         M[:count, key_at] = _digits(keys[start:stop], _KEY_DIGITS)
         M[:count, p_at] = p_table[index[start:stop]]
         M[:count, s_at] = _digits(samples[start:stop], s_digits)
-        np.not_equal(M[:count], 0, out=keep[:count])
-        chunk = M[:count][keep[:count]].tobytes().decode("ascii")
+        chunk = M[:count].tobytes().translate(None, b"\0").decode("ascii")
         yield chunk if stop < T else chunk[:-2]  # no ",\n" after the last row
     yield "\n    ]"
 
@@ -631,7 +623,7 @@ def _write_transcript(out, payload: dict, transcript) -> None:
                                      parts[1:]))
 
 
-def cmd_protocol(args) -> int:
+def cmd_protocol(args) -> list:
     device = devices.parse_device(args.device)
     config = protocol.ProtocolConfig(
         n=args.n, T=args.t, b=args.b, eps_hog=args.eps,
@@ -649,63 +641,38 @@ def cmd_protocol(args) -> int:
 
 # ---------------------------------------------------------------- check-all
 
-def _battery(seed: int, report: CheckReport) -> None:
-    """Hold a fixed-size run of each command, at its own stream tag, to
-    the command's contract."""
-    f = boolfn.random_function(10, make_rng(seed, 100))
-    report.extend("wht", _wht_contract(f, boolfn.wht(f)))
-
-    est = fouriersample.estimate_pg_pb(
-        10, devices.honest(), 20000, make_rng(seed, 101))
-    report.extend("pgpb", _pgpb_contract(10, "honest", est))
-    estu = fouriersample.estimate_pg_pb(
-        10, devices.uniform_cheat(), 10000, make_rng(seed, 102))
-    report.extend("pgpb", _pgpb_contract(10, "uniform", estu))
-    g = make_rng(seed, 103)
-    spec8 = boolfn.wht(boolfn.random_function(8, g))
-    samples = devices.honest().sample_many(spec8, 20000, g)
-    report.extend("hog", _hog_contract(spec8, samples,
-                                       boolfn.fourth_moment(spec8)))
-
-    params = sqf.DistParams(8, 1.0)
-    report.extend("sqforr", _sqforr_contract(sqf.mean_phi_experiment(
-        params, 20000, "conditional", make_rng(seed, 104))))
-    report.extend("sqforr", _sqforr_contract(sqf.mean_phi_experiment(
-        params, 20000, "plain", make_rng(seed, 105), uniform_pairs=True)))
-    report.extend("rhog", _rhog_contract(rejection.rhog_score(
-        params, devices.honest(), 20000, make_rng(seed, 108)), False))
-    report.extend("rhog", _rhog_contract(rejection.rhog_score(
-        params, devices.uniform_cheat(), 10000, make_rng(seed, 109)), True))
-
-    f6 = boolfn.random_function(6, make_rng(seed, 110))
-    spec6 = boolfn.wht(f6)
-    z6 = devices.argmax_index(spec6)
-    spec6p = boolfn.wht(entropy.perturb_make_light(f6, z6, make_rng(seed, 111)))
-    report.extend("perturb", _perturb_contract(
-        spec6, spec6p, z6, fouriersample.tv_distance(spec6, spec6p)))
-    dev = devices.biased(0.98)
-    spec4 = boolfn.wht(boolfn.random_function(4, make_rng(seed, 113)))
-    out = _replay_pairs(dev, spec4, 5000, 40, seed, (114,), (115,), (116,))
-    agree = int(np.count_nonzero(out[:, 0] == out[:, 1]))
-    report.extend("derandomize", _derandomize_contract(agree / 40))
-
-    inst = llqsv.llqsv_instance(6, 2000, "fourier", make_rng(seed, 117))
-    report.extend("llqsv", _llqsv_contract(inst, llqsv.to_llq1(inst),
-                                           "fourier", _marginal_stat(inst)))
-
-    cfgp = protocol.ProtocolConfig(n=6, T=4096, b=1.5, eps_hog=0.5,
-                                   seed=seed)
-    arms = [(devices.honest(), "argmax"), (devices.uniform_cheat(), "argmax"),
-            (devices.argmax_deterministic(), "argmax")]
-    transcripts = protocol.run_protocol_arms(cfgp, arms)
-    for (device, claimed), tr in zip(arms, transcripts):
-        report.extend(f"protocol-{device.label}",
-                      _protocol_contract(tr, cfgp, device, claimed))
+# check-all's runs, as (label, command line); each is run with --check at
+# check-all's --seed, its payload sent to os.devnull
+_CHECK_RUNS = [
+    ("wht", "wht --n 10"),
+    ("pgpb", "pgpb --n 10 --trials 20000"),
+    ("pgpb", "pgpb --n 10 --trials 10000 --sampler uniform"),
+    ("hog", "hog --n 8 --samples 20000"),
+    ("sqforr", "sqforr --n 8 --c 1 --trials 20000 --estimator conditional"),
+    ("sqforr", "sqforr --n 8 --c 1 --trials 20000 --estimator plain "
+               "--uniform-pairs"),
+    ("rhog", "rhog --n 8 --c 1 --trials 20000"),
+    ("rhog", "rhog --n 8 --c 1 --trials 10000 --uniform-sampler"),
+    ("perturb", "perturb --n 6"),
+    ("derandomize", "derandomize --device biased:0.98 --n 4 --budget 5000 "
+                    "--seeds 40"),
+    ("llqsv", "llqsv --n 6 --t 2000 --case fourier"),
+    ("protocol-honest", "protocol --n 6 --t 4096 --b 1.5 --eps 0.5 "
+                        "--claimed-q argmax --device honest"),
+    ("protocol-uniform", "protocol --n 6 --t 4096 --b 1.5 --eps 0.5 "
+                         "--claimed-q argmax --device uniform"),
+    ("protocol-argmax", "protocol --n 6 --t 4096 --b 1.5 --eps 0.5 "
+                        "--claimed-q argmax --device argmax"),
+]
 
 
 def cmd_check_all(args) -> int:
     report = CheckReport()
-    _battery(args.seed, report)
+    parser = build_parser()
+    for label, line in _CHECK_RUNS:
+        run = parser.parse_args(line.split() + [
+            "--seed", str(args.seed), "--out", os.devnull, "--check"])
+        report.extend(label, run.func(run))
     summary = f"{len(report.lines) - report.failed}/{len(report.lines)} checks passed"
     print(summary)
     if args.out:
@@ -878,10 +845,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, tol=False)
     p.set_defaults(func=cmd_protocol)
 
-    p = sub.add_parser("check-all", help="fast cross-module battery")
+    p = sub.add_parser("check-all",
+                       help="run every command at fixed flags with --check")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=_SEED, default=0)
-    p.set_defaults(func=cmd_check_all)
 
     return ap
 
@@ -889,13 +856,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "check-all":
+            return cmd_check_all(args)
+        records = args.func(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"certlab: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"certlab: out of memory: {exc}", file=sys.stderr)
         return 1
+    report = CheckReport("CHECK ", sys.stderr)
+    for record in records:
+        report.add(*record)
+    return report.exit_code
 
 
 if __name__ == "__main__":

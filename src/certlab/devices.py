@@ -6,7 +6,7 @@ Four kinds, all answering one challenge function with one index:
 * uniform           -- ignores the function, uniform z (a blind cheat);
 * argmax            -- deterministic, always the lexicographically-first
                        index of the largest |fhat| (max collision cheat);
-* biased(p)         -- argmax with probability p, honest sample otherwise.
+* biased:<p>        -- argmax with probability p, honest sample otherwise.
 
 Each kind's output law has a closed form in the integer spectrum, so
 min_entropy_rows is exact rather than estimated.
@@ -220,22 +220,6 @@ def _kept_tallies(spec: FourierSpectrum, count: int, u) -> np.ndarray:
     return counts
 
 
-def honest() -> DeviceModel:
-    return DeviceModel("honest")
-
-
-def uniform_cheat() -> DeviceModel:
-    return DeviceModel("uniform")
-
-
-def argmax_deterministic() -> DeviceModel:
-    return DeviceModel("argmax")
-
-
-def biased(p: float) -> DeviceModel:
-    return DeviceModel("biased", p)
-
-
 def parse_device(text: str) -> DeviceModel:
     """Parse 'honest' | 'uniform' | 'argmax' | 'biased:<p>'."""
     if text.startswith("biased:"):
@@ -243,7 +227,7 @@ def parse_device(text: str) -> DeviceModel:
             p = float(text[len("biased:"):])
         except ValueError:
             raise ValueError(f"unknown device spec {text!r}") from None
-        return biased(p)
+        return DeviceModel("biased", p)
     if text in ("honest", "uniform", "argmax"):
         return DeviceModel(text)
     raise ValueError(f"unknown device spec {text!r}")

@@ -244,13 +244,6 @@ def pgpb_from_counts(n_light: int, n_light4: int, functions: int) -> PgPbEstimat
     return PgPbEstimate(p_b, p_light4, p_light4 - p_b, functions, ci)
 
 
-def estimate_pg_pb(n: int, device, functions: int,
-                   rng: np.random.Generator) -> PgPbEstimate:
-    """Heaviness statistics of the `DeviceModel` over fresh random functions."""
-    n_light, n_light4 = pgpb_counts(n, device, functions, rng)
-    return pgpb_from_counts(n_light, n_light4, functions)
-
-
 _GAUSSIAN_REFERENCE = (0.1987480430987992, 0.7385358700508894,
                        0.7385358700508894 - 0.1987480430987992)
 

@@ -30,7 +30,7 @@ import numpy as np
 from .boolfn import BooleanFunction, wht_rows
 from .devices import DeviceModel, argmax_rows
 from .fouriersample import _NARROW
-from .rng import GOLDEN, MASK64, blocks, derive64, make_rng, mix64_array
+from .rng import GOLDEN, blocks, derive64, make_rng, mix64_array
 
 _TAG_CHALLENGES = 1
 _TAG_DEVICE = 2

@@ -99,17 +99,3 @@ def rhog_from_values(params: DistParams, vals: np.ndarray) -> RhogResult:
         target=1.0 + eps * eps / 8.0,
         trials=int(np.asarray(vals).size),
     )
-
-
-def rhog_score(
-    params: DistParams,
-    device,
-    trials: int,
-    rng: np.random.Generator,
-    uniform_pairs: bool = False,
-) -> RhogResult:
-    """Mean N-scaled placement probability over trials; see rhog_values."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    vals = rhog_values(params, device, trials, rng, uniform_pairs)
-    return rhog_from_values(params, vals)

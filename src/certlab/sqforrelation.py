@@ -256,17 +256,3 @@ def phi_experiment_from_values(
         gprime_prediction=eps * eps * (2.0 - 2.0 / size),
         uniform_pairs=uniform_pairs,
     )
-
-
-def mean_phi_experiment(
-    params: DistParams,
-    trials: int,
-    estimator: str,
-    rng: np.random.Generator,
-    uniform_pairs: bool = False,
-) -> PhiExperiment:
-    """Estimate E[phi] over `trials` fresh draws; see phi_values."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    vals = phi_values(params, trials, estimator, rng, uniform_pairs)
-    return phi_experiment_from_values(params, vals, estimator, uniform_pairs)

@@ -27,14 +27,14 @@ from certlab.boolfn import (
     wht,
     wht_rows,
 )
-from certlab.devices import argmax_deterministic, biased, honest, uniform_cheat
+from certlab.devices import DeviceModel
 from certlab.entropy import derandomize, perturb_make_light
-from certlab.fouriersample import estimate_pg_pb, gaussian_reference
+from certlab.fouriersample import gaussian_reference, pgpb_counts, pgpb_from_counts
 from certlab.llqsv import llqsv_instance
 from certlab.protocol import ProtocolConfig, Verdict, run_protocol_arms
-from certlab.rejection import rhog_score
+from certlab.rejection import rhog_from_values, rhog_values
 from certlab.rng import derive64, make_rng
-from certlab.sqforrelation import DistParams, mean_phi_experiment
+from certlab.sqforrelation import DistParams, phi_experiment_from_values, phi_values
 from certlab.stats import mean_ci99
 from adversaries import advantage, s_only_parity
 from exact_laws import balance_tail, band_rates, classify_scaled, degree_ratio
@@ -44,7 +44,8 @@ SEED = 20260823  # master seed for the whole gate; everything derives from it
 
 
 def test_01_band_rates_at_n12_match_reference(criterion):
-    est = estimate_pg_pb(12, honest(), 100000, make_rng(SEED, 1))
+    est = pgpb_from_counts(*pgpb_counts(12, DeviceModel("honest"), 100000,
+                                        make_rng(SEED, 1)), 100000)
     exact_b, exact_l4, exact_g = (float(p) for p in band_rates(12))
     ref_b, ref_l4, ref_g = gaussian_reference()
     in_windows = (
@@ -75,10 +76,11 @@ def test_01_band_rates_at_n12_match_reference(criterion):
 def test_02_correlated_pairs_lift_phi(criterion):
     params = DistParams(8, 1.0)
     eps2 = params.epsilon ** 2
-    null = mean_phi_experiment(params, 100000, "plain", make_rng(SEED, 2),
-                               uniform_pairs=True)
-    exp = mean_phi_experiment(params, 100000, "conditional",
-                              make_rng(SEED, 3))
+    null = phi_experiment_from_values(params, phi_values(
+        params, 100000, "plain", make_rng(SEED, 2), uniform_pairs=True),
+        "plain", uniform_pairs=True)
+    exp = phi_experiment_from_values(params, phi_values(
+        params, 100000, "conditional", make_rng(SEED, 3)), "conditional")
     pred = exp.gprime_prediction
     ok = criterion(
         "2 phi signal at n=8, C=1 (1e5 trials)",
@@ -123,9 +125,11 @@ def test_03_truncation_and_balance_concentration(criterion):
 
 def test_04_rejection_score_beats_target(criterion):
     params = DistParams(8, 1.0)
-    res = rhog_score(params, honest(), 100000, make_rng(SEED, 6))
-    ctrl = rhog_score(params, honest(), 100000, make_rng(SEED, 7),
-                      uniform_pairs=True)
+    res = rhog_from_values(params, rhog_values(
+        params, DeviceModel("honest"), 100000, make_rng(SEED, 6)))
+    ctrl = rhog_from_values(params, rhog_values(
+        params, DeviceModel("honest"), 100000, make_rng(SEED, 7),
+        uniform_pairs=True))
     ok = criterion(
         "4 rejection-score lift at n=8, C=1 (1e5 trials)",
         res.n_times_mean >= res.target
@@ -223,7 +227,7 @@ def test_08_derandomizer_contracts(criterion):
     from scipy.stats import chisquare
 
     # marginal equality over fresh seeds, honest device at n=4
-    dev = honest()
+    dev = DeviceModel("honest")
     rows = random_functions_batch(4, 1, make_rng(SEED, 10))
     spec = wht(BooleanFunction(4, rows[0]))
     spec_scaled = wht_rows(rows.astype(np.int64))[0]
@@ -237,7 +241,7 @@ def test_08_derandomizer_contracts(criterion):
     _, pvalue = chisquare(counts[support], 2000 * probs[support])
 
     # fixed-seed constancy for a near-deterministic device
-    dev98 = biased(0.98)
+    dev98 = DeviceModel("biased", 0.98)
     constant_seeds = 0
     for j in range(100):
         outs = derandomize(dev98, spec, [derive64(SEED, 13, j)], 10000,
@@ -299,9 +303,9 @@ def test_10_protocol_separates_devices(criterion):
         cfg = ProtocolConfig(n=6, T=T, b=1.5, eps_hog=0.5,
                              seed=derive64(SEED, 19, i))
         tr_h, tr_u, tr_a = run_protocol_arms(cfg, [
-            (honest(), None),
-            (uniform_cheat(), "argmax"),
-            (argmax_deterministic(), "argmax"),
+            (DeviceModel("honest"), None),
+            (DeviceModel("uniform"), "argmax"),
+            (DeviceModel("argmax"), "argmax"),
         ])
         if tr_h.score_pass:
             honest_pass += 1

@@ -5,9 +5,7 @@ All invocations go through cli.main in-process; exit code 0 is success,
 argparse usage error (unknown flag, out-of-range count or n).
 """
 
-import ast
 import concurrent.futures
-import inspect
 import json
 import os
 import subprocess
@@ -456,10 +454,29 @@ def test_check_all_battery_passes(tmp_path, capsys):
     assert sorted({owner[0] for owner in owners}) == commands
 
 
-def test_battery_adds_no_check_of_its_own():
-    # check-all holds runs to the command contracts and nothing else: a
-    # check of its own would be a unit test, which belongs in tests/
-    tree = ast.parse(inspect.getsource(cli._battery))
-    assert not [node for node in ast.walk(tree)
-                if isinstance(node, ast.Call)
-                and getattr(node.func, "attr", None) == "add"]
+def test_check_all_runs_only_the_commands():
+    # check-all's table holds command lines and nothing else: a check of
+    # its own would be a unit test, which belongs in tests/
+    commands = {name[1:-len("_contract")] for name in vars(cli)
+                if name.startswith("_") and name.endswith("_contract")}
+    assert len(commands) == 9
+    for label, line in cli._CHECK_RUNS:
+        assert line.split()[0] in commands
+        assert label.split("-")[0] == line.split()[0]
+
+
+def test_check_all_prints_each_commands_check_lines(capsys):
+    # at seed 0, check-all's lines are, in order, each table run's own
+    # --check lines, "CHECK PASS name" read as "PASS <label>-name"
+    assert run("check-all", "--seed", "0") == 0
+    lines = capsys.readouterr().out.splitlines()
+    want = []
+    for label, line in cli._CHECK_RUNS:
+        assert run(*line.split(), "--seed", "0", "--check",
+                   "--out", os.devnull) == 0
+        for check in capsys.readouterr().err.splitlines():
+            if check.startswith("CHECK "):
+                status, rest = check[len("CHECK "):].split(" ", 1)
+                want.append(f"{status} {label}-{rest}")
+    assert len(want) == 25
+    assert lines == want + ["25/25 checks passed"]

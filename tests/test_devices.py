@@ -12,11 +12,7 @@ from certlab.devices import (
     DeviceModel,
     argmax_index,
     argmax_rows,
-    biased,
-    honest,
     parse_device,
-    uniform_cheat,
-    argmax_deterministic,
 )
 from certlab.fouriersample import fourier_rows, fourier_sample_many
 from certlab.rng import make_rng
@@ -49,17 +45,17 @@ def test_kind_list_is_fixed():
 
 
 def test_honest_distribution_is_squared_spectrum(spec4):
-    d = exact_law(honest(), spec4)
+    d = exact_law(DeviceModel("honest"), spec4)
     assert np.allclose(d, spec4.coeffs ** 2)
 
 
 def test_uniform_distribution_is_flat(spec4):
-    d = exact_law(uniform_cheat(), spec4)
+    d = exact_law(DeviceModel("uniform"), spec4)
     assert np.allclose(d, 1 / 16)
 
 
 def test_argmax_distribution_is_point_mass(spec4):
-    d = exact_law(argmax_deterministic(), spec4)
+    d = exact_law(DeviceModel("argmax"), spec4)
     z = argmax_index(spec4)
     assert d[z] == 1.0
     assert float(d.sum()) == 1.0
@@ -68,7 +64,7 @@ def test_argmax_distribution_is_point_mass(spec4):
 
 def test_biased_distribution_is_the_stated_mixture(spec4):
     p = 0.7
-    d = exact_law(biased(p), spec4)
+    d = exact_law(DeviceModel("biased", p), spec4)
     z = argmax_index(spec4)
     expected = (1 - p) * spec4.coeffs ** 2
     expected[z] += p
@@ -77,9 +73,9 @@ def test_biased_distribution_is_the_stated_mixture(spec4):
 
 def test_biased_probability_validated():
     with pytest.raises(ValueError):
-        biased(1.5)
+        DeviceModel("biased", 1.5)
     with pytest.raises(ValueError):
-        biased(-0.1)
+        DeviceModel("biased", -0.1)
 
 
 def test_argmax_index_takes_first_of_ties():
@@ -116,14 +112,14 @@ def test_argmax_and_row_max_match_squared_oracle(n, dtype):
         got = argmax_rows(r)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, peak)
-        for dev, law in ((honest(), pmax),
-                         (biased(0.3), 0.3 + (1.0 - 0.3) * pmax)):
+        for dev, law in ((DeviceModel("honest"), pmax),
+                         (DeviceModel("biased", 0.3), 0.3 + (1.0 - 0.3) * pmax)):
             want = -np.log2(law)
             np.testing.assert_array_equal(dev.min_entropy_rows(r, got), want)
 
 
 def test_sampling_follows_distribution(spec4):
-    dev = biased(0.5)
+    dev = DeviceModel("biased", 0.5)
     d = exact_law(dev, spec4)
     rng = make_rng(70, 1)
     draws = dev.sample_many(spec4, 20000, rng)
@@ -137,7 +133,7 @@ def test_sampling_follows_distribution(spec4):
 
 
 def test_sample_determinism(spec4):
-    dev = honest()
+    dev = DeviceModel("honest")
     a = dev.sample_many(spec4, 50, make_rng(70, 2))
     b = dev.sample_many(spec4, 50, make_rng(70, 2))
     assert np.array_equal(a, b)
@@ -146,12 +142,12 @@ def test_sample_determinism(spec4):
 def test_sample_rows_answers_each_challenge():
     rows = random_functions_batch(5, 64, make_rng(71, 0))
     scaled = wht_rows(rows.astype(np.int64))
-    for dev in (honest(), uniform_cheat(), argmax_deterministic(),
-                biased(0.9)):
+    for dev in (DeviceModel("honest"), DeviceModel("uniform"), DeviceModel("argmax"),
+                DeviceModel("biased", 0.9)):
         ans = dev.sample_rows(scaled, make_rng(71, 1))
         assert ans.shape == (64,)
         assert np.all((0 <= ans) & (ans < 32))
-    fixed = argmax_deterministic().sample_rows(scaled, make_rng(71, 2))
+    fixed = DeviceModel("argmax").sample_rows(scaled, make_rng(71, 2))
     assert np.array_equal(fixed, argmax_rows(scaled))
 
 
@@ -209,9 +205,9 @@ def answer_tables_reference(dev, tables, rng):
     return z, scaled[np.arange(len(z)), z]
 
 
-@pytest.mark.parametrize("dev", [honest(), uniform_cheat(),
-                                 argmax_deterministic(), biased(0.5),
-                                 biased(0.98)],
+@pytest.mark.parametrize("dev", [DeviceModel("honest"), DeviceModel("uniform"),
+                                 DeviceModel("argmax"), DeviceModel("biased", 0.5),
+                                 DeviceModel("biased", 0.98)],
                          ids=lambda dev: dev.label)
 @pytest.mark.parametrize("n", range(1, 13))
 def test_answer_tables_matches_transform_then_sample(dev, n):
@@ -236,7 +232,7 @@ def test_answer_tables_peak_is_a_few_inputs(n, count, ratio):
     rng = make_rng(77, n, 1)
     tracemalloc.start()
     try:
-        honest().answer_tables(tables, rng)
+        DeviceModel("honest").answer_tables(tables, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -270,7 +266,7 @@ def test_biased_sample_many_matches_draw_all_reference(p, n):
     spec = wht(random_function(n, make_rng(72, n)))
     for count in COUNTS:
         got_rng, ref_rng = make_rng(72, n, count), make_rng(72, n, count)
-        got = biased(p).sample_many(spec, count, got_rng)
+        got = DeviceModel("biased", p).sample_many(spec, count, got_rng)
         ref = draw_all_then_overwrite_many(p, spec, count, ref_rng)
         assert got.dtype == ref.dtype == np.int64
         assert np.array_equal(got, ref)
@@ -286,7 +282,7 @@ def test_biased_sample_rows_matches_draw_all_reference(p, n):
         signs = random_functions_batch(n, rows, make_rng(73, n, rows))
         scaled = wht_rows(signs.astype(np.int64))
         got_rng, ref_rng = make_rng(73, n, rows, 1), make_rng(73, n, rows, 1)
-        got = biased(p).sample_rows(scaled, got_rng)
+        got = DeviceModel("biased", p).sample_rows(scaled, got_rng)
         ref = draw_all_then_overwrite_rows(p, scaled, ref_rng)
         assert got.dtype == ref.dtype == np.int64
         assert np.array_equal(got, ref)
@@ -327,7 +323,7 @@ def test_biased_sample_counts_match_draw_all_reference(p, n):
     spec = wht(random_function(n, make_rng(75, n)))
     for count in COUNTS:
         assert_counts_match(
-            biased(p), spec, count,
+            DeviceModel("biased", p), spec, count,
             lambda s, c, g: draw_all_then_overwrite_many(p, s, c, g),
             (75, n, count))
 
@@ -343,9 +339,10 @@ def test_coin_bounds_hold_and_answer_finishes_the_eager_draw(p, n):
     for count in COUNTS:
         tags = [(77, n, count, j) for j in range(6)]
         got, ref = [make_rng(*t) for t in tags], [make_rng(*t) for t in tags]
-        lo, hi, answer = biased(p).count_bounds(spec, count, got)
-        want = np.array([np.bincount(biased(p).sample_many(spec, count, g),
-                                     minlength=spec.size) for g in ref])
+        lo, hi, answer = DeviceModel("biased", p).count_bounds(spec, count, got)
+        want = np.array([np.bincount(
+            DeviceModel("biased", p).sample_many(spec, count, g),
+            minlength=spec.size) for g in ref])
         assert lo.shape == hi.shape == want.shape == (6, spec.size)
         assert np.all(lo <= want) and np.all(want <= hi)
         need = np.arange(6) % 2 == 0
@@ -379,10 +376,11 @@ def test_biased_coin_test_on_raw_words_holds_at_ties(p):
     coins = np.array([min(max(c, 0), 2**64 - 1) for c in coins], dtype=np.uint64)
     words = np.concatenate([coins, make_rng(78, 0).bit_generator.random_raw(6)])
     spec = wht(random_function(4, make_rng(78, 1)))
-    got = biased(p).sample_many(spec, 6, WordStream(words))
+    got = DeviceModel("biased", p).sample_many(spec, 6, WordStream(words))
     want = draw_all_then_overwrite_many(p, spec, 6, WordStream(words))
     np.testing.assert_array_equal(got, want)
-    lo, hi, answer = biased(p).count_bounds(spec, 6, [WordStream(words)])
+    lo, hi, answer = DeviceModel("biased", p).count_bounds(
+        spec, 6, [WordStream(words)])
     counts = np.bincount(want, minlength=16)
     assert np.all(lo[0] <= counts) and np.all(counts <= hi[0])
     np.testing.assert_array_equal(answer(np.array([True]))[0], counts)
@@ -405,16 +403,16 @@ def test_sample_counts_match_many_references(kind, n):
 
 def test_min_entropy_rows_matches_distribution(spec4):
     rows = spec4.scaled[None, :].astype(np.int64)
-    for dev in (honest(), uniform_cheat(), argmax_deterministic(),
-                biased(0.3)):
+    for dev in (DeviceModel("honest"), DeviceModel("uniform"), DeviceModel("argmax"),
+                DeviceModel("biased", 0.3)):
         h_row = float(dev.min_entropy_rows(rows, np.argmax(rows * rows, axis=1))[0])
         h_ref = min_entropy(exact_law(dev, spec4))
         assert h_row == pytest.approx(h_ref, abs=1e-12)
 
 
 def test_labels_and_parsing():
-    assert honest().label == "honest"
-    assert biased(0.25).label == "biased:0.25"
+    assert DeviceModel("honest").label == "honest"
+    assert DeviceModel("biased", 0.25).label == "biased:0.25"
     assert parse_device("uniform").kind == "uniform"
     assert parse_device("argmax").kind == "argmax"
     dev = parse_device("biased:0.75")

@@ -15,7 +15,7 @@ import pytest
 
 from certlab import entropy
 from certlab.boolfn import character_values, random_function, wht
-from certlab.devices import argmax_index, biased, honest, parse_device, uniform_cheat
+from certlab.devices import DeviceModel, argmax_index, parse_device
 from certlab.entropy import (
     BudgetZero,
     EmptyDistribution,
@@ -292,7 +292,7 @@ def test_degree_ratio_rejects_odd_root():
 # ---------------------------------------------------------------- derandomizer
 
 def test_derandomize_same_seed_same_output():
-    device = biased(0.98)
+    device = DeviceModel("biased", 0.98)
     spec = wht(random_function(4, make_rng(63, 0)))
     a, b = derandomize(device, spec, [derive64(63, 1)], 5000,
                        [[make_rng(63, 2), make_rng(63, 3)]])[0]
@@ -301,7 +301,8 @@ def test_derandomize_same_seed_same_output():
 
 def test_derandomize_budget_must_be_positive():
     with pytest.raises(BudgetZero):
-        derandomize(honest(), wht(random_function(4, make_rng(63, 4))),
+        derandomize(DeviceModel("honest"),
+                    wht(random_function(4, make_rng(63, 4))),
                     [1], 0, [[make_rng(63, 5)]])
 
 
@@ -359,13 +360,14 @@ def test_fully_biased_device_derandomizes_to_its_argmax():
     z = argmax_index(spec)
     rng = make_rng(65, 1)
     for j in range(300):
-        out = derandomize(biased(1.0), spec, [derive64(65, 2, j)], 100, [[rng]])
+        out = derandomize(DeviceModel("biased", 1.0), spec,
+                          [derive64(65, 2, j)], 100, [[rng]])
         assert out[0, 0] == z
 
 
 def test_derandomize_marginal_tracks_device():
     # over random seeds the replayed output has the device's distribution
-    device = uniform_cheat()
+    device = DeviceModel("uniform")
     spec = wht(random_function(3, make_rng(64, 0)))
     rng = make_rng(64, 1)
     counts = np.zeros(8)

@@ -19,6 +19,7 @@ exact tie.
 """
 
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -42,7 +43,6 @@ from certlab.fouriersample import (
     DimensionMismatch,
     EmptySamples,
     PgPbEstimate,
-    estimate_pg_pb,
     exact_band_rates,
     fourier_rows,
     fourier_sample_many,
@@ -53,9 +53,9 @@ from certlab.fouriersample import (
     pgpb_from_counts,
     tv_distance,
 )
-from certlab import fouriersample
-from certlab.devices import honest, uniform_cheat
-from certlab.rng import make_rng
+from certlab import cli, fouriersample
+from certlab.devices import DeviceModel
+from certlab.rng import blocks, make_rng
 from exact_laws import band_rates, gaussian_limits, uniform_band_rates
 
 # chi-square identities for the band masses of a standard normal weighted
@@ -627,17 +627,27 @@ def test_uniform_hog_approaches_one_over_n():
 
 # ---------------------------------------------------------------- band rates
 
-def test_estimate_matches_chunked_counts():
-    n_light, n_light4 = pgpb_counts(8, honest(), 500, make_rng(27, 0))
-    est = pgpb_from_counts(n_light, n_light4, 500)
-    whole = estimate_pg_pb(8, honest(), 500, make_rng(27, 0))
-    assert est.p_b == whole.p_b
-    assert est.p_light4 == whole.p_light4
-    assert est.p_g == whole.p_g
+def test_estimate_matches_chunked_counts(tmp_path):
+    # the pgpb command's estimate is pgpb_from_counts of the summed counts
+    # of its chunks, chunk i drawing from make_rng(seed, _TAG_PGPB, i)
+    trials = cli._CHUNK + 500
+    out = tmp_path / "pgpb.json"
+    assert cli.main(["pgpb", "--n", "8", "--trials", str(trials), "--seed", "27",
+                     "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["results"]
+    counts = [pgpb_counts(8, DeviceModel("honest"), count,
+                          make_rng(27, cli._TAG_PGPB, i))
+              for i, (_, count) in enumerate(blocks(trials, cli._CHUNK))]
+    est = pgpb_from_counts(sum(c[0] for c in counts),
+                           sum(c[1] for c in counts), trials)
+    assert len(counts) == 2
+    assert (got["p_b"], got["p_light4"], got["p_g"]) == (est.p_b, est.p_light4,
+                                                         est.p_g)
 
 
 def test_estimate_invariants():
-    est = estimate_pg_pb(8, honest(), 2000, make_rng(27, 1))
+    est = pgpb_from_counts(*pgpb_counts(8, DeviceModel("honest"), 2000,
+                                        make_rng(27, 1)), 2000)
     assert 0.0 <= est.p_b <= est.p_light4 <= 1.0
     assert est.p_g == pytest.approx(est.p_light4 - est.p_b)
     assert est.trials == 2000
@@ -653,7 +663,8 @@ def test_honest_rates_near_gaussian_reference():
     # n=10, 20000 trials: the exact n=10 law sits 0.015 (p_b) and 0.014
     # (p_light4) above the Gaussian limit and the ci99 is ~0.008, so 0.03
     # covers both; gate 1 holds the n=12 rates to the exact law itself
-    est = estimate_pg_pb(10, honest(), 20000, make_rng(28, 0))
+    est = pgpb_from_counts(*pgpb_counts(10, DeviceModel("honest"), 20000,
+                                        make_rng(28, 0)), 20000)
     assert est.p_b == pytest.approx(P_B_REF, abs=0.03)
     assert est.p_light4 == pytest.approx(P_LIGHT4_REF, abs=0.03)
     assert est.p_g == pytest.approx(P_G_REF, abs=0.03)
@@ -662,15 +673,16 @@ def test_honest_rates_near_gaussian_reference():
 def test_uniform_sampler_rates_follow_plain_normal_band():
     # a uniform z makes N * fhat(z)^2 approximately chi-square(1), so the
     # light band carries erf(1/sqrt(2)) of the mass
-    est = estimate_pg_pb(10, uniform_cheat(), 10000, make_rng(28, 1))
+    est = pgpb_from_counts(*pgpb_counts(10, DeviceModel("uniform"), 10000,
+                                        make_rng(28, 1)), 10000)
     assert est.p_b == pytest.approx(math.erf(1 / math.sqrt(2)), abs=0.03)
 
 
 def test_sampler_objects_sample_in_range():
     f = random_function(5, make_rng(29, 0))
     rows = wht(f).scaled[None, :]
-    z_h = honest().sample_rows(rows, make_rng(29, 1))
-    z_u = uniform_cheat().sample_rows(rows, make_rng(29, 2))
+    z_h = DeviceModel("honest").sample_rows(rows, make_rng(29, 1))
+    z_u = DeviceModel("uniform").sample_rows(rows, make_rng(29, 2))
     assert z_h.shape == z_u.shape == (1,)
     assert 0 <= z_h[0] < f.size and 0 <= z_u[0] < f.size
 

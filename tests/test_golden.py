@@ -126,12 +126,13 @@ DIGESTS = {
         "8844b3cf1febdf795c2dc8a549fc83121deb7bdf8f312fc8f31550156188b90e",
     "llqsv-uniform":
         "129196e7c1577cf2879069f43e8556ea827d515b7f365375dc16f3d0d36484eb",
-    # re-pinned when check-all came to run the nine command contracts and
-    # nothing else: its 25 `<command>-<record>` lines are the earlier ones,
-    # same text and order, without the 12 unit checks of its own it used
-    # to add (each is now a test in tests/)
+    # re-pinned when check-all came to run the nine commands themselves, at
+    # fixed flags with --check, in place of its own copies of their code
+    # on streams of its own: the 25 `<label>-<record>` names keep their
+    # order, and the numbers of the non-protocol lines are now those the
+    # commands print (the six protocol lines are unchanged)
     "check-all":
-        "216da6c02a170a26ac80eaa1b0a9c248a5568a41b97169be464d9129cb27bf33",
+        "fca85d9e4e6e61bf25bb31a3f96dd77c7f056f0177f534ea8427aa549cbdf397",
     "protocol-n1-t1-honest":
         "8468365759daad38a65099a6494d75d7a156e5032ad1b9454b64b595a0f16d51",
     "protocol-n1-t4097-honest-argmax":

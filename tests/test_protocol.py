@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certlab.boolfn import wht, wht_rows
-from certlab.devices import argmax_deterministic, biased, honest, uniform_cheat
+from certlab.devices import DeviceModel
 from certlab.protocol import (
     EXTRACTOR_MARGIN_BITS,
     LengthMismatch,
@@ -57,7 +57,7 @@ def small_config(**kw) -> ProtocolConfig:
 
 def test_challenge_keys_match_scalar_derivation():
     cfg = small_config()
-    tr = run_protocol(cfg, honest(), None)
+    tr = run_protocol(cfg, DeviceModel("honest"), None)
     for i in (0, 1, 100, cfg.T - 1):
         assert int(tr.challenge_keys[i]) == challenge_key(cfg.seed, i)
 
@@ -90,8 +90,8 @@ def test_score_threshold_formula():
 
 def test_honest_passes_uniform_fails():
     cfg = small_config()
-    tr_h = run_protocol(cfg, honest(), None)
-    tr_u = run_protocol(cfg, uniform_cheat(), None)
+    tr_h = run_protocol(cfg, DeviceModel("honest"), None)
+    tr_u = run_protocol(cfg, DeviceModel("uniform"), None)
     assert tr_h.score_pass
     assert not tr_u.score_pass
     assert verify_score(tr_h, cfg) is True
@@ -100,7 +100,7 @@ def test_honest_passes_uniform_fails():
 
 def test_verify_score_rejects_tampered_transcript():
     cfg = small_config()
-    tr = run_protocol(cfg, honest(), None)
+    tr = run_protocol(cfg, DeviceModel("honest"), None)
     tr.probs[0] += 0.5  # inflate one per-challenge probability
     with pytest.raises(ValueError):
         verify_score(tr, cfg)
@@ -108,7 +108,7 @@ def test_verify_score_rejects_tampered_transcript():
 
 def test_transcript_probs_match_spectra():
     cfg = small_config(T=64)
-    tr = run_protocol(cfg, honest(), None)
+    tr = run_protocol(cfg, DeviceModel("honest"), None)
     for i in (0, 13, 63):
         f = challenge_function(cfg.seed, i, cfg.n)
         spec = wht(f)
@@ -119,8 +119,8 @@ def test_transcript_probs_match_spectra():
 
 def test_run_protocol_is_deterministic():
     cfg = small_config()
-    ta = run_protocol(cfg, biased(0.5), "argmax")
-    tb = run_protocol(cfg, biased(0.5), "argmax")
+    ta = run_protocol(cfg, DeviceModel("biased", 0.5), "argmax")
+    tb = run_protocol(cfg, DeviceModel("biased", 0.5), "argmax")
     assert transcript_to_dict(ta) == transcript_to_dict(tb)
     for field in ("challenge_keys", "samples", "probs"):
         assert np.array_equal(getattr(ta, field), getattr(tb, field))
@@ -146,14 +146,14 @@ def test_collision_verdict_wide_eps_keeps_bands_ordered():
 
 def test_argmax_claim_collides_fully():
     cfg = small_config()
-    tr = run_protocol(cfg, argmax_deterministic(), "argmax")
+    tr = run_protocol(cfg, DeviceModel("argmax"), "argmax")
     assert tr.V == cfg.T
     assert tr.entropy_verdict is Verdict.QUANTUM_LIKE
 
 
 def test_uniform_against_argmax_claim_reads_uniform():
     cfg = small_config(T=1 << 16)
-    tr = run_protocol(cfg, uniform_cheat(), "argmax")
+    tr = run_protocol(cfg, DeviceModel("uniform"), "argmax")
     assert tr.entropy_verdict is Verdict.UNIFORM_LIKE
 
 
@@ -161,15 +161,15 @@ def test_honest_against_argmax_claim_reads_quantum_like():
     # n = 6, T = 4096, seed 0: the honest arm collides with the claimed
     # argmax far more often than the uniform arm beside it
     cfg = small_config(T=4096, seed=0)
-    th, tu = run_protocol_arms(cfg, [(honest(), "argmax"),
-                                     (uniform_cheat(), "argmax")])
+    th, tu = run_protocol_arms(cfg, [(DeviceModel("honest"), "argmax"),
+                                     (DeviceModel("uniform"), "argmax")])
     assert th.entropy_verdict is Verdict.QUANTUM_LIKE
     assert tu.entropy_verdict is not Verdict.QUANTUM_LIKE
 
 
 def test_no_claim_means_no_collision_count():
     cfg = small_config(T=128)
-    tr = run_protocol(cfg, honest(), None)
+    tr = run_protocol(cfg, DeviceModel("honest"), None)
     assert tr.V is None
     assert tr.entropy_verdict is None
 
@@ -189,9 +189,9 @@ def oracle_claims(cfg):
 def test_argmax_claim_counts_against_oracle():
     cfg = small_config(T=64)
     claims = oracle_claims(cfg)
-    tr = run_protocol(cfg, argmax_deterministic(), "argmax")
+    tr = run_protocol(cfg, DeviceModel("argmax"), "argmax")
     assert tr.V == cfg.T and np.array_equal(tr.samples, claims)
-    for device in (honest(), biased(0.5)):
+    for device in (DeviceModel("honest"), DeviceModel("biased", 0.5)):
         tr = run_protocol(cfg, device, "argmax")
         assert tr.V == int(np.count_nonzero(tr.samples == claims))
 
@@ -199,9 +199,10 @@ def test_argmax_claim_counts_against_oracle():
 @pytest.mark.parametrize("claim", ["maxarg", argmax_claim])
 def test_unknown_claim_raises(claim):
     with pytest.raises(ValueError, match="unknown claim"):
-        run_protocol(small_config(T=8), honest(), claim)
+        run_protocol(small_config(T=8), DeviceModel("honest"), claim)
     with pytest.raises(ValueError, match="unknown claim"):
-        run_protocol_arms(small_config(T=8), [(honest(), None), (honest(), claim)])
+        run_protocol_arms(small_config(T=8), [(DeviceModel("honest"), None),
+                                              (DeviceModel("honest"), claim)])
 
 
 def assert_same_transcript(got, want):
@@ -220,9 +221,9 @@ def test_arms_equal_lone_runs(i):
     # T spans three whole blocks and one partial one
     cfg = ProtocolConfig(n=6, T=3 * 4096 + 5, b=1.5, eps_hog=0.5,
                          seed=derive64(20260823, 19, i))
-    arms = [(honest(), None), (uniform_cheat(), "argmax"),
-            (argmax_deterministic(), "argmax"), (biased(0.5), "argmax"),
-            (honest(), "argmax")]
+    arms = [(DeviceModel("honest"), None), (DeviceModel("uniform"), "argmax"),
+            (DeviceModel("argmax"), "argmax"), (DeviceModel("biased", 0.5), "argmax"),
+            (DeviceModel("honest"), "argmax")]
     got = run_protocol_arms(cfg, arms)
     assert len(got) == len(arms)
     claims = oracle_claims(cfg)
@@ -302,11 +303,11 @@ def test_toeplitz_seed_length_enforced():
 
 def test_extracted_length_respects_entropy_budget():
     cfg = small_config(T=4096, extractor_output_bits=256)
-    tr_h = run_protocol(cfg, honest(), None)
+    tr_h = run_protocol(cfg, DeviceModel("honest"), None)
     assert len(tr_h.extracted_bits) == 256
     assert set(tr_h.extracted_bits) <= {"0", "1"}
     # a deterministic device certifies nothing
-    tr_a = run_protocol(cfg, argmax_deterministic(), None)
+    tr_a = run_protocol(cfg, DeviceModel("argmax"), None)
     assert tr_a.min_entropy_total == pytest.approx(0.0, abs=1e-9)
     assert tr_a.extracted_bits == ""
     # the budget rule: never more than floor(H) - margin
@@ -315,7 +316,7 @@ def test_extracted_length_respects_entropy_budget():
 
 def test_small_entropy_budget_truncates_output():
     cfg = small_config(T=64, extractor_output_bits=4096)
-    tr = run_protocol(cfg, honest(), None)
+    tr = run_protocol(cfg, DeviceModel("honest"), None)
     budget = int(tr.min_entropy_total) - EXTRACTOR_MARGIN_BITS
     expected = max(0, min(4096, budget, cfg.T * cfg.n))
     assert len(tr.extracted_bits) == expected
@@ -340,7 +341,7 @@ def test_transcript_to_dict_is_json_ready():
     import json
 
     cfg = small_config(T=32)
-    d = transcript_to_dict(run_protocol(cfg, honest(), "argmax"))
+    d = transcript_to_dict(run_protocol(cfg, DeviceModel("honest"), "argmax"))
     text = json.dumps(d, sort_keys=True)
     assert "score_pass" in d and "extracted_bits" in d
     assert json.loads(text)["config"]["T"] == 32

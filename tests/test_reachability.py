@@ -1,5 +1,6 @@
-"""Every public definition in certlab is used by certlab, and every
-defaulted parameter is passed by it.
+"""Every public definition in certlab is used by certlab, every
+defaulted parameter is passed by it, and every name a module imports is
+read by that module.
 
 A function that only tests call either becomes an oracle in tests/ or
 goes.  This check parses src/certlab/*.py and requires each public
@@ -29,7 +30,6 @@ KEEP = {
 KEEP_PARAMS = {
     "cli.main.argv": "the entry point perfbench and the tests call with argv; "
                      "the console script passes none",
-    "rejection.rhog_score.uniform_pairs": "gate 4's uniform-pair control",
 }
 
 
@@ -158,6 +158,24 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
     # a KEEP_PARAMS entry that is now passed, or no longer defined, shows
     # up here too
     assert unpassed == sorted(KEEP_PARAMS)
+
+
+def test_every_imported_name_is_read_by_its_module():
+    # an import its module never reads is dead: it goes
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0]
+                             for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.stem}.{name}" for name in sorted(imported - read)]
+    assert unread == []
 
 
 def test_only_the_devices_choose_who_answers():

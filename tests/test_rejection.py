@@ -8,21 +8,20 @@ value frozen.  For general g the law is held to `rejection_sample`, a
 literal simulation of the attempts.
 """
 
-import math
+import json
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from certlab import cli
 from certlab.boolfn import BooleanFunction, random_function, wht
-from certlab.devices import honest, uniform_cheat
-from certlab.fouriersample import tv_distance
-from certlab.rng import make_rng
+from certlab.devices import DeviceModel
+from certlab.rng import blocks, make_rng
 from certlab.rejection import (
     _placement,
     max_attempts,
     rhog_from_values,
-    rhog_score,
     rhog_values,
 )
 from certlab.sqforrelation import DistParams
@@ -143,7 +142,8 @@ def test_exact_law_tv_against_conditional_ideal():
 
 def test_rhog_signal_beats_target():
     params = DistParams(8, 1.0)
-    res = rhog_score(params, honest(), 20000, make_rng(52, 0))
+    res = rhog_from_values(params, rhog_values(params, DeviceModel("honest"),
+                                               20000, make_rng(52, 0)))
     assert res.target == pytest.approx(1 + params.epsilon ** 2 / 8)
     assert res.n_times_mean >= res.target
     assert res.n_times_mean - res.ci99 > 1.0
@@ -152,24 +152,35 @@ def test_rhog_signal_beats_target():
 
 def test_rhog_uniform_pair_control_is_flat():
     params = DistParams(8, 1.0)
-    res = rhog_score(params, honest(), 10000, make_rng(52, 1),
-                     uniform_pairs=True)
+    res = rhog_from_values(params, rhog_values(params, DeviceModel("honest"),
+                                               10000, make_rng(52, 1),
+                                               uniform_pairs=True))
     assert res.n_times_mean == pytest.approx(1.0, abs=4 * res.ci99)
 
 
 def test_rhog_uniform_sampler_control_is_flat():
     params = DistParams(8, 1.0)
-    res = rhog_score(params, uniform_cheat(), 10000, make_rng(52, 2))
+    res = rhog_from_values(params, rhog_values(params, DeviceModel("uniform"),
+                                               10000, make_rng(52, 2)))
     assert res.n_times_mean == pytest.approx(1.0, abs=4 * res.ci99)
 
 
-def test_rhog_values_merge_matches_single_call():
+def test_rhog_values_merge_matches_single_call(tmp_path):
+    # the rhog command's score is rhog_from_values of its chunks' values in
+    # chunk order, chunk i drawing from make_rng(seed, _TAG_RHOG, i)
     params = DistParams(6, 1.0)
-    vals = rhog_values(params, honest(), 500, make_rng(53, 0))
-    merged = rhog_from_values(params, vals)
-    whole = rhog_score(params, honest(), 500, make_rng(53, 0))
-    assert merged.n_times_mean == whole.n_times_mean
-    assert merged.ci99 == whole.ci99
+    trials = cli._CHUNK + 500
+    out = tmp_path / "rhog.json"
+    assert cli.main(["rhog", "--n", "6", "--c", "1", "--trials", str(trials),
+                     "--seed", "53", "--out", str(out)]) == 0
+    whole = json.loads(out.read_text())["results"]
+    vals = [rhog_values(params, DeviceModel("honest"), count,
+                        make_rng(53, cli._TAG_RHOG, i))
+            for i, (_, count) in enumerate(blocks(trials, cli._CHUNK))]
+    merged = rhog_from_values(params, np.concatenate(vals))
+    assert len(vals) == 2
+    assert merged.n_times_mean == whole["n_times_mean"]
+    assert merged.ci99 == whole["ci99"]
 
 
 def test_rhog_probability_lookup_against_direct_sampler():

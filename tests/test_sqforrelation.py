@@ -7,18 +7,18 @@ conditional expectation of phi over the rounding randomness by a paired
 Monte Carlo run on one frozen real-valued draw.
 """
 
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from certlab import sqforrelation
+from certlab import cli, sqforrelation
 from certlab.boolfn import BooleanFunction, character_values, random_function, wht_rows
 from certlab.rng import blocks, gaussians, make_rng
 from certlab.sqforrelation import (
     DistParams,
-    mean_phi_experiment,
     pair_rows,
     phi_conditional_rows,
     phi_experiment_from_values,
@@ -326,7 +326,8 @@ def test_phi_conditional_rows_match_out_of_place(n, C, count):
 
 def test_mean_phi_experiment_fields_and_signal():
     params = DistParams(8, 1.0)
-    exp = mean_phi_experiment(params, 5000, "conditional", make_rng(45, 0))
+    exp = phi_experiment_from_values(params, phi_values(
+        params, 5000, "conditional", make_rng(45, 0)), "conditional")
     eps2 = params.epsilon ** 2
     assert exp.target_lower_bound == pytest.approx(eps2)
     assert exp.gprime_prediction == pytest.approx(eps2 * (2 - 2 / 256))
@@ -337,25 +338,39 @@ def test_mean_phi_experiment_fields_and_signal():
 
 def test_uniform_pairs_have_no_signal():
     params = DistParams(8, 1.0)
-    exp = mean_phi_experiment(params, 5000, "plain", make_rng(45, 1),
-                              uniform_pairs=True)
+    exp = phi_experiment_from_values(params, phi_values(
+        params, 5000, "plain", make_rng(45, 1), uniform_pairs=True),
+        "plain", uniform_pairs=True)
     assert exp.uniform_pairs
     assert abs(exp.mean) < 4 * exp.ci99 + 1e-3
 
 
-def test_phi_values_merge_matches_single_call():
+def test_phi_values_merge_matches_single_call(tmp_path):
+    # the sqforr command's mean is phi_experiment_from_values of its chunks'
+    # values in chunk order, chunk i drawing from make_rng(seed, _TAG_SQFORR, i)
     params = DistParams(6, 2.0)
-    vals = phi_values(params, 300, "conditional", make_rng(46, 0))
-    exp = phi_experiment_from_values(params, vals, "conditional", False)
-    whole = mean_phi_experiment(params, 300, "conditional", make_rng(46, 0))
-    assert exp.mean == whole.mean
-    assert exp.ci99 == whole.ci99
+    trials = cli._CHUNK + 300
+    out = tmp_path / "sqforr.json"
+    assert cli.main(["sqforr", "--n", "6", "--c", "2", "--trials", str(trials),
+                     "--estimator", "conditional", "--seed", "46",
+                     "--out", str(out)]) == 0
+    whole = json.loads(out.read_text())["results"]
+    vals = [phi_values(params, count, "conditional",
+                       make_rng(46, cli._TAG_SQFORR, i))
+            for i, (_, count) in enumerate(blocks(trials, cli._CHUNK))]
+    exp = phi_experiment_from_values(params, np.concatenate(vals),
+                                     "conditional", False)
+    assert len(vals) == 2
+    assert exp.mean == whole["mean_phi"]
+    assert exp.ci99 == whole["ci99"]
 
 
 def test_plain_and_conditional_estimators_agree_in_mean():
     params = DistParams(6, 1.0)
-    plain = mean_phi_experiment(params, 20000, "plain", make_rng(47, 0))
-    cond = mean_phi_experiment(params, 20000, "conditional", make_rng(47, 1))
+    plain = phi_experiment_from_values(params, phi_values(
+        params, 20000, "plain", make_rng(47, 0)), "plain")
+    cond = phi_experiment_from_values(params, phi_values(
+        params, 20000, "conditional", make_rng(47, 1)), "conditional")
     # same expectation; conditional has much smaller variance
     assert plain.mean == pytest.approx(cond.mean,
                                        abs=plain.ci99 + cond.ci99)
