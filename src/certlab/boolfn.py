@@ -137,41 +137,66 @@ def _exact_work(bound: int):
     return np.float32 if bound <= 2**24 else np.float64 if bound <= 2**53 else np.int64
 
 
-def _kron_transform(a: np.ndarray, spare: np.ndarray, last=True) -> np.ndarray:
-    """Unnormalized transform of the rows of a float (B, N) array by GEMM.
+def _kron_plan(a: np.ndarray, spare: np.ndarray, last=True):
+    """The GEMMs that transform the rows of a float (B, N) array `a`.
 
     H_N = H_{d_1} (x) ... (x) H_{d_k} (Sylvester), so with the row viewed as
     a (d_1, ..., d_k) tensor the transform applies H_{d_j} along axis j.
     Every axis but the last is mixed by a stacked left multiply H_d @ x on
     (d, c) column blocks; the last, contiguous axis by x @ H_d on blocks of
-    c rows (skipped when `last` is false).  c is chosen so that each GEMM
+    c rows (left out when `last` is false).  c is chosen so that each GEMM
     has M*N*K <= _GEMM_MAX.  The factors ping-pong between `a` and `spare`
-    (same shape, both clobbered); the one returned holds the result.
+    (same shape, both clobbered).  Returns the operands (x, y, out) of each
+    np.matmul(x, y, out=out), in order, and the view that then holds the
+    result.
     """
     bits = _factor_bits(a.shape[1].bit_length() - 1)
     inner = a.shape[1]
+    products = []
     for b in bits[:-1]:
         d = 1 << b
         inner >>= b
         c = min(inner, _GEMM_MAX >> (2 * b))
-        src = a.reshape(-1, d, inner // c, c).transpose(0, 2, 1, 3)
-        dst = spare.reshape(-1, d, inner // c, c).transpose(0, 2, 1, 3)
-        np.matmul(_hadamard(b, a.dtype), src, out=dst)
+        src, dst = (x.reshape(-1, d, inner // c, c).transpose(0, 2, 1, 3)
+                    for x in (a, spare))
+        products.append((_hadamard(b, a.dtype), src, dst))
         a, spare = spare, a
     if not last:
-        return a
+        return products, a
     b = bits[-1]
     h = _hadamard(b, a.dtype)
-    src = a.reshape(-1, 1 << b)
-    dst = spare.reshape(-1, 1 << b)
+    src, dst = a.reshape(-1, 1 << b), spare.reshape(-1, 1 << b)
     c = _GEMM_MAX >> (2 * b)
     full = src.shape[0] - src.shape[0] % c
     if full:
-        np.matmul(src[:full].reshape(-1, c, 1 << b), h,
-                  out=dst[:full].reshape(-1, c, 1 << b))
+        products.append((src[:full].reshape(-1, c, 1 << b), h,
+                         dst[:full].reshape(-1, c, 1 << b)))
     if full < src.shape[0]:
-        np.matmul(src[full:], h, out=dst[full:])
-    return spare
+        products.append((src[full:], h, dst[full:]))
+    return products, spare
+
+
+def _kron_blocks(rows: np.ndarray, work, last=True):
+    """Yield (start, count, result) for each block of about _BLOCK elements
+    of the (B, N) `rows`, cast to the float type `work` and transformed by
+    the GEMMs of `_kron_plan` in two work buffers allocated once per call;
+    `result` is overwritten by the next block.  Each block height (the full
+    block and the remainder) is planned once per call, so a block costs its
+    copy in and its GEMMs, which run without the GIL; building views holds
+    the GIL, and per block --threads workers would queue on it.  Plans and
+    buffers are local to the call: threads share none of them.
+    """
+    nrows, size = rows.shape
+    a, spare = np.empty((2, max(1, min(nrows, _BLOCK // size)), size), dtype=work)
+    plans = {}
+    for i, m in blocks(nrows, a.shape[0]):
+        if m not in plans:
+            plans[m] = (a[:m], *_kron_plan(a[:m], spare[:m], last))
+        head, products, result = plans[m]
+        head[...] = rows[i:i + m]
+        for x, y, out in products:
+            np.matmul(x, y, out=out)
+        yield i, m, result
 
 
 def wht_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -182,14 +207,14 @@ def wht_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     a (B, N) array of the result dtype that receives the result; it may be
     `rows` itself, since each block is copied out before it is written.
 
-    Rows of both dtypes go through one Kronecker-factored BLAS product
-    (`_kron_transform`), in blocks of about _BLOCK elements through two work
-    buffers allocated once per call.  Integer rows come back as exact
-    integers.  With m = max |x|, every partial sum of that product, in any
-    summation order, is an integer of magnitude at most m*N.  So the product
-    runs in float32 when m*N <= 2^24 (every +-1 row, as N <= 2^24) and in
-    float64 when m*N <= 2^53 (a scaled spectrum fed back, where partial sums
-    reach about N^1.5); larger rows are refused.  The result is int16 when
+    Rows of both dtypes go through one Kronecker-factored BLAS product in
+    blocks of about _BLOCK elements (`_kron_blocks`), its GEMMs planned once
+    per call and block height.  Integer rows come back as exact integers.
+    With m = max |x|, every partial sum of that product, in any summation
+    order, is an integer of magnitude at most m*N.  So the product runs in
+    float32 when m*N <= 2^24 (every +-1 row, as N <= 2^24) and in float64
+    when m*N <= 2^53 (a scaled spectrum fed back, where partial sums reach
+    about N^1.5); larger rows are refused.  The result is int16 when
     m*N < 2^15 (+-1 rows up to n = 14) and int64 otherwise.
 
     Other rows are cast as astype(np.float64) casts them and come back as
@@ -202,7 +227,6 @@ def wht_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     nrows, size = rows.shape
     if size & (size - 1) or size == 0:
         raise ValueError("row length must be a power of two")
-    step = max(1, min(nrows, _BLOCK // size))  # rows per block and per buffer
     dtype = work = np.float64
     if np.issubdtype(rows.dtype, np.integer):
         bound = size * max(1, int(rows.max(initial=0)), -int(rows.min(initial=0)))
@@ -213,11 +237,8 @@ def wht_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         work = _exact_work(bound)
     if out is None:
         out = np.empty((nrows, size), dtype=dtype)
-    a = np.empty((step, size), dtype=work)
-    spare = np.empty_like(a)
-    for i, m in blocks(nrows, step):
-        a[:m] = rows[i:i + m]
-        out[i:i + m] = _kron_transform(a[:m], spare[:m])
+    for i, m, result in _kron_blocks(rows, work):
+        out[i:i + m] = result
     return out
 
 

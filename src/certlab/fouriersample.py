@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import (_BLOCK, FourierSpectrum, _exact_work, _factor_bits,
-                     _kron_transform, random_functions_batch, wht_rows)
+                     _kron_blocks, random_functions_batch, wht_rows)
 from .rng import blocks
 from .stats import wilson_halfwidth
 
@@ -109,9 +109,10 @@ def fourier_rows(scaled_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     bounds every cs by N^3 <= 2^21.  The squares are laid out transposed,
     so the cumulative sum is N - 1 adds of whole rows down axis 0.  Longer
     rows go to `_search_blocks`, their 64-entry blocks squared one chunk of
-    _SCAN_CHUNK blocks at a time into one buffer and summed by a product
-    with a ones vector, in the exact type of 64 m^2 (m = max |W|; float32
-    for random +-1 spectra at n <= 12), which bounds every partial sum.
+    _SCAN_CHUNK blocks at a time and summed by a product with a ones
+    vector, in the exact type of 64 m^2 (m = max |W| over the chunk, read
+    while it is in cache; float32 for random +-1 spectra at n <= 12), which
+    bounds every partial sum.
     """
     rows, size = scaled_rows.shape
     if size <= _NARROW:
@@ -119,18 +120,15 @@ def fourier_rows(scaled_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         t = _threshold(u, cs[-1])
         # a count is at most N <= 128, so it is summed in uint8
         return (cs < t).sum(axis=0, dtype=np.uint8).astype(np.int64)
-    m = max(int(scaled_rows.max(initial=0)), -int(scaled_rows.min(initial=0)))
-    work = _exact_work(_SCAN_BLOCK * m * m)
     cells = scaled_rows.reshape(rows, size // _SCAN_BLOCK, _SCAN_BLOCK)
     flat = cells.reshape(-1, _SCAN_BLOCK)
-    buf = np.empty((min(flat.shape[0], _SCAN_CHUNK), _SCAN_BLOCK), dtype=work)
-    ones = np.ones(_SCAN_BLOCK, dtype=work)
-    mass = np.empty(flat.shape[0], dtype=work)
+    cb = np.empty(flat.shape[0], dtype=np.int64)
     for i, c in blocks(flat.shape[0], _SCAN_CHUNK):
-        np.square(flat[i:i + c], out=buf[:c], dtype=work)
-        np.matmul(buf[:c], ones, out=mass[i:i + c])
-    cb = mass.astype(np.int64).reshape(cells.shape[:2])
-    return _search_blocks(cb, u, lambda k: cells[np.arange(rows), k])[0]
+        x = flat[i:i + c]
+        work = _exact_work(_SCAN_BLOCK * max(int(x.max()), -int(x.min())) ** 2)
+        cb[i:i + c] = np.square(x, dtype=work) @ np.ones(_SCAN_BLOCK, dtype=work)
+    return _search_blocks(cb.reshape(cells.shape[:2]), u,
+                          lambda k: cells[np.arange(rows), k])[0]
 
 
 def _search_blocks(cb: np.ndarray, u: np.ndarray, block):
@@ -158,10 +156,12 @@ def fourier_tables(tables: np.ndarray, u: np.ndarray):
     With G the transform over every Kronecker factor but the last, H_d,
     W(z_hi, .) = G(z_hi, .) H_d, so by Parseval a 64-entry block of W has
     mass d sum G^2 over the same entries of G.  Each block of rows (about
-    _BLOCK elements) gets every stage but the last, its masses summed while
-    in cache; only each row's chosen block goes through H_d.  |G| <= m N/d
-    (m = max |x|) sets the stages' exact float type, G's narrowest integer
-    type (int16 at n = 12) and, as 64 (m N/d)^2, the masses' type.
+    _BLOCK elements) gets every planned stage but the last (`_kron_blocks`),
+    and G and its block masses are stored while in cache, through buffers
+    allocated once per call; only each row's chosen block goes through H_d.
+    |G| <= m N/d (m = max |x|) sets the stages' exact float type, G's
+    narrowest integer type (int16 at n = 12) and, as 64 (m N/d)^2, the
+    masses' type.
     """
     rows, size = tables.shape
     d = 1 << _factor_bits(size.bit_length() - 1)[-1]
@@ -169,21 +169,17 @@ def fourier_tables(tables: np.ndarray, u: np.ndarray):
     # the smallest signed type whose range holds -reach - 1 also holds reach
     g = np.empty((rows, size // _SCAN_BLOCK, _SCAN_BLOCK),
                  dtype=np.min_scalar_type(-reach - 1))
-    cb = np.empty(g.shape[:2], dtype=np.int64)
-    step = max(1, min(rows, _BLOCK // size))
-    a, spare = np.empty((2, step, size), dtype=_exact_work(reach))
-    sq = np.empty((step * size // _SCAN_BLOCK, _SCAN_BLOCK),
-                  dtype=_exact_work(_SCAN_BLOCK * reach * reach))
-    for i, m in blocks(rows, step):
-        a[:m] = tables[i:i + m]
-        part = _kron_transform(a[:m], spare[:m], last=False)
+    sq = np.empty((max(1, min(rows, _BLOCK // size)) * size // _SCAN_BLOCK,
+                   _SCAN_BLOCK), dtype=_exact_work(_SCAN_BLOCK * reach * reach))
+    mass = np.empty(g.shape[:2], dtype=sq.dtype)
+    dsum = np.full(_SCAN_BLOCK, d, dtype=sq.dtype)  # exact: d is a power of 2
+    for i, m, part in _kron_blocks(tables, _exact_work(reach), last=False):
         g[i:i + m] = part.reshape(m, -1, _SCAN_BLOCK)
         c = m * size // _SCAN_BLOCK
         np.square(part.reshape(c, -1), out=sq[:c])
-        mass = np.matmul(sq[:c].reshape(-1, min(c, _SCAN_CHUNK), _SCAN_BLOCK),
-                         np.ones(_SCAN_BLOCK, dtype=sq.dtype))
-        cb[i:i + m] = (d * mass).reshape(m, -1)  # exact: d is a power of 2
-    z, w = _search_blocks(cb, u, lambda k: wht_rows(
+        np.matmul(sq[:c].reshape(-1, min(c, _SCAN_CHUNK), _SCAN_BLOCK), dsum,
+                  out=mass[i:i + m].reshape(-1, min(c, _SCAN_CHUNK)))
+    z, w = _search_blocks(mass.astype(np.int64), u, lambda k: wht_rows(
         g[np.arange(rows), k].reshape(-1, d)).reshape(rows, _SCAN_BLOCK))
     return z, w.astype(np.int64)
 

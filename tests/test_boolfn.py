@@ -8,12 +8,14 @@ against that and against exact integer identities.
 
 import math
 import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certlab import boolfn
 from certlab.boolfn import (
     MAX_N,
     BFN1_MAGIC,
@@ -34,7 +36,7 @@ from certlab.boolfn import (
     wht_rows,
 )
 from certlab.fouriersample import fourier_tables
-from certlab.rng import make_rng
+from certlab.rng import blocks, make_rng
 from exact_laws import HeavinessClass, classify_scaled
 
 
@@ -216,6 +218,85 @@ def test_transform_gemms_stay_under_blas_thread_threshold(monkeypatch):
                        make_rng(24, n).random(count))
         assert len(sizes) > before
     assert sizes and max(sizes) <= 1 << 18
+
+
+def plan_heights(count, n):
+    """The distinct block heights of a transform of `count` rows of 2^n:
+    the full block of 2^16 elements, then the remainder."""
+    step = max(1, min(count, (1 << 16) >> n))
+    return list(dict.fromkeys(m for _, m in blocks(count, step)))
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_transform_plans_once_per_block_height(monkeypatch, n):
+    # the kernel's views are built once per call and block height, never
+    # once per block: at most twice per transform, for wht_rows' whole rows
+    # and for fourier_tables' stages before H_d and its chosen blocks alike
+    plans = []
+    real = boolfn._kron_plan
+
+    def spy(a, spare, last=True):
+        plans.append((a.shape, last))
+        return real(a, spare, last)
+
+    monkeypatch.setattr(boolfn, "_kron_plan", spy)
+    size, d = 1 << n, 1 << boolfn._factor_bits(n)[-1]
+    step = (1 << 16) // size
+    rng = make_rng(26, n)
+    for count in (1, step - 1, step, step + 1, 3 * step + 5):
+        tables = random_functions_batch(n, count, rng)
+        for rows in (tables, tables.astype(np.float64)):
+            plans.clear()
+            wht_rows(rows)
+            assert plans == [((m, size), True) for m in plan_heights(count, n)]
+        plans.clear()
+        fourier_tables(tables, rng.random(count))
+        assert [p for p in plans if not p[1]] == [
+            ((m, size), False) for m in plan_heights(count, n)]
+        assert [p for p in plans if p[1]] == [
+            ((m, d), True) for m in plan_heights(count * 64 // d, d.bit_length() - 1)]
+
+
+def transform_in_place(rows):
+    x = rows.copy()
+    assert wht_rows(x, out=x) is x
+    return x
+
+
+def test_transform_threads_share_no_plan():
+    # two threads transform different inputs at the same time, and every
+    # result equals its serial result exactly: no plan or work buffer
+    # outlives its call or is shared between --threads workers
+    n = 10
+    step = (1 << 16) >> n
+    rng = make_rng(27, n)
+    jobs = []
+    for count in (step - 1, step + 1, 3 * step + 5):
+        tables = random_functions_batch(n, count, rng)
+        gauss = rng.standard_normal((count, 1 << n))
+        jobs += [(wht_rows, tables), (wht_rows, gauss), (transform_in_place, gauss),
+                 (transform_in_place, 64 * tables.astype(np.int64)),
+                 (fourier_tables, tables, rng.random(count))]
+    serial = [f(*args) for f, *args in jobs]
+    start = threading.Barrier(2, timeout=60)  # a failed worker breaks it
+    got = [[], []]
+
+    def worker(order, out):
+        for _ in range(4):
+            start.wait()
+            out.append([f(*args) for f, *args in order])
+
+    threads = [threading.Thread(target=worker, args=(order, out))
+               for order, out in ((jobs, got[0]), (jobs[::-1], got[1]))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for want, runs in ((serial, got[0]), (serial[::-1], got[1])):
+        assert len(runs) == 4
+        for results in runs:
+            for w, h in zip(want, results, strict=True):
+                np.testing.assert_array_equal(h, w, strict=True)
 
 
 @pytest.mark.parametrize("n", range(1, 17))
