@@ -106,9 +106,14 @@ class FourierSpectrum:
 # workers and slow them).
 _GEMM_MAX = 1 << 18
 _FACTOR_BITS = 5  # Hadamard factors are at most 2^5 x 2^5
-# Rows are transformed in blocks of about this many elements, through two
-# work buffers allocated once per call: the blocks stay in cache, and large
-# calls do not fault in fresh pages for every intermediate.
+# Elements per block of the compute loops here, in `sqforrelation` and in
+# `fouriersample`'s block search, whose block size moves no byte.  A block's
+# work buffers, allocated once per call, stay in cache, so large calls do
+# not fault in fresh pages for every intermediate; a block is large enough
+# that the numpy calls per batch, each a GIL hand-off between --threads
+# workers, stay few; and the search's chunk of _BLOCK / 64 blocks keeps its
+# (1024, 64) @ ones(64) product on OpenBLAS's calling thread (2^19 elements
+# woke its worker threads, when measured).
 _BLOCK = 1 << 16
 
 

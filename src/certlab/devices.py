@@ -20,8 +20,8 @@ it reads 2*count raw Philox words, coins then answers, the words of two
 `rng.random` draws (the digests pin them), and searches only the answers
 whose coin is >= p.  `count_bounds` reads the coin half alone and bounds
 each run's tally by it; the answer half is read only for the runs whose
-bounds do not decide the caller's question, and every other generator is
-moved past it as reading it would move it.
+bounds do not decide the caller's question.  A generator handed to
+`count_bounds` is spent: its state afterwards is unspecified.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import numpy as np
 from .boolfn import FourierSpectrum, wht_rows
 from .fouriersample import (_NARROW, fourier_rows, fourier_sample_many,
                             fourier_tables, honest_sampler)
-from .rng import skip_raw
 
 KINDS = ("honest", "uniform", "argmax", "biased")
 
@@ -97,19 +96,19 @@ class DeviceModel:
 
     def count_bounds(self, spec: FourierSpectrum, count: int, rngs):
         """Bounds lo <= c <= hi on the (len(rngs), N) int64 tallies c of
-        `sample_many`'s answers, row i from `count` draws of rngs[i], and
-        `answer(need)`, which returns the exact rows where the boolean mask
-        `need` holds and leaves every generator where drawing each run's
-        `sample_many` in list order leaves it.
+        `sample_many`'s answers, row i from `count` draws of rngs[i] with
+        the runs drawn in list order, and `answer(need)`, which returns the
+        exact rows where the boolean mask `need` holds.  The generators are
+        spent; their state afterwards is unspecified.
 
         Every kind but biased, and a biased call that repeats a generator
-        (whose coins and answers would otherwise leave it out of that
-        order), makes that eager draw here, so lo = hi = c.  Otherwise each
-        generator gives its first `count` raw words, the coin half of
+        (whose coins and answers would otherwise leave that order), makes
+        that eager draw here, so lo = hi = c.  Otherwise each generator
+        gives its first `count` raw words, the coin half of
         `_biased_split`'s draw: with `kept` coins >= p, c lies in
         count - kept .. count at the argmax and in 0 .. kept elsewhere, and
-        `answer` reads the answer words of the runs it needs and moves
-        every other generator past them (`rng.skip_raw`).
+        `answer` reads the answer words of the runs in `need` and touches
+        no other generator.
         """
         if self.kind != "biased" or len({id(g) for g in rngs}) < len(rngs):
             answers = [self.sample_many(spec, count, g) for g in rngs]
@@ -124,13 +123,9 @@ class DeviceModel:
         hi[:, z] = count
 
         def answer(need):
-            u = []
-            for g, mask, read in zip(rngs, keep, need):
-                if read:
-                    u.append(_uniforms(g.bit_generator.random_raw(count)[mask]))
-                else:
-                    skip_raw(g.bit_generator, count)
-            return _kept_tallies(spec, count, u)
+            return _kept_tallies(spec, count, [
+                _uniforms(g.bit_generator.random_raw(count)[mask])
+                for g, mask, read in zip(rngs, keep, need) if read])
 
         return lo, hi, answer
 

@@ -140,11 +140,11 @@ def derandomize(
     device's bounds on each tally (`count_bounds`; division by the fixed
     budget is monotone, so a decided step is the exact walk's), and only
     the runs the bounds leave undecided are answered exactly and walk
-    again; `answer` is called even when none is, since it also leaves
-    every generator where the full draw would.  The marginal over (device
-    randomness, seed) is exactly the device's own law; for a sufficiently
-    deterministic device and a generous budget the answers are almost
-    always one function of the seed alone.
+    again.  The indices are those of the eager draw; the generators are
+    spent, and their state afterwards is unspecified.  The marginal over
+    (device randomness, seed) is exactly the device's own law; for a
+    sufficiently deterministic device and a generous budget the answers
+    are almost always one function of the seed alone.
     """
     if budget < 1:
         raise BudgetZero("derandomization needs at least one device sample")
@@ -154,9 +154,9 @@ def derandomize(
     hi = hi.reshape(shape) / budget
     out = rejsamp(seeds, lo, hi)
     need = out < 0
-    lo[need] = hi[need] = answer(need.ravel()) / budget
     again = np.flatnonzero(need.any(axis=1))
     if again.size:
+        lo[need] = hi[need] = answer(need.ravel()) / budget
         rows = slice(None) if again.size == len(seeds) else again  # a view when all
         out[rows] = rejsamp([seeds[i] for i in again], lo[rows], hi[rows])
     return out

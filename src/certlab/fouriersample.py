@@ -32,10 +32,6 @@ from .stats import wilson_halfwidth
 _BATCH = 512  # functions generated and transformed per vectorized block
 _SCAN_BLOCK = 64  # row entries summed per block in fourier_rows' search
 _NARROW = 128  # longest row fourier_rows scans whole, in int32 (N^3 <= 2^21)
-# Blocks per chunk of fourier_rows' wide search (2^16 elements): the chunk
-# stays in cache, and OpenBLAS runs its (1024, 64) @ ones(64) product on the
-# calling thread (2^19 elements woke its worker threads, when measured).
-_SCAN_CHUNK = 1024
 
 
 class EmptySamples(ValueError):
@@ -109,10 +105,10 @@ def fourier_rows(scaled_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     bounds every cs by N^3 <= 2^21.  The squares are laid out transposed,
     so the cumulative sum is N - 1 adds of whole rows down axis 0.  Longer
     rows go to `_search_blocks`, their 64-entry blocks squared one chunk of
-    _SCAN_CHUNK blocks at a time and summed by a product with a ones
-    vector, in the exact type of 64 m^2 (m = max |W| over the chunk, read
-    while it is in cache; float32 for random +-1 spectra at n <= 12), which
-    bounds every partial sum.
+    _BLOCK elements at a time and summed by a product with a ones vector,
+    in the exact type of 64 m^2 (m = max |W| over the chunk, read while it
+    is in cache; float32 for random +-1 spectra at n <= 12), which bounds
+    every partial sum.
     """
     rows, size = scaled_rows.shape
     if size <= _NARROW:
@@ -123,7 +119,7 @@ def fourier_rows(scaled_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     cells = scaled_rows.reshape(rows, size // _SCAN_BLOCK, _SCAN_BLOCK)
     flat = cells.reshape(-1, _SCAN_BLOCK)
     cb = np.empty(flat.shape[0], dtype=np.int64)
-    for i, c in blocks(flat.shape[0], _SCAN_CHUNK):
+    for i, c in blocks(flat.shape[0], _BLOCK // _SCAN_BLOCK):
         x = flat[i:i + c]
         work = _exact_work(_SCAN_BLOCK * max(int(x.max()), -int(x.min())) ** 2)
         cb[i:i + c] = np.square(x, dtype=work) @ np.ones(_SCAN_BLOCK, dtype=work)
@@ -177,8 +173,9 @@ def fourier_tables(tables: np.ndarray, u: np.ndarray):
         g[i:i + m] = part.reshape(m, -1, _SCAN_BLOCK)
         c = m * size // _SCAN_BLOCK
         np.square(part.reshape(c, -1), out=sq[:c])
-        np.matmul(sq[:c].reshape(-1, min(c, _SCAN_CHUNK), _SCAN_BLOCK), dsum,
-                  out=mass[i:i + m].reshape(-1, min(c, _SCAN_CHUNK)))
+        chunk = min(c, _BLOCK // _SCAN_BLOCK)
+        np.matmul(sq[:c].reshape(-1, chunk, _SCAN_BLOCK), dsum,
+                  out=mass[i:i + m].reshape(-1, chunk))
     z, w = _search_blocks(mass.astype(np.int64), u, lambda k: wht_rows(
         g[np.arange(rows), k].reshape(-1, d)).reshape(rows, _SCAN_BLOCK))
     return z, w.astype(np.int64)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, wht_rows
+from .boolfn import wht_rows
 from .devices import DeviceModel, argmax_rows
 from .fouriersample import _NARROW
 from .rng import GOLDEN, blocks, derive64, make_rng, mix64_array
@@ -83,10 +83,11 @@ class ProtocolConfig:
 class ProtocolTranscript:
     """Everything a verifier needs to re-check a run.
 
-    challenge_keys[i] is the 64-bit seed of challenge i's function (the
-    function is regenerated by challenge_function); samples[i] is the
-    device's answer; probs[i] = fhat_i(samples[i])^2.  S is the total of
-    probs (recomputable to 1e-9); V is None when no claim was checked.
+    challenge_keys[i] = derive64(seed, _TAG_CHALLENGES, i) seeds challenge
+    i's sign table, the key's splitmix64 stream (`_signs_from_keys`);
+    samples[i] is the device's answer; probs[i] = fhat_i(samples[i])^2.
+    S is the total of probs (recomputable to 1e-9); V is None when no
+    claim was checked.
     """
 
     config: ProtocolConfig
@@ -99,11 +100,6 @@ class ProtocolTranscript:
     entropy_verdict: Verdict | None
     min_entropy_total: float
     extracted_bits: str
-
-
-def challenge_key(seed: int, i: int) -> int:
-    """64-bit seed of challenge i, derived from the master seed."""
-    return derive64(seed, _TAG_CHALLENGES, i)
 
 
 def _challenge_keys_block(seed: int, start: int, count: int) -> np.ndarray:
@@ -127,12 +123,6 @@ def _signs_from_keys(keys: np.ndarray, n: int) -> np.ndarray:
         words.reshape(-1).view(np.uint8), bitorder="little"
     ).reshape(len(keys), words_per * 64)
     return (1 - 2 * bits[:, :size]).astype(np.int8)
-
-
-def challenge_function(seed: int, i: int, n: int) -> BooleanFunction:
-    """Regenerate challenge i's function from the master seed."""
-    keys = np.array([challenge_key(seed, i)], dtype=np.uint64)
-    return BooleanFunction(n, _signs_from_keys(keys, n)[0])
 
 
 def score_threshold(config: ProtocolConfig) -> float:

@@ -94,34 +94,6 @@ def blocks(total: int, size: int):
         yield start, min(size, total - start)
 
 
-def skip_raw(bit_generator, n: int) -> None:
-    """Move a bit generator past `n` raw 64-bit words exactly as
-    `random_raw(n)` would move it, its whole state included.
-
-    Philox gives its words four per counter step.  The words left in its
-    buffer are drawn; `advance` steps the counter over every whole block
-    but the last (it also empties the buffer and drops a pending uint32
-    half, which is put back); and the last block is drawn, so the buffer
-    and its position are what drawing every word leaves.  Any other bit
-    generator draws the words.
-    """
-    if not isinstance(bit_generator, np.random.Philox):
-        bit_generator.random_raw(n)
-        return
-    state = bit_generator.state
-    head = min(n, 4 - state["buffer_pos"])
-    bit_generator.random_raw(head)
-    if n == head:
-        return
-    steps = (n - head - 1) // 4
-    bit_generator.advance(steps)
-    bit_generator.random_raw(n - head - 4 * steps)
-    if state["has_uint32"]:
-        after = bit_generator.state
-        after["has_uint32"], after["uinteger"] = 1, state["uinteger"]
-        bit_generator.state = after
-
-
 def gaussians(rng: np.random.Generator, count: int, sigma: float = 1.0) -> np.ndarray:
     """`count` N(0, sigma^2) draws via Box-Muller on uniform pairs.
 

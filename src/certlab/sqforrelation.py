@@ -26,17 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import random_functions_batch, wht_rows
+from .boolfn import _BLOCK, random_functions_batch, wht_rows
 from .rng import blocks, gaussians
 from .stats import mean_ci99
 
 DEFAULT_C = 20.0
 _BATCH = 4096
-# Entries per step of the blocked loops below.  Their work buffers are this
-# small, so a batch holds no second array of its own size; and a step is
-# this large, so the numpy calls per batch (each one a lock hand-off between
-# --threads workers) stay few.
-_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)

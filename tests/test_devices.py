@@ -333,8 +333,9 @@ def test_biased_sample_counts_match_draw_all_reference(p, n):
 def test_coin_bounds_hold_and_answer_finishes_the_eager_draw(p, n):
     # count_bounds brackets each run's eager tally (count 1 puts the one kept
     # answer off the argmax, where the bound kept is met); answer() gives
-    # the exact rows of the runs it reads and leaves every generator, read
-    # or moved past its answer words, in the state the eager draw leaves
+    # the exact rows of the runs it reads and leaves each of them in the
+    # state the eager draw leaves, and a run it does not read has given its
+    # `count` coin words and not one of its answer words
     spec = wht(random_function(n, make_rng(77, n)))
     for count in COUNTS:
         tags = [(77, n, count, j) for j in range(6)]
@@ -347,7 +348,10 @@ def test_coin_bounds_hold_and_answer_finishes_the_eager_draw(p, n):
         assert np.all(lo <= want) and np.all(want <= hi)
         need = np.arange(6) % 2 == 0
         np.testing.assert_array_equal(answer(need), want[need])
-        for g, h in zip(got, ref):
+        for t, g, h, read in zip(tags, got, ref, need):
+            if not read:
+                h = make_rng(*t)
+                h.bit_generator.random_raw(count)
             assert repr(g.bit_generator.state) == repr(h.bit_generator.state)
 
 

@@ -1,7 +1,8 @@
 """End-to-end protocol runs, scoring, collision verdicts, extraction.
 
 The Toeplitz fast path's oracle is the quadratic bit-by-bit multiply;
-the challenge stream's oracle is the scalar key derivation.
+the challenge stream's oracle is the scalar key derivation and the scalar
+splitmix64 words of each key.
 """
 
 import dataclasses
@@ -11,15 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certlab.boolfn import wht, wht_rows
+from certlab.boolfn import BooleanFunction, wht, wht_rows
 from certlab.devices import DeviceModel
 from certlab.protocol import (
     EXTRACTOR_MARGIN_BITS,
     LengthMismatch,
     ProtocolConfig,
     Verdict,
-    challenge_function,
-    challenge_key,
     collision_verdict,
     index_bits,
     run_protocol,
@@ -29,7 +28,7 @@ from certlab.protocol import (
     transcript_to_dict,
     verify_score,
 )
-from certlab.rng import derive64, make_rng
+from certlab.rng import GOLDEN, derive64, make_rng, mix64
 
 
 def toeplitz_extract_naive(
@@ -45,6 +44,21 @@ def toeplitz_extract_naive(
     for i in range(k):
         out[i] = int(np.bitwise_xor.reduce(seed[i:i + m] & xr)) & 1
     return out
+
+
+def challenge_key(seed: int, i: int) -> int:
+    """64-bit seed of challenge i: tag 1 (the challenges) and index i."""
+    return derive64(seed, 1, i)
+
+
+def challenge_function(seed: int, i: int, n: int) -> BooleanFunction:
+    """Challenge i's function, one scalar splitmix64 word at a time: word j
+    is mix64(key + (j+1) GOLDEN), and sign x is -1 where bit x mod 64 of
+    word x // 64 (LSB first) is set."""
+    key = challenge_key(seed, i)
+    words = [mix64(key + (j + 1) * GOLDEN) for j in range(max(1, (1 << n) // 64))]
+    signs = [-1 if words[x // 64] >> (x % 64) & 1 else 1 for x in range(1 << n)]
+    return BooleanFunction(n, np.array(signs, dtype=np.int8))
 
 
 def small_config(**kw) -> ProtocolConfig:

@@ -23,8 +23,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "certlab"
 
 KEEP = {
     "coefficient_at": "looked up by the benchmark's tracer (perfbench TARGETS)",
-    "challenge_function": "regenerates a challenge from its key, for the "
-                          "transcript verifier still to come",
 }
 
 KEEP_PARAMS = {

@@ -22,7 +22,6 @@ from certlab.rng import (
     make_rng,
     mix64,
     mix64_array,
-    skip_raw,
 )
 
 # reference stream values for splitmix64
@@ -167,35 +166,6 @@ def test_make_rng_equals_philox_keyed_by_derive64():
             b["buffer_pos"], b["has_uint32"], b["uinteger"])
         x, y = got.random(1000), want.random(1000)
         assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
-
-
-@pytest.mark.parametrize("pending", [False, True])
-@pytest.mark.parametrize("offset", range(4))
-@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 10001])
-def test_skip_raw_equals_drawing_the_words(n, offset, pending):
-    # moving Philox past n raw words leaves the state drawing them leaves,
-    # from each buffer offset and with or without a pending uint32 half
-    # (advance empties both); pinned against the installed numpy
-    want, got = make_rng(79, n, offset), make_rng(79, n, offset)
-    for g in (want, got):
-        if pending:
-            g.integers(0, 2**32, dtype=np.uint32)  # one word, half kept
-        g.bit_generator.random_raw((offset - pending) % 4)
-        state = g.bit_generator.state
-        assert state["buffer_pos"] % 4 == offset and state["has_uint32"] == pending
-    want.bit_generator.random_raw(n)
-    skip_raw(got.bit_generator, n)
-    assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
-    for draw in (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
-                 lambda g: g.bit_generator.random_raw(9)):
-        assert np.array_equal(draw(got), draw(want))
-
-
-def test_skip_raw_draws_the_words_of_other_bit_generators():
-    want, got = np.random.PCG64(5), np.random.PCG64(5)
-    want.random_raw(7)
-    skip_raw(got, 7)
-    assert repr(got.state) == repr(want.state)
 
 
 def test_gaussians_hold_one_output_sized_array():
